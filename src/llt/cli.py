@@ -18,7 +18,6 @@ import numpy as np
 from . import dataset_io, evaluation, linear_law
 from .classifiers import (
     Hyperparams,
-    heuristic_k,
     knn_fit,
     linear_svm_fit,
     mlp_fit,
@@ -72,18 +71,23 @@ class RunConfig:
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
-    """Flat key=value config file; command-line flags win."""
+    """Flat key=value config file; command-line flags win. A line that
+    is not key=value with a RunConfig field as key raises ValueError."""
     values: dict = {}
     if path is None:
         path = os.environ.get(CONFIG_ENV_VAR)
     if path:
+        known = {f.name for f in fields(RunConfig)}
         with open(path, "r", encoding="utf-8") as f:
-            for line in f:
+            for lineno, line in enumerate(f, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                k, v = line.split("=", 1)
-                values[k.strip()] = v.strip()
+                k, eq, v = (part.strip() for part in line.partition("="))
+                if not eq or k not in known:
+                    raise ValueError(f"{path}:{lineno}: expected key=value with a "
+                                     f"known key, got {line!r}")
+                values[k] = v
     cfg = RunConfig()
     for f in fields(RunConfig):
         raw = overrides.get(f.name)
@@ -287,8 +291,6 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="llt", description=__doc__)
     parser.add_argument("--config", help="key=value config file "
                         f"(default from ${CONFIG_ENV_VAR})")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker bound for parallel stages")
     common = argparse.ArgumentParser(add_help=False)
     for name, typ in (
         ("law-len", int), ("train-fraction", float), ("seed", int),

@@ -14,17 +14,24 @@ from .types import Beat
 class EmbeddedMatrix:
     """Rows of lagged windows, newest sample first in each row.
 
-    ``row_provenance[r] = (beat_index, base_offset)`` such that
-    ``data[r, i] == beats[beat_index].samples[base_offset - i]``.
+    Beats are stacked in input order, each contributing ``L - width + 1``
+    consecutive rows, so row ``m * (L - width + 1) + j`` is the window of
+    beat ``m`` ending at sample ``j + width - 1``.
     """
 
     data: np.ndarray
     width: int
-    row_provenance: list[tuple[int, int]]
 
     @property
     def rows(self) -> int:
         return self.data.shape[0]
+
+
+def _check_width(width: int, n: int) -> None:
+    if width < 2:
+        raise ValueError(f"embedding width must be >= 2, got {width}")
+    if width > n:
+        raise ValueError(f"embedding width {width} exceeds series length {n}")
 
 
 def embed_series(values: np.ndarray, width: int) -> np.ndarray:
@@ -34,18 +41,8 @@ def embed_series(values: np.ndarray, width: int) -> np.ndarray:
     ending at index j+width-1, newest first.
     """
     values = np.asarray(values, dtype=float)
-    n = len(values)
-    if width < 2:
-        raise ValueError(f"embedding width must be >= 2, got {width}")
-    if width > n:
-        raise ValueError(f"embedding width {width} exceeds series length {n}")
+    _check_width(width, len(values))
     return np.ascontiguousarray(sliding_window_view(values, width)[:, ::-1])
-
-
-def embed_beat(beat: Beat, width: int, beat_index: int = 0) -> EmbeddedMatrix:
-    data = embed_series(beat.samples, width)
-    prov = [(beat_index, j + width - 1) for j in range(data.shape[0])]
-    return EmbeddedMatrix(data=data, width=width, row_provenance=prov)
 
 
 def embed_class(beats: list[Beat], width: int) -> EmbeddedMatrix:
@@ -55,18 +52,8 @@ def embed_class(beats: list[Beat], width: int) -> EmbeddedMatrix:
     lengths = {len(b.samples) for b in beats}
     if len(lengths) != 1:
         raise ValueError(f"beats have mixed lengths {sorted(lengths)}")
-    blocks = []
-    prov: list[tuple[int, int]] = []
-    for m, beat in enumerate(beats):
-        e = embed_beat(beat, width, beat_index=m)
-        blocks.append(e.data)
-        prov.extend(e.row_provenance)
-    return EmbeddedMatrix(data=np.vstack(blocks), width=width, row_provenance=prov)
-
-
-def dump_embedding_csv(matrix: EmbeddedMatrix, path) -> None:
-    """Debug dump: one row per line with provenance columns first."""
-    with open(path, "w", encoding="utf-8") as f:
-        for (m, k), row in zip(matrix.row_provenance, matrix.data):
-            vals = ",".join(f"{v:.17g}" for v in row)
-            f.write(f"{m},{k},{vals}\n")
+    samples = np.stack([b.samples for b in beats])
+    _check_width(width, samples.shape[1])
+    windows = sliding_window_view(samples, width, axis=1)[:, :, ::-1]
+    data = np.ascontiguousarray(windows.reshape(-1, width))
+    return EmbeddedMatrix(data=data, width=width)

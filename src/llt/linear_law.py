@@ -1,5 +1,5 @@
-"""Fitting linear laws: correlation matrix, Jacobi eigensolver, and the
-smallest-eigenpair selection that defines a law.
+"""Fitting linear laws: correlation matrix, symmetric eigensolve by
+LAPACK, and the smallest-eigenpair selection that defines a law.
 
 The law of a class is the unit vector w minimizing the mean squared
 residual of w against the class's embedded windows; by the Lagrange
@@ -17,8 +17,7 @@ from .embedding import EmbeddedMatrix, embed_class
 from .types import Beat, Corpus, Label, LinearLaw
 
 # Tolerances for double precision at widths <= 32.
-JACOBI_OFFDIAG_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
+EIGENPAIR_RTOL = 1e-9
 VARIANCE_IDENTITY_RTOL = 1e-10
 DEGENERACY_RTOL = 1e-9
 
@@ -29,17 +28,6 @@ class ConvergenceError(RuntimeError):
 
 class DegenerateLawError(ValueError):
     pass
-
-
-@dataclass
-class CorrelationMatrix:
-    C: np.ndarray
-    K: int
-
-    def __post_init__(self):
-        self.C = np.asarray(self.C, dtype=float)
-        if self.C.ndim != 2 or self.C.shape[0] != self.C.shape[1]:
-            raise ValueError("correlation matrix must be square")
 
 
 @dataclass
@@ -65,78 +53,25 @@ class LawScanReport:
         return "\n".join(lines) + "\n"
 
 
-def correlation(Y: EmbeddedMatrix) -> CorrelationMatrix:
+def correlation(Y: EmbeddedMatrix) -> np.ndarray:
     """C = Y^T Y / K. Upper triangle is mirrored so symmetry is exact."""
     if Y.rows < 1:
         raise ValueError("embedding has no rows")
-    K = Y.rows
-    M = Y.data.T @ Y.data / K
+    M = Y.data.T @ Y.data / Y.rows
     upper = np.triu(M)
-    C = upper + upper.T - np.diag(np.diag(M))
-    return CorrelationMatrix(C=C, K=K)
+    return upper + upper.T - np.diag(np.diag(M))
 
 
 def jacobi_eigensystem(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigensystem of a symmetric matrix by cyclic Jacobi rotations.
+    """Full eigensystem of a symmetric matrix by LAPACK (``numpy.linalg.eigh``).
 
-    Returns (eigenvalues ascending, eigenvectors as columns). Sweeps
-    until the off-diagonal Frobenius norm drops below
-    JACOBI_OFFDIAG_TOL times the Frobenius norm of the input.
+    Returns (eigenvalues ascending, eigenvectors as columns). Only the
+    lower triangle is read, so the input must already be symmetric.
     """
-    A = np.array(A, dtype=float)
+    A = np.asarray(A, dtype=float)
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix has non-finite entries")
-    n = A.shape[0]
-    V = np.eye(n)
-    fro = np.linalg.norm(A)
-    if fro == 0.0:
-        return np.zeros(n), V
-
-    def offnorm(M):
-        # norm of the strictly off-diagonal part, computed directly to
-        # avoid cancellation against the (dominant) diagonal
-        return np.linalg.norm(M - np.diag(np.diag(M)))
-
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if offnorm(A) <= JACOBI_OFFDIAG_TOL * fro:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                elif abs(theta) > 1e150:  # theta**2 would overflow
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                # rotate rows/cols p and q
-                rp = A[:, p].copy()
-                rq = A[:, q].copy()
-                A[:, p] = c * rp - s * rq
-                A[:, q] = s * rp + c * rq
-                rp = A[p, :].copy()
-                rq = A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    else:
-        raise ConvergenceError(
-            f"Jacobi failed to converge in {JACOBI_MAX_SWEEPS} sweeps, "
-            f"off-diagonal residual {offnorm(A):.3e}"
-        )
-    evals = np.diag(A).copy()
-    order = np.argsort(evals, kind="stable")
-    return evals[order], V[:, order]
+    return np.linalg.eigh(A)
 
 
 def _fix_sign(w: np.ndarray) -> np.ndarray:
@@ -147,26 +82,6 @@ def _fix_sign(w: np.ndarray) -> np.ndarray:
     return w
 
 
-def smallest_eigenpair(cm: CorrelationMatrix) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue and its unit eigenvector of the correlation
-    matrix, with a verified residual."""
-    evals, evecs = jacobi_eigensystem(cm.C)
-    w = _fix_sign(evecs[:, 0].copy())
-    w = w / np.linalg.norm(w)
-    # Rayleigh quotient refinement: the Jacobi diagonal carries an
-    # absolute error ~eps*||C||, far above a near-zero eigenvalue
-    lam = max(float(w @ cm.C @ w), 0.0)
-    resid = np.linalg.norm(cm.C @ w - lam * w)
-    if resid > 1e-9 * max(1.0, np.linalg.norm(cm.C)):
-        raise ConvergenceError(f"eigenpair residual {resid:.3e} too large")
-    return lam, w
-
-
-def full_spectrum(cm: CorrelationMatrix) -> np.ndarray:
-    evals, _ = jacobi_eigensystem(cm.C)
-    return evals
-
-
 def fit_law(
     beats: list[Beat],
     width: int,
@@ -174,12 +89,13 @@ def fit_law(
     allow_degenerate: bool = False,
 ) -> LinearLaw:
     """Fit the linear law of a class: embed, correlate, take the
-    smallest eigenpair, and verify the variance identity."""
+    smallest eigenpair, and verify its residual ``||Cw - lam w||`` and
+    the variance identity."""
     Y = embed_class(beats, width)
-    cm = correlation(Y)
-    evals, evecs = jacobi_eigensystem(cm.C)
+    C = correlation(Y)
+    evals, evecs = jacobi_eigensystem(C)
     lam = float(evals[0])
-    scale = max(float(np.trace(cm.C)), np.finfo(float).tiny)
+    scale = max(float(np.trace(C)), np.finfo(float).tiny)
     multiplicity = int(np.sum(evals - lam <= DEGENERACY_RTOL * scale))
     if multiplicity > 1 and not allow_degenerate:
         raise DegenerateLawError(
@@ -188,6 +104,10 @@ def fit_law(
         )
     w = _fix_sign(evecs[:, 0].copy())
     w = w / np.linalg.norm(w)
+    resid = float(np.linalg.norm(C @ w - lam * w))
+    bound = EIGENPAIR_RTOL * max(1.0, float(np.linalg.norm(C)))
+    if resid > bound:
+        raise ConvergenceError(f"eigenpair residual {resid:.3e} exceeds {bound:.3e}")
     # The residual path mean((Yw)^2) is the accurate eigenvalue estimate:
     # forming w C w loses a near-zero eigenvalue to cancellation at
     # eps*||C||, while the per-row dot products cancel before squaring.

@@ -27,6 +27,11 @@ class TestParsing:
             assert e.value.code == 0
             assert "--" in capsys.readouterr().out
 
+    def test_threads_flag_removed(self, tmp_path):
+        with pytest.raises(SystemExit) as e:
+            run(["--threads", "2", "synth", "--out-dir", str(tmp_path)])
+        assert e.value.code == 1
+
     def test_missing_required_flag(self, capsys):
         with pytest.raises(SystemExit) as e:
             run(["fit-law", "--train", "x.csv"])  # --out missing
@@ -52,6 +57,20 @@ class TestConfig:
         path.write_text("seed=11\n")
         monkeypatch.setenv("LLT_CONFIG", str(path))
         assert load_config(None, {}).seed == 11
+
+    @pytest.mark.parametrize("text, message", [
+        ("seed=3\nlaw_lenn=5\n", "cfg:2: expected key=value with a known key, got 'law_lenn=5'"),
+        ("# comment\n\nlaw_len\n", "cfg:3: expected key=value with a known key, got 'law_len'"),
+    ])
+    def test_bad_line_rejected(self, tmp_path, capsys, text, message):
+        path = tmp_path / "cfg"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_config(str(path), {})
+        assert run(["--config", str(path), "synth",
+                    "--out-dir", str(tmp_path / "data")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
 
     def test_echo_lines_cover_all_fields(self):
         from dataclasses import fields

@@ -1,18 +1,16 @@
 import numpy as np
 import pytest
 
+from llt import linear_law
 from llt.embedding import embed_class
 from llt.linear_law import (
     ConvergenceError,
-    CorrelationMatrix,
     DegenerateLawError,
     correlation,
     fit_law,
-    full_spectrum,
     jacobi_eigensystem,
     law_variance,
     scan_law_length,
-    smallest_eigenpair,
 )
 from llt.types import Beat, Corpus, Label, Role
 
@@ -34,7 +32,7 @@ def naive_correlation(Y):
 
 def inverse_power_smallest(C, iters=100):
     """Shifted inverse power iteration oracle for the smallest eigenpair,
-    independent of the Jacobi solver. A fixed negative shift locks onto
+    independent of the LAPACK solver. A fixed negative shift locks onto
     the smallest eigenvalue; Rayleigh-quotient shift updates then sharpen
     the estimate even when the bottom of the spectrum is clustered."""
     n = C.shape[0]
@@ -60,7 +58,7 @@ class TestCorrelation:
         em = embed_class([Beat(samples=np.array([1.0, 0.0, 0.0])),
                           Beat(samples=np.array([0.0, 0.0, 1.0]))], 2)
         # rows: [0,1],[0,0] and [0,0],[1,0] -> Y^T Y = I with K=4
-        C = correlation(em).C
+        C = correlation(em)
         assert np.allclose(C, np.eye(2) / 4)
 
     def test_rank_one(self):
@@ -68,7 +66,7 @@ class TestCorrelation:
             data = np.array([[1.0, 1.0], [1.0, 1.0]])
             rows = 2
             width = 2
-        C = correlation(FakeEm()).C
+        C = correlation(FakeEm())
         assert np.allclose(C, np.ones((2, 2)))
 
     def test_matches_naive_oracle(self):
@@ -80,36 +78,40 @@ class TestCorrelation:
             rows = 100
             width = 5
 
-        C = correlation(FakeEm()).C
+        C = correlation(FakeEm())
         assert np.max(np.abs(C - naive_correlation(Y))) < 1e-12
 
     def test_exact_symmetry(self):
         beats = random_beats(5, 12, seed=2)
-        C = correlation(embed_class(beats, 6)).C
+        C = correlation(embed_class(beats, 6))
         assert np.array_equal(C, C.T)
+
+
+def smallest(C):
+    evals, evecs = jacobi_eigensystem(C)
+    return evals[0], evecs[:, 0]
 
 
 class TestSmallestEigenpair:
     def test_diagonal(self):
-        lam, w = smallest_eigenpair(CorrelationMatrix(C=np.diag([2.0, 1.0]), K=1))
+        lam, w = smallest(np.diag([2.0, 1.0]))
         assert lam == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(w, [0, 1])
+        assert np.allclose(np.abs(w), [0, 1])
 
     def test_2x2_analytic(self):
         C = np.array([[2.0, 1.0], [1.0, 2.0]])
         tr, det = C.trace(), np.linalg.det(C)
         lam_oracle = (tr - np.sqrt(tr * tr - 4 * det)) / 2
-        lam, w = smallest_eigenpair(CorrelationMatrix(C=C, K=1))
+        lam, w = smallest(C)
         assert lam == pytest.approx(lam_oracle, abs=1e-12)
         assert np.allclose(np.abs(w), [1 / np.sqrt(2), 1 / np.sqrt(2)])
-        assert w[0] > 0  # sign convention
 
     def test_matches_inverse_power_oracle(self):
         rng = np.random.default_rng(11)
         for trial in range(20):
             Y = rng.standard_normal((40, 12))
             C = Y.T @ Y / 40
-            lam, w = smallest_eigenpair(CorrelationMatrix(C=C, K=40))
+            lam, w = smallest(C)
             lam_o, w_o = inverse_power_smallest(C)
             assert abs(lam - lam_o) < 1e-9 * max(1.0, np.trace(C))
             assert abs(np.dot(w, w_o)) > 1 - 1e-9
@@ -118,18 +120,11 @@ class TestSmallestEigenpair:
         with pytest.raises(ValueError, match="non-finite"):
             jacobi_eigensystem(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
-    def test_full_spectrum_sorted(self):
-        rng = np.random.default_rng(3)
-        Y = rng.standard_normal((30, 6))
-        ev = full_spectrum(correlation(
-            embed_class(random_beats(5, 10, seed=4), 6)))
+    def test_spectrum_sorted(self):
+        C = correlation(embed_class(random_beats(5, 10, seed=4), 6))
+        ev, _ = jacobi_eigensystem(C)
         assert np.all(np.diff(ev) >= 0)
-        assert np.allclose(
-            ev,
-            np.linalg.eigvalsh(correlation(
-                embed_class(random_beats(5, 10, seed=4), 6)).C),
-            atol=1e-10,
-        )
+        assert np.allclose(ev, np.linalg.eigvalsh(C), atol=1e-10)
 
 
 class TestFitLaw:
@@ -150,6 +145,7 @@ class TestFitLaw:
         tr, det = C.trace(), np.linalg.det(C)
         lam_oracle = (tr - np.sqrt(tr * tr - 4 * det)) / 2
         assert law.lam == pytest.approx(lam_oracle, rel=1e-12, abs=1e-15)
+        assert law.w[0] > 0  # sign convention
 
     def test_empty_class(self):
         with pytest.raises(ValueError):
@@ -163,6 +159,19 @@ class TestFitLaw:
             fit_law(beats, 3, "Normal")
         law = fit_law(beats, 3, "Normal", allow_degenerate=True)
         assert law.lam <= 1e-12
+
+    def test_eigenpair_residual_checked(self, monkeypatch):
+        solve = linear_law.jacobi_eigensystem
+
+        def perturbed(C):
+            evals, evecs = solve(C)
+            evecs = evecs.copy()
+            evecs[:, 0] += 1e-3 * evecs[:, 1]
+            return evals, evecs
+
+        monkeypatch.setattr(linear_law, "jacobi_eigensystem", perturbed)
+        with pytest.raises(ConvergenceError, match="eigenpair residual"):
+            fit_law(random_beats(8, 15, seed=0), 5, "Normal")
 
     def test_variance_identity(self):
         for seed in range(5):
