@@ -72,29 +72,30 @@ class RunConfig:
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
     """Flat key=value config file; command-line flags win. A line that
-    is not key=value with a RunConfig field as key raises ValueError."""
-    values: dict = {}
+    is not key=value with a RunConfig field as key, or whose value does
+    not convert to the field's type, raises ValueError naming path:line."""
+    cfg = RunConfig()
+    types = {f.name: type(getattr(cfg, f.name)) for f in fields(RunConfig)}
     if path is None:
         path = os.environ.get(CONFIG_ENV_VAR)
     if path:
-        known = {f.name for f in fields(RunConfig)}
         with open(path, "r", encoding="utf-8") as f:
             for lineno, line in enumerate(f, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
                 k, eq, v = (part.strip() for part in line.partition("="))
-                if not eq or k not in known:
+                if not eq or k not in types:
                     raise ValueError(f"{path}:{lineno}: expected key=value with a "
                                      f"known key, got {line!r}")
-                values[k] = v
-    cfg = RunConfig()
-    for f in fields(RunConfig):
-        raw = overrides.get(f.name)
-        if raw is None:
-            raw = values.get(f.name)
+                try:
+                    setattr(cfg, k, types[k](v))
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: {k}={v!r} is not "
+                                     f"{'an integer' if types[k] is int else 'a number'}") from None
+    for name, raw in overrides.items():
         if raw is not None:
-            setattr(cfg, f.name, type(getattr(cfg, f.name))(raw))
+            setattr(cfg, name, types[name](raw))
     return cfg
 
 
@@ -289,9 +290,11 @@ def cmd_reproduce(args, cfg: RunConfig) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="llt", description=__doc__)
-    parser.add_argument("--config", help="key=value config file "
-                        f"(default from ${CONFIG_ENV_VAR})")
+    config_help = f"key=value config file (default from ${CONFIG_ENV_VAR})"
+    parser.add_argument("--config", help=config_help)
     common = argparse.ArgumentParser(add_help=False)
+    # SUPPRESS: a subcommand without --config keeps the top-level value
+    common.add_argument("--config", default=argparse.SUPPRESS, help=config_help)
     for name, typ in (
         ("law-len", int), ("train-fraction", float), ("seed", int),
         ("lowpass", float), ("highpass", float), ("window-len", int),

@@ -1,8 +1,9 @@
 """Disk formats and the split protocol.
 
-All persisted artifacts are self-describing text: a key=value header
-with a version tag and a sha256 checksum of the payload, then the
-payload itself. Reals are written with 17 significant digits so that
+Laws, models and feature matrices share one envelope, written by
+`write_artifact` and checked by `read_artifact`: `version=`, the
+artifact's key=value header, `checksum=` (sha256 of the payload), then
+the payload. Reals are written with 17 significant digits so that
 parse(serialize(x)) reproduces every double bit-exactly.
 """
 
@@ -140,268 +141,263 @@ def split_train_validation(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Cor
     return mk(train_idx, Role.TRAIN), mk(val_idx, Role.VALIDATION)
 
 
+# -------------------------------------------------- artifact envelope
+
+def write_artifact(path, header: dict, payload_lines: list[str]) -> None:
+    """Write `version=`, the header's key=value lines, `checksum=` (the
+    sha256 of the payload), then the payload lines."""
+    payload = "".join(line + "\n" for line in payload_lines)
+    digest = hashlib.sha256(payload.encode()).hexdigest()
+    header = {"version": FORMAT_VERSION, **header, "checksum": digest}
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write("".join(f"{k}={v}\n" for k, v in header.items()) + payload)
+
+
+def read_artifact(path, required_keys) -> tuple[dict[str, str], list[tuple[int, str]]]:
+    """Header and numbered payload lines of a file from `write_artifact`.
+    The header must be exactly the version, `required_keys` and the
+    checksum, in that order; the version and the checksum must match."""
+    # undecodable bytes become U+FFFD and so fail the header or checksum check
+    with open(path, "r", encoding="utf-8", errors="replace") as f:
+        lines = f.read().splitlines(keepends=True)
+    expected = ["version", *required_keys, "checksum"]
+    header = dict(line.rstrip("\n").partition("=")[::2] for line in lines[:len(expected)])
+    if list(header) != expected:
+        missing = [k for k in expected if k not in header]
+        raise ArtifactFileError(f"{path}: missing header field {missing[0]!r}" if missing
+                                else f"{path}: header fields {list(header)}, expected {expected}")
+    if header["version"] != FORMAT_VERSION:
+        raise ArtifactFileError(f"{path}:1: unsupported version {header['version']!r}")
+    payload = "".join(lines[len(expected):])
+    if hashlib.sha256(payload.encode()).hexdigest() != header["checksum"]:
+        raise ArtifactFileError(f"{path}: checksum mismatch")
+    return header, list(enumerate(payload.splitlines(), start=len(expected) + 1))
+
+
+class _Artifact:
+    """A checked artifact header and a cursor over its payload lines.
+    Every parse error names path:line."""
+
+    def __init__(self, path, required_keys):
+        self.path = path
+        self.header, self.lines = read_artifact(path, required_keys)
+        self.pos = 0
+        self.lineno = len(self.header)
+
+    def fail(self, message: str):
+        raise ArtifactFileError(f"{self.path}:{self.lineno}: {message}")
+
+    def field(self, key: str, parse=None, low=-math.inf):
+        """Header value of `key`, parsed as by `number` if `parse` is given."""
+        self.lineno = list(self.header).index(key) + 1
+        value = self.header[key]
+        return value if parse is None else self.number(value, parse, f"header field {key!r}", low)
+
+    def number(self, token: str, parse, what: str, low=-math.inf, high=math.inf):
+        """`parse(token)` (int or float), finite and in [low, high)."""
+        try:
+            value = parse(token)
+        except ValueError:
+            self.fail(f"{what}: {token!r} is not {'an integer' if parse is int else 'a number'}")
+        if not math.isfinite(value):
+            self.fail(f"{what}: {token!r} is not finite")
+        if not low <= value < high:
+            self.fail(f"{what}: {token!r} is out of range")
+        return value
+
+    def next(self, what: str) -> str:
+        if self.pos == len(self.lines):
+            self.lineno += 1
+            self.fail(f"payload ends before {what}")
+        self.lineno, line = self.lines[self.pos]
+        self.pos += 1
+        return line
+
+    def reals(self, tokens: list[str], count: int, what: str) -> list[float]:
+        if len(tokens) != count:
+            self.fail(f"{what}: expected {count} values, got {len(tokens)}")
+        return [self.number(t, float, what) for t in tokens]
+
+    def finish(self) -> None:
+        if self.pos < len(self.lines):
+            self.lineno, line = self.lines[self.pos]
+            self.fail(f"unexpected payload line {line!r}")
+
+
 # ----------------------------------------------------------- law file
 
 def save_law(law: LinearLaw, path) -> None:
-    payload = "".join(_fmt(v) + "\n" for v in law.w)
-    digest = hashlib.sha256(payload.encode()).hexdigest()
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"version={FORMAT_VERSION}\n")
-        f.write(f"class={law.class_tag}\n")
-        f.write(f"l={law.width}\n")
-        f.write(f"lambda={_fmt(law.lam)}\n")
-        f.write(f"rows={law.train_row_count}\n")
-        f.write(f"checksum={digest}\n")
-        f.write(payload)
+    write_artifact(path, {"class": law.class_tag, "l": law.width,
+                          "lambda": _fmt(law.lam), "rows": law.train_row_count},
+                   [_fmt(v) for v in law.w])
 
 
 def load_law(path) -> LinearLaw:
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    header = {}
-    body_start = 0
-    for i, line in enumerate(lines):
-        if "=" not in line:
-            body_start = i
-            break
-        k, v = line.split("=", 1)
-        header[k] = v
-        body_start = i + 1
-    for key in ("version", "class", "l", "lambda", "checksum"):
-        if key not in header:
-            raise ArtifactFileError(f"{path}: missing header field {key!r}")
-    if header["version"] != FORMAT_VERSION:
-        raise ArtifactFileError(
-            f"{path}: unsupported version {header['version']!r}"
-        )
-    coeff_lines = [l for l in lines[body_start:] if l.strip()]
-    payload = "".join(l + "\n" for l in coeff_lines)
-    if hashlib.sha256(payload.encode()).hexdigest() != header["checksum"]:
-        raise ArtifactFileError(f"{path}: checksum mismatch")
-    w = np.array([float(l) for l in coeff_lines])
-    if len(w) != int(header["l"]):
-        raise ArtifactFileError(
-            f"{path}: expected {header['l']} coefficients, got {len(w)}"
-        )
-    norm = float(np.linalg.norm(w))
-    if abs(norm - 1.0) > 1e-9:
-        raise ArtifactFileError(f"{path}: coefficients not unit norm (norm={norm:.6g})")
-    return LinearLaw(
-        w=w,
-        lam=float(header["lambda"]),
-        class_tag=header["class"],
-        train_row_count=int(header.get("rows", "0")),
-    )
+    a = _Artifact(path, ("class", "l", "lambda", "rows"))
+    width = a.field("l", int, 1)
+    lam = a.field("lambda", float)
+    rows = a.field("rows", int, 0)
+    w = [a.number(a.next("coefficient"), float, "coefficient") for _ in range(width)]
+    a.finish()
+    try:
+        return LinearLaw(w=np.array(w), lam=lam, class_tag=a.header["class"],
+                         train_row_count=rows)
+    except ValueError as e:
+        raise ArtifactFileError(f"{path}: {e}") from None
 
 
 # --------------------------------------------------------- model file
 
-def _write_array(f, name: str, arr: np.ndarray) -> list[str]:
-    arr = np.atleast_2d(arr)
-    lines = [f"matrix {name} {arr.shape[0]} {arr.shape[1]}"]
-    for row in arr:
-        lines.append(" ".join(_fmt(v) for v in row))
-    return lines
+# Payload fields of each model kind in file order: (name, type, sizes).
+# Types: "real", "count" and "metric" are `param name=value` lines,
+# "forest" is `param name=<trees>` then the trees, "labels" an ivector of
+# label indices, "matrix" and "vector" a `matrix name rows cols` block.
+# Size letters must agree across fields: d is feature_dim, c the number
+# of labels, 1 is one; any other letter is set by the first field read.
+_MODEL_FIELDS = {
+    "knn": (("k", "count", ""), ("metric", "metric", ""),
+            ("X", "matrix", "nd"), ("y", "labels", "n")),
+    "svm-linear": (("b", "real", ""), ("w", "vector", "1d")),
+    "svm-rbf": (("b", "real", ""), ("gamma", "real", ""),
+                ("coef", "vector", "1n"), ("support_vectors", "matrix", "nd")),
+    "rf": (("trees", "forest", ""),),
+    "mlp": (("W1", "matrix", "dh"), ("b1", "vector", "1h"),
+            ("W2", "matrix", "hc"), ("b2", "vector", "1c")),
+}
 
 
-def _tree_lines(tree: dict) -> list[str]:
-    """Flatten a CART tree into numbered node lines, root first."""
-    nodes: list[str] = []
+def _tree_lines(node: dict, first: int = 0) -> list[str]:
+    """A CART (sub)tree as numbered node lines, its root `first` first."""
+    if "leaf" in node:
+        return [f"node {first} leaf {node['leaf']}"]
+    left = _tree_lines(node["left"], first + 1)
+    right = first + 1 + len(left)
+    return [f"node {first} split {node['feature']} {_fmt(node['threshold'])} "
+            f"{first + 1} {right}", *left, *_tree_lines(node["right"], right)]
 
-    def visit(node) -> int:
-        my_id = len(nodes)
-        nodes.append("")  # placeholder
-        if "leaf" in node:
-            nodes[my_id] = f"node {my_id} leaf {node['leaf']}"
+
+def _field_lines(name: str, typ: str, value) -> list[str]:
+    if typ == "real":
+        return [f"param {name}={_fmt(value)}"]
+    if typ in ("count", "metric"):
+        return [f"param {name}={value}"]
+    if typ == "labels":
+        return [f"ivector {name} " + " ".join(str(int(v)) for v in value)]
+    if typ == "forest":
+        lines = [f"param {name}={len(value)}"]
+        for i, tree in enumerate(value):
+            nodes = _tree_lines(tree)
+            lines += [f"tree {i} {len(nodes)}", *nodes]
+        return lines
+    arr = np.atleast_2d(value)
+    return [f"matrix {name} {arr.shape[0]} {arr.shape[1]}",
+            *(" ".join(_fmt(v) for v in row) for row in arr)]
+
+
+def _read_tree(a: _Artifact, i: int, sizes: dict) -> dict:
+    """Tree i; nodes are numbered root first, so children have larger ids."""
+    t = a.next(f"tree {i}").split()
+    if t[:2] != ["tree", str(i)] or len(t) != 3:
+        a.fail(f"expected 'tree {i} NODES', got {' '.join(t)!r}")
+    n = a.number(t[2], int, "node count", 1)
+    nodes = []
+    for j in range(n):
+        t = a.next(f"node {j} of tree {i}").split()
+        if t[:3] == ["node", str(j), "leaf"] and len(t) == 4:
+            nodes.append({"leaf": a.number(t[3], int, "leaf label", 0, sizes["c"])})
+        elif t[:3] == ["node", str(j), "split"] and len(t) == 7:
+            nodes.append({"feature": a.number(t[3], int, "split feature", 0, sizes["d"]),
+                          "threshold": a.number(t[4], float, "split threshold"),
+                          "left": a.number(t[5], int, "left child", j + 1, n),
+                          "right": a.number(t[6], int, "right child", j + 1, n)})
         else:
-            left = visit(node["left"])
-            right = visit(node["right"])
-            nodes[my_id] = (
-                f"node {my_id} split {node['feature']} "
-                f"{_fmt(node['threshold'])} {left} {right}"
-            )
-        return my_id
-
-    visit(tree)
-    return nodes
+            a.fail(f"expected node {j} of {n}, got {' '.join(t)!r}")
+    for node in nodes:
+        if "leaf" not in node:
+            node["left"], node["right"] = nodes[node["left"]], nodes[node["right"]]
+    return nodes[0]
 
 
-def _model_payload(model: TrainedModel) -> list[str]:
-    p = model.params
-    lines: list[str] = []
-    if model.kind == "knn":
-        lines.append(f"param k={p['k']}")
-        lines.append(f"param metric={p['metric']}")
-        lines += _write_array(None, "X", p["X"])
-        lines.append("ivector y " + " ".join(str(int(v)) for v in p["y"]))
-    elif model.kind == "svm-linear":
-        lines.append(f"param b={_fmt(p['b'])}")
-        lines += _write_array(None, "w", p["w"])
-    elif model.kind == "svm-rbf":
-        lines.append(f"param b={_fmt(p['b'])}")
-        lines.append(f"param gamma={_fmt(p['gamma'])}")
-        lines += _write_array(None, "coef", p["coef"])
-        lines += _write_array(None, "support_vectors", p["support_vectors"])
-    elif model.kind == "rf":
-        lines.append(f"param trees={len(p['trees'])}")
-        for i, tree in enumerate(p["trees"]):
-            tl = _tree_lines(tree)
-            lines.append(f"tree {i} {len(tl)}")
-            lines += tl
-    elif model.kind == "mlp":
-        for name in ("W1", "b1", "W2", "b2"):
-            lines += _write_array(None, name, p[name])
-    else:
-        raise ValueError(f"unknown model kind {model.kind!r}")
-    return lines
+def _read_field(a: _Artifact, name: str, typ: str, letters: str, sizes: dict):
+    if typ in ("real", "count", "forest", "metric"):
+        line = a.next(f"param {name}")
+        if not line.startswith(f"param {name}="):
+            a.fail(f"expected 'param {name}=', got {line!r}")
+        value = line[len(f"param {name}="):]
+        if typ == "real":
+            return a.number(value, float, name)
+        if typ == "metric":
+            if value not in ("chebyshev", "euclidean"):
+                a.fail(f"unknown metric {value!r}")
+            return value
+        count = a.number(value, int, name, 1)
+        return count if typ == "count" else [_read_tree(a, i, sizes) for i in range(count)]
+    head = "ivector" if typ == "labels" else "matrix"
+    t = a.next(f"{head} {name}").split()
+    if t[:2] != [head, name] or (head == "matrix" and len(t) != 4):
+        a.fail(f"expected {head} {name}, got {' '.join(t)!r}")
+    values = [a.number(v, int, name, 0, sizes["c"] if typ == "labels" else math.inf)
+              for v in t[2:]]
+    shape = [len(values)] if typ == "labels" else values
+    for letter, size in zip(letters, shape):
+        if sizes.setdefault(letter, size) != size:
+            a.fail(f"{name}: size {size} disagrees with {sizes[letter]}")
+    if typ == "labels":
+        return np.array(values, dtype=int)
+    rows, cols = shape
+    arr = np.array([a.reals(a.next(f"row {r} of {name}").split(), cols, name)
+                    for r in range(rows)]).reshape(rows, cols)
+    return arr.ravel() if typ == "vector" else arr
 
 
 def save_model(model: TrainedModel, path) -> None:
-    payload = "".join(l + "\n" for l in _model_payload(model))
-    digest = hashlib.sha256(payload.encode()).hexdigest()
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"version={FORMAT_VERSION}\n")
-        f.write(f"kind={model.kind}\n")
-        f.write(f"feature_dim={model.feature_dim}\n")
-        f.write("labels=" + ",".join(model.labels) + "\n")
-        f.write(f"checksum={digest}\n")
-        f.write(payload)
-
-
-def _parse_arrays(lines: list[str]):
-    params: dict[str, str] = {}
-    arrays: dict[str, np.ndarray] = {}
-    trees: list[dict] = []
-    i = 0
-    while i < len(lines):
-        line = lines[i]
-        if line.startswith("param "):
-            k, v = line[len("param "):].split("=", 1)
-            params[k] = v
-            i += 1
-        elif line.startswith("matrix "):
-            _, name, r, c = line.split()
-            r, c = int(r), int(c)
-            rows = [
-                [float(v) for v in lines[i + 1 + j].split()] for j in range(r)
-            ]
-            arrays[name] = np.array(rows).reshape(r, c)
-            i += 1 + r
-        elif line.startswith("ivector "):
-            parts = line.split()
-            arrays[parts[1]] = np.array([int(v) for v in parts[2:]], dtype=int)
-            i += 1
-        elif line.startswith("tree "):
-            _, _idx, n_nodes = line.split()
-            n_nodes = int(n_nodes)
-            node_specs = {}
-            for j in range(n_nodes):
-                parts = lines[i + 1 + j].split()
-                nid = int(parts[1])
-                if parts[2] == "leaf":
-                    node_specs[nid] = {"leaf": int(parts[3])}
-                else:
-                    node_specs[nid] = {
-                        "feature": int(parts[3]),
-                        "threshold": float(parts[4]),
-                        "left_id": int(parts[5]),
-                        "right_id": int(parts[6]),
-                    }
-
-            def build(nid):
-                spec = node_specs[nid]
-                if "leaf" in spec:
-                    return {"leaf": spec["leaf"]}
-                return {
-                    "feature": spec["feature"],
-                    "threshold": spec["threshold"],
-                    "left": build(spec["left_id"]),
-                    "right": build(spec["right_id"]),
-                }
-
-            trees.append(build(0))
-            i += 1 + n_nodes
-        else:
-            raise ArtifactFileError(f"unrecognized payload line: {line!r}")
-    return params, arrays, trees
+    write_artifact(path, {"kind": model.kind, "feature_dim": model.feature_dim,
+                          "labels": ",".join(model.labels)},
+                   [line for name, typ, _ in _MODEL_FIELDS[model.kind]
+                    for line in _field_lines(name, typ, model.params[name])])
 
 
 def load_model(path) -> TrainedModel:
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    header = {}
-    body_start = 0
-    for i, line in enumerate(lines):
-        first = line.split(" ", 1)[0]
-        if "=" not in line or first in ("param",):
-            body_start = i
-            break
-        k, v = line.split("=", 1)
-        header[k] = v
-        body_start = i + 1
-    for key in ("version", "kind", "feature_dim", "labels", "checksum"):
-        if key not in header:
-            raise ArtifactFileError(f"{path}: missing header field {key!r}")
-    if header["version"] != FORMAT_VERSION:
-        raise ArtifactFileError(f"{path}: unsupported version {header['version']!r}")
-    body = [l for l in lines[body_start:] if l.strip()]
-    payload = "".join(l + "\n" for l in body)
-    if hashlib.sha256(payload.encode()).hexdigest() != header["checksum"]:
-        raise ArtifactFileError(f"{path}: checksum mismatch")
-    params_kv, arrays, trees = _parse_arrays(body)
-    kind = header["kind"]
-    if kind == "knn":
-        params = {"X": arrays["X"], "y": arrays["y"],
-                  "k": int(params_kv["k"]), "metric": params_kv["metric"]}
-    elif kind == "svm-linear":
-        params = {"w": arrays["w"].ravel(), "b": float(params_kv["b"])}
-    elif kind == "svm-rbf":
-        params = {"support_vectors": arrays["support_vectors"],
-                  "coef": arrays["coef"].ravel(),
-                  "b": float(params_kv["b"]), "gamma": float(params_kv["gamma"])}
-    elif kind == "rf":
-        params = {"trees": trees}
-    elif kind == "mlp":
-        params = {"W1": arrays["W1"], "b1": arrays["b1"].ravel(),
-                  "W2": arrays["W2"], "b2": arrays["b2"].ravel()}
-    else:
-        raise ArtifactFileError(f"{path}: unknown model kind {kind!r}")
-    return TrainedModel(
-        kind=kind,
-        feature_dim=int(header["feature_dim"]),
-        labels=header["labels"].split(","),
-        params=params,
-    )
+    a = _Artifact(path, ("kind", "feature_dim", "labels"))
+    kind = a.field("kind")
+    if kind not in _MODEL_FIELDS:
+        a.fail(f"unknown model kind {kind!r}")
+    feature_dim = a.field("feature_dim", int, 1)
+    labels = a.field("labels").split(",")
+    if "" in labels or len(set(labels)) != len(labels) \
+            or (kind.startswith("svm") and len(labels) != 2):
+        a.fail(f"bad label list {a.header['labels']!r} for {kind}")
+    sizes = {"1": 1, "d": feature_dim, "c": len(labels)}
+    params = {name: _read_field(a, name, typ, letters, sizes)
+              for name, typ, letters in _MODEL_FIELDS[kind]}
+    a.finish()
+    return TrainedModel(kind=kind, feature_dim=feature_dim, labels=labels, params=params)
 
 
 # ------------------------------------------------------- feature file
 
 def save_features(path, X: np.ndarray, labels: list[str],
                   layout: list[tuple[str, int]]) -> None:
-    layout_str = ";".join(f"{tag}:{n}" for tag, n in layout)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"# layout={layout_str}\n")
-        for lbl, row in zip(labels, X):
-            f.write(str(lbl) + "," + ",".join(_fmt(v) for v in row) + "\n")
+    write_artifact(path, {"layout": ";".join(f"{tag}:{n}" for tag, n in layout),
+                          "rows": len(labels)},
+                   [str(lbl) + "," + ",".join(_fmt(v) for v in row)
+                    for lbl, row in zip(labels, X)])
 
 
 def load_features(path) -> tuple[np.ndarray, list[str], list[tuple[str, int]]]:
-    layout: list[tuple[str, int]] = []
-    X = []
-    labels = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("# layout="):
-                for part in line[len("# layout="):].split(";"):
-                    tag, n = part.rsplit(":", 1)
-                    layout.append((tag, int(n)))
-                continue
-            if line.startswith("#"):
-                continue
-            fields = line.split(",")
-            labels.append(fields[0])
-            X.append([float(v) for v in fields[1:]])
-    return np.array(X), labels, layout
+    a = _Artifact(path, ("layout", "rows"))
+    layout = []
+    for part in a.field("layout").split(";"):
+        tag, _, n = part.rpartition(":")
+        if not tag:
+            a.fail(f"expected layout TAG:COUNT;..., got {a.header['layout']!r}")
+        layout.append((tag, a.number(n, int, f"layout segment {tag!r}", 1)))
+    n_rows = a.field("rows", int, 0)
+    width = sum(n for _, n in layout)
+    labels, rows = [], []
+    for i in range(n_rows):
+        label, *values = a.next(f"feature row {i}").split(",")
+        labels.append(label)
+        rows.append(a.reals(values, width, "feature row"))
+    a.finish()
+    return np.array(rows).reshape(n_rows, width), labels, layout

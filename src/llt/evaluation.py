@@ -108,19 +108,21 @@ def evaluate_pipeline(test: Corpus, law: LinearLaw, model: TrainedModel,
                       method: str = "") -> MetricsReport:
     """Two-step classification: artifact beats are labeled Ectopic by
     rule; everything else goes through the reference-law features and
-    the trained model."""
+    the trained model. Unlabeled beats have no truth and are not scored;
+    a corpus without a labeled beat raises ValueError."""
     preds: list[str] = []
     truth: list[str] = []
     artifact_count = 0
     clean = []
     for beat in test.beats:
-        if beat.artifact:
-            artifact_count += 1
-            if include_artifacts:
-                preds.append(Label.ECTOPIC.value)
-                truth.append(beat.label.value)
-        else:
+        artifact_count += beat.artifact
+        if beat.label is Label.UNLABELED:
+            continue
+        if not beat.artifact:
             clean.append(beat)
+        elif include_artifacts:
+            preds.append(Label.ECTOPIC.value)
+            truth.append(beat.label.value)
     if clean:
         X = feature_matrix(clean, law)
         for p, b in zip(predict_batch(model, X), clean):

@@ -113,21 +113,3 @@ def downsample_features(fv: FeatureVector, factor: int) -> FeatureVector:
 def feature_matrix(beats: list[Beat], law: LinearLaw) -> np.ndarray:
     """Binary-mode features for a batch of non-artifact beats."""
     return np.array([transform(b, law) for b in beats])
-
-
-@dataclass
-class FeatureScaler:
-    """Per-feature standardization fit on training features; useful for
-    the scale-sensitive Chebyshev KNN. Off by default."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-    @classmethod
-    def fit(cls, X: np.ndarray) -> "FeatureScaler":
-        std = X.std(axis=0)
-        std[std == 0.0] = 1.0
-        return cls(mean=X.mean(axis=0), std=std)
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        return (X - self.mean) / self.std

@@ -61,6 +61,8 @@ class TestConfig:
     @pytest.mark.parametrize("text, message", [
         ("seed=3\nlaw_lenn=5\n", "cfg:2: expected key=value with a known key, got 'law_lenn=5'"),
         ("# comment\n\nlaw_len\n", "cfg:3: expected key=value with a known key, got 'law_len'"),
+        ("seed=3\nlaw_len=abc\n", "cfg:2: law_len='abc' is not an integer"),
+        ("svm_c=1,5\n", "cfg:1: svm_c='1,5' is not a number"),
     ])
     def test_bad_line_rejected(self, tmp_path, capsys, text, message):
         path = tmp_path / "cfg"
@@ -71,6 +73,23 @@ class TestConfig:
                     "--out-dir", str(tmp_path / "data")]) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "data").exists()
+
+    def test_config_after_subcommand(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("seed=3\n")
+        for i, argv in enumerate((["--config", str(cfg), "synth"],
+                                  ["synth", "--config", str(cfg)],
+                                  ["synth", "--seed", "3"],
+                                  ["synth"])):
+            assert run(argv + ["--beats", "5", "--out-dir", str(tmp_path / str(i))]) == 0
+        texts = [(tmp_path / str(i) / "train.csv").read_text() for i in range(4)]
+        assert texts[0] == texts[1] == texts[2] != texts[3]
+        bad = tmp_path / "bad"
+        bad.write_text("seed=x\n")
+        assert run(["synth", "--config", str(bad), "--out-dir", str(tmp_path)]) == 1
+        assert run(["--config", str(bad), "synth", "--config", str(cfg),
+                    "--out-dir", str(tmp_path / "4")]) == 0  # the later one wins
+        assert "bad:1: seed='x' is not an integer" in capsys.readouterr().err
 
     def test_echo_lines_cover_all_fields(self):
         from dataclasses import fields
@@ -150,6 +169,26 @@ def test_evaluate_command(tmp_path):
                 "--test", str(data / "test.csv"),
                 "--report", str(report)]) == 0
     assert "rf,test" in report.read_text()
+
+
+def test_evaluate_unlabeled_only_exits_1(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert run(["synth", "--beats", "20", "--out-dir", str(data)]) == 0
+    law = tmp_path / "n.law"
+    features = tmp_path / "f.csv"
+    model = tmp_path / "m.txt"
+    assert run(["fit-law", "--train", str(data / "train.csv"), "--out", str(law)]) == 0
+    assert run(["transform", "--law", str(law), "--in", str(data / "train.csv"),
+                "--out", str(features)]) == 0
+    assert run(["train", "--model", "svm-linear", "--features", str(features),
+                "--out", str(model)]) == 0
+    test = tmp_path / "unlabeled.csv"
+    test.write_text("".join("?" + line[1:] for line in
+                            (data / "test.csv").read_text().splitlines(keepends=True)))
+    capsys.readouterr()
+    assert run(["evaluate", "--law", str(law), "--model", str(model),
+                "--test", str(test)]) == 1
+    assert "zero evaluated beats" in capsys.readouterr().err
 
 
 def test_preprocess_command(tmp_path):

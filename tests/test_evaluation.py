@@ -129,6 +129,21 @@ class TestEvaluatePipeline:
         assert report.artifact_count == 1
         assert report.counts.total == len(ref)
 
+    def test_unlabeled_beats_not_scored(self):
+        law, model, ref, other = small_pipeline()
+        unlabeled = [Beat(samples=b.samples, label=Label.UNLABELED)
+                     for b in ref + other]
+        art = Beat(samples=np.zeros(30), label=Label.UNLABELED, artifact=True)
+        test = Corpus(beats=ref + other + unlabeled + [art], window_len=30)
+        report = evaluate_pipeline(test, law, model)
+        labeled = evaluate_pipeline(Corpus(beats=ref + other, window_len=30),
+                                    law, model)
+        assert report.counts == labeled.counts
+        assert report.artifact_count == 1
+        with pytest.raises(ValueError, match="zero evaluated"):
+            evaluate_pipeline(Corpus(beats=unlabeled + [art], window_len=30),
+                              law, model)
+
 
 class TestCompareReport:
     def test_baseline_values(self):

@@ -3,7 +3,6 @@ import pytest
 
 from llt.features import (
     FeatureMode,
-    FeatureScaler,
     LawSet,
     binary_features,
     downsample_features,
@@ -151,11 +150,3 @@ def test_feature_matrix_shape():
     X = feature_matrix(beats, law)
     assert X.shape == (5, 15)
 
-
-def test_feature_scaler_roundtrip():
-    rng = np.random.default_rng(20)
-    X = rng.standard_normal((50, 4)) * [1, 10, 100, 1] + [0, 5, -3, 0]
-    sc = FeatureScaler.fit(X)
-    Z = sc.apply(X)
-    assert np.allclose(Z.mean(axis=0), 0, atol=1e-12)
-    assert np.allclose(Z.std(axis=0), 1, atol=1e-12)
