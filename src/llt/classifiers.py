@@ -333,25 +333,6 @@ def tree_depth(node) -> int:
     return 1 + max(tree_depth(node["left"]), tree_depth(node["right"]))
 
 
-def select_rf_hyperparams(X, y, X_val, y_val, hp: Hyperparams,
-                          estimator_grid=(5, 10, 20), depth_grid=(4, 6, 8)):
-    """Grid selection balancing validation accuracy against the
-    train/validation gap (overfit control)."""
-    from dataclasses import replace
-
-    best = None
-    for ne in estimator_grid:
-        for dep in depth_grid:
-            cand = replace(hp, rf_estimators=ne, rf_depth=dep)
-            model = rf_fit(X, y, cand)
-            acc_t = float(np.mean(predict_batch(model, X) == np.asarray(y, dtype=str)))
-            acc_v = float(np.mean(predict_batch(model, X_val) == np.asarray(y_val, dtype=str)))
-            score = acc_v - 0.5 * abs(acc_t - acc_v)
-            if best is None or score > best[0]:
-                best = (score, ne, dep)
-    return best[1], best[2]
-
-
 # ---------------------------------------------------------------- MLP
 
 def mlp_init(feature_dim: int, hidden: int, seed: int) -> dict:
@@ -443,7 +424,3 @@ def predict_batch(model: TrainedModel, X) -> np.ndarray:
         raise ValueError(f"unknown model kind {model.kind!r}")
     return np.array([model.labels[i] for i in idx])
 
-
-def predict(model: TrainedModel, fv) -> str:
-    """Label for a single feature vector."""
-    return str(predict_batch(model, np.atleast_2d(np.asarray(fv, dtype=float)))[0])

@@ -25,7 +25,7 @@ from .classifiers import (
     rf_fit,
 )
 from .dataset_io import SplitSpec
-from .features import binary_features, downsample_features, feature_matrix
+from .features import feature_matrix
 from .preprocess import PreprocessConfig, preprocess_record
 from .synth import RecurrenceSpec, SynthSpec, generate
 from .types import Corpus, Label, Role
@@ -179,18 +179,15 @@ def cmd_scan(args, cfg: RunConfig) -> int:
 
 def cmd_transform(args, cfg: RunConfig) -> int:
     law = dataset_io.load_law(args.law)
-    corpus = dataset_io.load_corpus(args.infile)
-    rows, labels = [], []
-    layout = [(law.class_tag, corpus.window_len - law.width + 1)]
-    for b in corpus.non_artifact():
-        fv = binary_features(b, law)
-        if args.downsample > 1:
-            fv = downsample_features(fv, args.downsample)
-        rows.append(fv.xi)
-        labels.append(b.label.value)
-        layout = fv.layout
-    dataset_io.save_features(args.out, np.array(rows), labels, layout)
-    print(f"wrote {len(rows)} feature vectors to {args.out}")
+    beats = dataset_io.load_corpus(args.infile).non_artifact()
+    X = feature_matrix(beats, law)
+    k = args.downsample
+    if not 1 <= k <= X.shape[1]:
+        raise ValueError(f"--downsample must be in 1..{X.shape[1]}, got {k}")
+    X = X[:, ::k]
+    dataset_io.save_features(args.out, X, [b.label.value for b in beats],
+                             [(law.class_tag, X.shape[1])])
+    print(f"wrote {len(X)} feature vectors to {args.out}")
     return 0
 
 
@@ -341,7 +338,8 @@ def build_parser() -> _Parser:
     p.add_argument("--law", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--downsample", type=int, default=1)
+    p.add_argument("--downsample", type=int, default=1,
+                   help="keep every k-th residual (1 <= k <= feature count)")
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("train", parents=[common], help="train a classifier")

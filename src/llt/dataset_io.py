@@ -34,7 +34,8 @@ def _fmt(x: float) -> str:
 
 def load_corpus(path, role: Role = Role.TRAIN) -> Corpus:
     """Beat CSV: one row per beat, leading label token (N/E/?), then the
-    sample values. Row length fixes the corpus window length."""
+    sample values. Row length fixes the corpus window length. A bad row
+    is an ArtifactFileError naming path:line."""
     beats = []
     window_len = None
     with open(path, "r", encoding="utf-8") as f:
@@ -47,34 +48,39 @@ def load_corpus(path, role: Role = Role.TRAIN) -> Corpus:
             try:
                 label = Label.from_token(token)
             except ValueError as e:
-                raise ArtifactFileError(f"row {lineno}: {e}") from None
+                raise ArtifactFileError(f"{path}:{lineno}: {e}") from None
             if window_len is None:
                 window_len = len(rest)
                 if window_len < 2:
-                    raise ArtifactFileError(f"row {lineno}: too few samples")
+                    raise ArtifactFileError(f"{path}:{lineno}: too few samples")
             elif len(rest) != window_len:
                 raise ArtifactFileError(
-                    f"row {lineno}: expected {window_len} samples, got {len(rest)}"
+                    f"{path}:{lineno}: expected {window_len} samples, got {len(rest)}"
                 )
-            try:
-                samples = np.array([float(v) for v in rest])
-            except ValueError:
-                bad = next(i for i, v in enumerate(rest) if not _is_float(v))
-                raise ArtifactFileError(
-                    f"row {lineno}: column {bad + 2} is not a number"
-                ) from None
-            beats.append(Beat(samples=samples, label=label))
+            beats.append(Beat(samples=_finite_cells(path, lineno, rest), label=label))
     if window_len is None:
         raise ArtifactFileError(f"{path}: no beats found")
     return Corpus(beats=beats, window_len=window_len, role=role)
 
 
-def _is_float(v: str) -> bool:
+def _finite_cells(path, lineno: int, cells: list[str]) -> np.ndarray:
+    """The cells of one CSV row as finite floats. A bad cell fails as
+    `path:line: column c: ...`, where column 1 is the row's leading
+    field (the label or the sampling rate)."""
     try:
-        float(v)
-        return True
+        values = np.array([float(c) for c in cells])
+        if np.isfinite(values).all():
+            return values
     except ValueError:
-        return False
+        pass
+    for column, cell in enumerate(cells, start=2):
+        try:
+            value = float(cell)
+        except ValueError:
+            raise ArtifactFileError(
+                f"{path}:{lineno}: column {column}: {cell!r} is not a number") from None
+        if not math.isfinite(value):
+            raise ArtifactFileError(f"{path}:{lineno}: column {column}: {cell!r} is not finite")
 
 
 def save_corpus(corpus: Corpus, path) -> None:
@@ -84,19 +90,23 @@ def save_corpus(corpus: Corpus, path) -> None:
 
 
 def load_raw_signals(path) -> list[Signal]:
-    """Raw signal CSV: one record per line, "fs;v0,v1,..."."""
+    """Raw signal CSV: one record per line, "fs;v0,v1,...". A bad row is
+    an ArtifactFileError naming path:line."""
     out = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
+            fs_part, sep, vals_part = line.partition(";")
             try:
-                fs_part, vals_part = line.split(";", 1)
-                out.append(Signal(values=[float(v) for v in vals_part.split(",")],
-                                  fs=float(fs_part)))
-            except ValueError as e:
-                raise ArtifactFileError(f"row {lineno}: {e}") from None
+                fs = float(fs_part)
+            except ValueError:
+                fs = math.nan
+            if not sep or not 0.0 < fs < math.inf:
+                raise ArtifactFileError(f"{path}:{lineno}: expected 'fs;v0,v1,...' with a "
+                                        f"positive finite fs, got {line[:40]!r}")
+            out.append(Signal(values=_finite_cells(path, lineno, vals_part.split(",")), fs=fs))
     return out
 
 
@@ -106,7 +116,6 @@ def load_raw_signals(path) -> list[Signal]:
 class SplitSpec:
     train_fraction: float = 0.40
     seed: int = 0
-    stratify_by_label: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction <= 1.0:
@@ -120,25 +129,12 @@ def split_train_validation(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Cor
     the training part, the rest the validation part."""
     if corpus.role != Role.TRAIN:
         raise ValueError(f"can only split a train corpus, got role {corpus.role.value}")
-    rng = np.random.default_rng(spec.seed)
-    n = len(corpus.beats)
-    if spec.stratify_by_label:
-        train_idx: list[int] = []
-        val_idx: list[int] = []
-        for label in sorted({b.label for b in corpus.beats}, key=lambda l: l.value):
-            idx = np.array([i for i, b in enumerate(corpus.beats) if b.label == label])
-            perm = idx[rng.permutation(len(idx))]
-            cut = math.floor(spec.train_fraction * len(idx))
-            train_idx.extend(perm[:cut])
-            val_idx.extend(perm[cut:])
-    else:
-        perm = rng.permutation(n)
-        cut = math.floor(spec.train_fraction * n)
-        train_idx, val_idx = list(perm[:cut]), list(perm[cut:])
+    perm = np.random.default_rng(spec.seed).permutation(len(corpus.beats))
+    cut = math.floor(spec.train_fraction * len(corpus.beats))
     mk = lambda idx, role: Corpus(
         beats=[corpus.beats[i] for i in idx], window_len=corpus.window_len, role=role
     )
-    return mk(train_idx, Role.TRAIN), mk(val_idx, Role.VALIDATION)
+    return mk(perm[:cut], Role.TRAIN), mk(perm[cut:], Role.VALIDATION)
 
 
 # -------------------------------------------------- artifact envelope

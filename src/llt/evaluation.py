@@ -104,7 +104,6 @@ def metrics(counts: ConfusionCounts, artifact_count: int = 0,
 
 
 def evaluate_pipeline(test: Corpus, law: LinearLaw, model: TrainedModel,
-                      include_artifacts: bool = True,
                       method: str = "") -> MetricsReport:
     """Two-step classification: artifact beats are labeled Ectopic by
     rule; everything else goes through the reference-law features and
@@ -120,7 +119,7 @@ def evaluate_pipeline(test: Corpus, law: LinearLaw, model: TrainedModel,
             continue
         if not beat.artifact:
             clean.append(beat)
-        elif include_artifacts:
+        else:
             preds.append(Label.ECTOPIC.value)
             truth.append(beat.label.value)
     if clean:

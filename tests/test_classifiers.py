@@ -10,11 +10,9 @@ from llt.classifiers import (
     mlp_fit,
     mlp_init,
     mlp_loss_grad,
-    predict,
     predict_batch,
     rbf_svm_fit,
     rf_fit,
-    select_rf_hyperparams,
     smo_dual_objective,
     tree_depth,
     _rbf_kernel,
@@ -47,21 +45,21 @@ class TestKNN:
         # (2,2) is Chebyshev-2 / Euclid-2.83, (0,2.5) is 2.5 on both
         X = np.array([[2.0, 2.0], [0.0, 2.5]])
         model = knn_fit(X, ["N", "E"], Hyperparams(knn_k=1))
-        assert predict(model, [0.0, 0.0]) == "N"
+        assert predict_batch(model, [[0.0, 0.0]])[0] == "N"
         model_e = knn_fit(X, ["N", "E"],
                           Hyperparams(knn_k=1, knn_metric="euclidean"))
-        assert predict(model_e, [0.0, 0.0]) == "E"
+        assert predict_batch(model_e, [[0.0, 0.0]])[0] == "E"
 
     def test_majority_vote(self):
         X = np.array([[0.0], [0.1], [0.2], [5.0]])
         model = knn_fit(X, ["N", "N", "E", "E"], Hyperparams(knn_k=3))
-        assert predict(model, [0.05]) == "N"
+        assert predict_batch(model, [[0.05]])[0] == "N"
 
     def test_tie_broken_by_summed_distance(self):
         X = np.array([[0.0], [1.0], [3.0], [4.0]])
         model = knn_fit(X, ["N", "N", "E", "E"], Hyperparams(knn_k=4))
         # 2 votes each; N neighbors are closer to the probe
-        assert predict(model, [1.5]) == "N"
+        assert predict_batch(model, [[1.5]])[0] == "N"
 
     def test_k_exceeds_training(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -165,14 +163,6 @@ class TestRandomForest:
         model = rf_fit(X, ["N"] * 5, Hyperparams(rf_estimators=2))
         assert all(t == {"leaf": 0} for t in model.params["trees"])
 
-    def test_hyperparam_selection_returns_grid_point(self):
-        X, y = two_blobs(n=40, gap=1.5, seed=10)
-        Xv, yv = two_blobs(n=20, gap=1.5, seed=11)
-        ne, dep = select_rf_hyperparams(X, y, Xv, yv, Hyperparams(),
-                                        estimator_grid=(5, 10),
-                                        depth_grid=(2, 4))
-        assert ne in (5, 10) and dep in (2, 4)
-
 
 class TestMLP:
     def test_gradient_check(self):
@@ -236,7 +226,7 @@ class TestDispatch:
     def test_single_prediction_is_str(self):
         X, y = two_blobs(seed=15)
         model = knn_fit(X, y, Hyperparams())
-        out = predict(model, X[0])
+        out = predict_batch(model, [X[0]])[0]
         assert isinstance(out, str) and out in ("N", "E")
 
     def test_labels_sorted(self):

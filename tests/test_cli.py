@@ -204,3 +204,15 @@ def test_preprocess_command(tmp_path):
     corpus = load_corpus(out)
     assert len(corpus) == 1
     assert corpus.window_len == 30
+
+
+@pytest.mark.parametrize("command, text, message", [
+    (["fit-law", "--train"], "N,1,2,3\nE,nan,1,2\n", "2: column 2: 'nan' is not finite"),
+    (["preprocess", "--in"], "360;1,2,inf\n", "1: column 4: 'inf' is not finite"),
+])
+def test_bad_input_row_exits_1(tmp_path, capsys, command, text, message):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    assert run(command + [str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {path}:{message}\n"
+    assert not (tmp_path / "out").exists()

@@ -52,20 +52,31 @@ class TestCorpusFormat:
     def test_bad_label_row_indexed(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("N,1,2,3\nX,4,5,6\n")
-        with pytest.raises(ArtifactFileError, match="row 2"):
+        with pytest.raises(ArtifactFileError) as e:
             load_corpus(path)
+        assert str(e.value) == f"{path}:2: unknown label token 'X'"
 
     def test_ragged_rows(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("N,1,2,3\nE,4,5\n")
-        with pytest.raises(ArtifactFileError, match="row 2"):
+        with pytest.raises(ArtifactFileError) as e:
             load_corpus(path)
+        assert str(e.value) == f"{path}:2: expected 3 samples, got 2"
 
     def test_non_numeric_cell(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("N,1,oops,3\n")
-        with pytest.raises(ArtifactFileError, match="column 3"):
+        with pytest.raises(ArtifactFileError) as e:
             load_corpus(path)
+        assert str(e.value) == f"{path}:1: column 3: 'oops' is not a number"
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell(self, tmp_path, cell):
+        path = tmp_path / "c.csv"
+        path.write_text(f"N,1,2,3\nE,{cell},1,2\n")
+        with pytest.raises(ArtifactFileError) as e:
+            load_corpus(path)
+        assert str(e.value) == f"{path}:2: column 2: '{cell}' is not finite"
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -80,6 +91,22 @@ class TestCorpusFormat:
         assert len(sigs) == 2
         assert sigs[0].fs == 360.0
         assert list(sigs[1].values) == [5.0, 6.0]
+
+    @pytest.mark.parametrize("row, message", [
+        ("360;1,2,inf", "column 4: 'inf' is not finite"),
+        ("360;nan,2", "column 2: 'nan' is not finite"),
+        ("360;1,x", "column 3: 'x' is not a number"),
+        ("360;", "column 2: '' is not a number"),
+        ("360,1,2", "expected 'fs;v0,v1,...' with a positive finite fs, got '360,1,2'"),
+        ("0;1,2", "expected 'fs;v0,v1,...' with a positive finite fs, got '0;1,2'"),
+        ("nan;1,2", "expected 'fs;v0,v1,...' with a positive finite fs, got 'nan;1,2'"),
+    ])
+    def test_bad_raw_signal_row(self, tmp_path, row, message):
+        path = tmp_path / "r.csv"
+        path.write_text(f"# header\n360;1,2\n{row}\n")
+        with pytest.raises(ArtifactFileError) as e:
+            load_raw_signals(path)
+        assert str(e.value) == f"{path}:3: {message}"
 
 
 class TestSplit:
@@ -105,16 +132,6 @@ class TestSplit:
         assert [id(b) for b in t1.beats] == [id(b) for b in t2.beats]
         t3, _ = split_train_validation(corpus, SplitSpec(seed=10))
         assert [id(b) for b in t1.beats] != [id(b) for b in t3.beats]
-
-    def test_stratified_preserves_per_label_fraction(self):
-        beats = (random_beats(60, 5, seed=6, label=Label.NORMAL)
-                 + random_beats(40, 5, seed=7, label=Label.ECTOPIC))
-        corpus = Corpus(beats=beats, window_len=5)
-        train, val = split_train_validation(
-            corpus, SplitSpec(stratify_by_label=True))
-        n_train = sum(b.label is Label.NORMAL for b in train.beats)
-        e_train = sum(b.label is Label.ECTOPIC for b in train.beats)
-        assert n_train == 24 and e_train == 16
 
     def test_cannot_split_test_corpus(self):
         corpus = Corpus(beats=random_beats(10, 5, seed=8), window_len=5,

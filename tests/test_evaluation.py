@@ -121,14 +121,6 @@ class TestEvaluatePipeline:
         assert report.counts.tn >= 1
         assert report.counts.total == len(ref) + 1
 
-    def test_artifacts_excluded_when_asked(self):
-        law, model, ref, other = small_pipeline()
-        art = Beat(samples=np.zeros(30), label=Label.NORMAL, artifact=True)
-        test = Corpus(beats=ref + [art], window_len=30, role=Role.TEST)
-        report = evaluate_pipeline(test, law, model, include_artifacts=False)
-        assert report.artifact_count == 1
-        assert report.counts.total == len(ref)
-
     def test_unlabeled_beats_not_scored(self):
         law, model, ref, other = small_pipeline()
         unlabeled = [Beat(samples=b.samples, label=Label.UNLABELED)
