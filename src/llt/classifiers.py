@@ -4,6 +4,14 @@ Chebyshev KNN, linear SVM (sub-gradient), RBF SVM (SMO), random forest
 
 Every fit is deterministic given (features, labels, hyperparameters):
 the seed drives all shuffling, bootstrapping and initialization.
+
+The forest's split search sorts each candidate feature once per node
+and reads the left-hand label counts of every midpoint threshold off
+cumulative one-hot counts (`searchsorted(..., "left")` counts exactly
+the rows `x < thr`), then scores all thresholds' Gini impurities in one
+array expression. KNN predicts a whole batch: distances in row blocks of
+at most _KNN_BLOCK_ENTRIES entries, a stable sort per row, votes for the
+block at once, and the summed-distance tie-break only for tied rows.
 """
 
 from __future__ import annotations
@@ -15,6 +23,8 @@ import numpy as np
 LINEAR_SVM_EPOCHS = 100
 SMO_MAX_OUTER = 1000
 SMO_TOL = 1e-3
+# most distances (query rows x training rows) one KNN predict block holds
+_KNN_BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass
@@ -98,19 +108,37 @@ def knn_fit(X, y, hp: Hyperparams) -> TrainedModel:
     )
 
 
-def _knn_predict_one(p, x):
-    if p["metric"] == "chebyshev":
-        d = np.max(np.abs(p["X"] - x), axis=1)
-    else:
-        d = np.sqrt(np.sum((p["X"] - x) ** 2, axis=1))
-    order = np.argsort(d, kind="stable")[: p["k"]]
-    votes = np.bincount(p["y"][order], minlength=0)
-    best = np.flatnonzero(votes == votes.max())
-    if len(best) == 1:
-        return int(best[0])
-    # tie: smallest summed distance, then label order
-    sums = [d[order][p["y"][order] == lbl].sum() for lbl in best]
-    return int(best[int(np.argmin(sums))])
+def _knn_predict(p, Q):
+    """Label indices for the query rows Q, in row blocks of at most
+    _KNN_BLOCK_ENTRIES distances. Neighbours are the first k of a stable
+    distance sort; a vote tie goes to the smallest summed distance,
+    then to label order."""
+    X, y, k = p["X"], p["y"], p["k"]
+    n_labels = int(y.max()) + 1
+    out = np.empty(len(Q), dtype=int)
+    rows = max(1, _KNN_BLOCK_ENTRIES // len(X))
+    for start in range(0, len(Q), rows):
+        B = Q[start:start + rows]
+        if p["metric"] == "chebyshev":
+            from scipy.spatial.distance import cdist
+
+            D = cdist(B, X, "chebyshev")
+        else:  # cdist's Euclidean rounds differently; keep this formula
+            D = np.empty((len(B), len(X)))
+            for i, q in enumerate(B):
+                D[i] = np.sqrt(np.sum((X - q) ** 2, axis=1))
+        order = np.argsort(D, axis=1, kind="stable")[:, :k]
+        near = y[order]
+        votes = (near[:, :, None] == np.arange(n_labels)).sum(axis=1)
+        winners = votes == votes.max(axis=1, keepdims=True)
+        pred = np.argmax(votes, axis=1)
+        for r in np.flatnonzero(winners.sum(axis=1) > 1):
+            d = D[r][order[r]]
+            best = np.flatnonzero(winners[r])
+            sums = [d[near[r] == lbl].sum() for lbl in best]
+            pred[r] = best[int(np.argmin(sums))]
+        out[start:start + len(B)] = pred
+    return out
 
 
 # --------------------------------------------------------- linear SVM
@@ -257,12 +285,48 @@ def rbf_svm_fit(X, y, hp: Hyperparams) -> TrainedModel:
 
 # ------------------------------------------------------- random forest
 
-def _gini(counts):
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts / total
-    return 1.0 - np.sum(p * p)
+def _best_split(X, y, counts, feats):
+    """Lowest weighted Gini over every feature in feats (ascending) and
+    every midpoint between its distinct values, as (impurity, feature,
+    threshold), or None. A later candidate replaces the best only when it
+    is lower by more than 1e-15, so ties keep the first in scan order."""
+    n = len(y)
+    onehot = np.eye(len(counts), dtype=counts.dtype)[y]
+    best = None
+    for f in np.sort(feats):
+        order = np.argsort(X[:, f], kind="stable")
+        col = X[order, f]
+        vals = col[np.concatenate(([True], col[1:] != col[:-1]))]
+        if len(vals) < 2:
+            continue
+        thr = (vals[:-1] + vals[1:]) / 2.0
+        # nl = #(X[:, f] < thr), left counts from label prefix sums; a
+        # midpoint that rounds onto vals[0] (or overflows) empties a side
+        nl = np.searchsorted(col, thr, "left")
+        keep = (nl > 0) & (nl < n)
+        thr, nl = thr[keep], nl[keep]
+        cum = np.zeros((n + 1, len(counts)), dtype=counts.dtype)
+        np.cumsum(onehot[order], axis=0, out=cum[1:])
+        lc = cum[nl]
+        rc = counts - lc
+        nr = n - nl
+        pl = lc / nl[:, None]
+        pr = rc / nr[:, None]
+        gl = 1.0 - np.sum(pl * pl, axis=1)
+        gr = 1.0 - np.sum(pr * pr, axis=1)
+        imp = (nl * gl + nr * gr) / n
+        i = 0
+        while i < len(imp):
+            if best is None:
+                j = i
+            else:
+                hits = np.flatnonzero(imp[i:] < best[0] - 1e-15)
+                if not len(hits):
+                    break
+                j = i + hits[0]
+            best = (imp[j], f, float(thr[j]))
+            i = j + 1
+    return best
 
 
 def _build_tree(X, y, n_labels, depth_left, rng, n_sub):
@@ -270,23 +334,8 @@ def _build_tree(X, y, n_labels, depth_left, rng, n_sub):
     majority = int(np.argmax(counts))
     if depth_left == 0 or counts.max() == len(y):
         return {"leaf": majority}
-    d = X.shape[1]
-    feats = rng.permutation(d)[:n_sub]
-    best = None  # (impurity, feature, threshold)
-    for f in np.sort(feats):
-        vals = np.unique(X[:, f])
-        if len(vals) < 2:
-            continue
-        for thr in (vals[:-1] + vals[1:]) / 2.0:
-            mask = X[:, f] < thr
-            lc = np.bincount(y[mask], minlength=n_labels)
-            rc = counts - lc
-            nl, nr = lc.sum(), rc.sum()
-            if nl == 0 or nr == 0:
-                continue
-            imp = (nl * _gini(lc) + nr * _gini(rc)) / len(y)
-            if best is None or imp < best[0] - 1e-15:
-                best = (imp, f, float(thr))
+    feats = rng.permutation(X.shape[1])[:n_sub]
+    best = _best_split(X, y, counts, feats)
     if best is None:
         return {"leaf": majority}
     _, f, thr = best
@@ -408,7 +457,7 @@ def predict_batch(model: TrainedModel, X) -> np.ndarray:
     X = _check_dim(model, X)
     p = model.params
     if model.kind == "knn":
-        idx = np.array([_knn_predict_one(p, x) for x in X])
+        idx = _knn_predict(p, X)
     elif model.kind == "svm-linear":
         idx = (X @ p["w"] + p["b"] >= 0).astype(int)
     elif model.kind == "svm-rbf":

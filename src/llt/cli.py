@@ -21,6 +21,7 @@ from .classifiers import (
     knn_fit,
     linear_svm_fit,
     mlp_fit,
+    predict_batch,
     rbf_svm_fit,
     rf_fit,
 )
@@ -201,13 +202,22 @@ _FITTERS = {
 }
 
 
+def _labelled_features(path) -> tuple[np.ndarray, list[str]]:
+    """Feature rows of a file with a label; unlabelled `?` rows (which
+    `llt transform` keeps) have no truth to fit or score against."""
+    X, labels, _ = dataset_io.load_features(path)
+    keep = [i for i, lbl in enumerate(labels) if lbl != Label.UNLABELED.value]
+    if not keep:
+        raise ValueError(f"{path}: no labelled feature row (every row is "
+                         f"{Label.UNLABELED.value!r})")
+    return X[keep], [labels[i] for i in keep]
+
+
 def cmd_train(args, cfg: RunConfig) -> int:
-    X, labels, _ = dataset_io.load_features(args.features)
+    X, labels = _labelled_features(args.features)
     model = _FITTERS[args.model](X, labels, cfg.hyperparams())
     if args.val:
-        Xv, yv, _ = dataset_io.load_features(args.val)
-        from .classifiers import predict_batch
-
+        Xv, yv = _labelled_features(args.val)
         acc = float(np.mean(predict_batch(model, Xv) == np.array(yv)))
         print(f"validation accuracy {acc:.4f}")
     dataset_io.save_model(model, args.out)

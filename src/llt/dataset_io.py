@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifiers import TrainedModel
-from .preprocess import Signal
-from .types import Beat, Corpus, Label, LinearLaw, Role
+from .types import Beat, Corpus, Label, LinearLaw, Role, Signal
 
 FORMAT_VERSION = "1"
 

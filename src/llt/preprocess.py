@@ -10,28 +10,13 @@ ectopic by rule instead of running the model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy import signal as sp_signal
 
-from .types import Beat, Label
+from .types import Beat, Label, Signal
 
 FILTER_ORDER = 4
-
-
-@dataclass
-class Signal:
-    values: np.ndarray
-    fs: float
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 1:
-            raise ValueError("signal must be 1-D")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("signal contains non-finite values")
-        if self.fs <= 0:
-            raise ValueError(f"sampling rate must be positive, got {self.fs}")
 
 
 @dataclass
@@ -51,19 +36,34 @@ class PreprocessConfig:
             raise ValueError("peak_threshold must be in (0, 1)")
 
 
+@lru_cache(maxsize=64)
+def _butter_sos(cutoff: float, btype: str, fs: float) -> np.ndarray:
+    """Second-order sections of the FILTER_ORDER Butterworth design, made
+    once per (cutoff, btype, fs). Read-only, because every caller shares
+    the cached array."""
+    from scipy.signal import butter
+
+    sos = butter(FILTER_ORDER, cutoff, btype, fs=fs, output="sos")
+    sos.setflags(write=False)
+    return sos
+
+
 def bandpass(sig: Signal, cfg: PreprocessConfig) -> Signal:
     """Butterworth high-pass then low-pass, each run forward-backward
-    for zero phase so the QRS center is not shifted."""
+    for zero phase so the QRS center is not shifted. scipy.signal is
+    imported here, not at module load: it costs about a second and only
+    raw-record preprocessing needs it."""
     nyq = sig.fs / 2.0
     if cfg.lowpass_hz >= nyq:
         raise ValueError(f"lowpass cutoff {cfg.lowpass_hz} Hz >= Nyquist {nyq} Hz")
     if len(sig.values) <= 6 * FILTER_ORDER:
         raise ValueError(f"signal too short to filter ({len(sig.values)} samples)")
-    sos_hp = sp_signal.butter(FILTER_ORDER, cfg.highpass_hz, "highpass",
-                              fs=sig.fs, output="sos")
-    sos_lp = sp_signal.butter(FILTER_ORDER, cfg.lowpass_hz, "lowpass",
-                              fs=sig.fs, output="sos")
-    out = sp_signal.sosfiltfilt(sos_lp, sp_signal.sosfiltfilt(sos_hp, sig.values))
+    from scipy.signal import sosfiltfilt
+
+    sos_hp = _butter_sos(cfg.highpass_hz, "highpass", sig.fs)
+    sos_lp = _butter_sos(cfg.lowpass_hz, "lowpass", sig.fs)
+    # sosfiltfilt takes only writable sections, hence the copies
+    out = sosfiltfilt(sos_lp.copy(), sosfiltfilt(sos_hp.copy(), sig.values))
     return Signal(values=out, fs=sig.fs)
 
 

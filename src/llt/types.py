@@ -1,4 +1,4 @@
-"""Shared domain types for beats, corpora and linear laws."""
+"""Shared domain types for raw signals, beats, corpora and linear laws."""
 
 from __future__ import annotations
 
@@ -25,6 +25,23 @@ class Role(str, Enum):
     TRAIN = "train"
     VALIDATION = "validation"
     TEST = "test"
+
+
+@dataclass
+class Signal:
+    """One raw ECG record sampled at ``fs`` Hz."""
+
+    values: np.ndarray
+    fs: float
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=float)
+        if self.values.ndim != 1:
+            raise ValueError("signal must be 1-D")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("signal contains non-finite values")
+        if self.fs <= 0:
+            raise ValueError(f"sampling rate must be positive, got {self.fs}")
 
 
 @dataclass

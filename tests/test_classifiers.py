@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from llt import classifiers
 from llt.classifiers import (
     Hyperparams,
     TrainedModel,
@@ -15,6 +18,7 @@ from llt.classifiers import (
     rf_fit,
     smo_dual_objective,
     tree_depth,
+    _label_index,
     _rbf_kernel,
 )
 
@@ -242,3 +246,131 @@ def test_hyperparam_validation():
         Hyperparams(svm_c=-1.0)
     with pytest.raises(ValueError):
         Hyperparams(knn_metric="manhattan")
+
+
+# ------------------------------------------------ equivalence oracles
+#
+# The per-threshold CART search and the per-row KNN predict that the
+# prefix-count split search and the blocked KNN predict replaced. The
+# properties below require the fast paths to give the same trees and
+# the same labels as these, tie for tie.
+
+def _oracle_gini(counts):
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    p = counts / total
+    return 1.0 - np.sum(p * p)
+
+
+def _oracle_build_tree(X, y, n_labels, depth_left, rng, n_sub):
+    counts = np.bincount(y, minlength=n_labels)
+    majority = int(np.argmax(counts))
+    if depth_left == 0 or counts.max() == len(y):
+        return {"leaf": majority}
+    d = X.shape[1]
+    feats = rng.permutation(d)[:n_sub]
+    best = None  # (impurity, feature, threshold)
+    for f in np.sort(feats):
+        vals = np.unique(X[:, f])
+        if len(vals) < 2:
+            continue
+        for thr in (vals[:-1] + vals[1:]) / 2.0:
+            mask = X[:, f] < thr
+            lc = np.bincount(y[mask], minlength=n_labels)
+            rc = counts - lc
+            nl, nr = lc.sum(), rc.sum()
+            if nl == 0 or nr == 0:
+                continue
+            imp = (nl * _oracle_gini(lc) + nr * _oracle_gini(rc)) / len(y)
+            if best is None or imp < best[0] - 1e-15:
+                best = (imp, f, float(thr))
+    if best is None:
+        return {"leaf": majority}
+    _, f, thr = best
+    mask = X[:, f] < thr
+    return {
+        "feature": int(f),
+        "threshold": thr,
+        "left": _oracle_build_tree(X[mask], y[mask], n_labels, depth_left - 1, rng, n_sub),
+        "right": _oracle_build_tree(X[~mask], y[~mask], n_labels, depth_left - 1, rng, n_sub),
+    }
+
+
+def _oracle_forest(X, y, hp):
+    labels, yi = _label_index(y)
+    n, d = X.shape
+    n_sub = max(1, round(np.sqrt(d)))
+    trees = []
+    for t in range(hp.rf_estimators):
+        rng = np.random.default_rng([hp.seed, t])
+        boot = rng.integers(0, n, n)
+        trees.append(_oracle_build_tree(X[boot], yi[boot], len(labels),
+                                        hp.rf_depth, rng, n_sub))
+    return trees
+
+
+def _oracle_knn_predict_one(p, x):
+    if p["metric"] == "chebyshev":
+        d = np.max(np.abs(p["X"] - x), axis=1)
+    else:
+        d = np.sqrt(np.sum((p["X"] - x) ** 2, axis=1))
+    order = np.argsort(d, kind="stable")[: p["k"]]
+    votes = np.bincount(p["y"][order], minlength=0)
+    best = np.flatnonzero(votes == votes.max())
+    if len(best) == 1:
+        return int(best[0])
+    # tie: smallest summed distance, then label order
+    sums = [d[order][p["y"][order] == lbl].sum() for lbl in best]
+    return int(best[int(np.argmin(sums))])
+
+
+# Small integers make equal values and equal impurities common; 1 + 2**-52
+# sits next to 1.0, so the midpoint between them rounds back onto 1.0.
+_TIE_VALUES = [0.0, 1.0, 1.0 + 2.0 ** -52, 2.0, 3.0, 4.0]
+
+
+@st.composite
+def _labelled_rows(draw, min_rows=2, max_rows=40):
+    n = draw(st.integers(min_rows, max_rows))
+    d = draw(st.integers(1, 5))
+    n_labels = draw(st.integers(2, 3))
+    X = np.array(draw(st.lists(st.sampled_from(_TIE_VALUES),
+                               min_size=n * d, max_size=n * d))).reshape(n, d)
+    y = draw(st.lists(st.sampled_from("abc"[:n_labels]), min_size=n, max_size=n))
+    return X, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_labelled_rows(), depth=st.integers(1, 6),
+       estimators=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+@example(data=(np.array([[1.0], [1.0 + 2.0 ** -52], [2.0], [0.0]]),
+               ["a", "b", "b", "a"]), depth=3, estimators=2, seed=0)
+def test_rf_trees_equal_per_threshold_search(data, depth, estimators, seed):
+    X, y = data
+    hp = Hyperparams(rf_estimators=estimators, rf_depth=depth, seed=seed)
+    assert rf_fit(X, y, hp).params["trees"] == _oracle_forest(X, y, hp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_labelled_rows(min_rows=1), queries=st.data(),
+       metric=st.sampled_from(["chebyshev", "euclidean"]),
+       block=st.integers(1, 200))
+@example(data=(np.array([[0.0], [1.0], [3.0], [4.0]]), ["a", "a", "b", "b"]),
+         queries=None, metric="chebyshev", block=4)
+def test_knn_predict_equals_per_row_oracle(data, queries, metric, block):
+    X, y = data
+    if queries is None:  # two votes each: the summed distance decides
+        k, Q = 4, np.array([[1.5], [2.5], [2.0]])
+    else:
+        k = queries.draw(st.integers(1, len(X)))
+        m = queries.draw(st.integers(1, 12))
+        Q = np.array(queries.draw(st.lists(
+            st.sampled_from(_TIE_VALUES), min_size=m * X.shape[1],
+            max_size=m * X.shape[1]))).reshape(m, X.shape[1])
+    model = knn_fit(X, y, Hyperparams(knn_k=k, knn_metric=metric))
+    expected = np.array([model.labels[_oracle_knn_predict_one(model.params, q)]
+                         for q in Q])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classifiers, "_KNN_BLOCK_ENTRIES", block)
+        assert np.array_equal(predict_batch(model, Q), expected)

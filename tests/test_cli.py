@@ -1,8 +1,13 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import llt
 from llt.cli import RunConfig, build_parser, load_config, main
-from llt.dataset_io import load_corpus, load_law
+from llt.dataset_io import load_corpus, load_features, load_law, load_model
 
 
 def run(argv):
@@ -189,6 +194,56 @@ def test_evaluate_unlabeled_only_exits_1(tmp_path, capsys):
     assert run(["evaluate", "--law", str(law), "--model", str(model),
                 "--test", str(test)]) == 1
     assert "zero evaluated beats" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def features_with_unlabelled(tmp_path):
+    """Feature files from `llt transform`: one whose first four beats
+    are `?`, and one where every beat is."""
+    data = tmp_path / "data"
+    assert run(["synth", "--beats", "20", "--out-dir", str(data)]) == 0
+    law = tmp_path / "n.law"
+    assert run(["fit-law", "--train", str(data / "train.csv"), "--out", str(law)]) == 0
+    lines = (data / "train.csv").read_text().splitlines(keepends=True)
+    paths = {}
+    for name, n_unlabelled in (("some", 4), ("all", len(lines))):
+        corpus = tmp_path / f"{name}.csv"
+        corpus.write_text("".join("?" + line[1:] if i < n_unlabelled else line
+                                  for i, line in enumerate(lines)))
+        paths[name] = tmp_path / f"features_{name}.csv"
+        assert run(["transform", "--law", str(law), "--in", str(corpus),
+                    "--out", str(paths[name])]) == 0
+    assert load_features(paths["some"])[1][:5] == ["?"] * 4 + [lines[4][0]]
+    return paths
+
+
+@pytest.mark.parametrize("model", ["knn", "svm-linear"])
+def test_train_drops_unlabelled_rows(tmp_path, features_with_unlabelled, model):
+    out = tmp_path / "m.txt"
+    features = str(features_with_unlabelled["some"])
+    assert run(["train", "--model", model, "--features", features,
+                "--val", features, "--out", str(out)]) == 0
+    assert load_model(out).labels == ["E", "N"]
+
+
+def test_train_on_unlabelled_only_exits_1(tmp_path, capsys, features_with_unlabelled):
+    path = features_with_unlabelled["all"]
+    capsys.readouterr()
+    assert run(["train", "--model", "knn", "--features", str(path),
+                "--out", str(tmp_path / "m.txt")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: no labelled feature row (every row is '?')\n")
+    assert not (tmp_path / "m.txt").exists()
+
+
+def test_import_leaves_out_scipy_signal():
+    """Every subcommand imports llt.cli; only raw-record filtering needs
+    scipy.signal, which costs about a second to import."""
+    code = "import sys, llt.cli; print('scipy.signal' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": str(Path(llt.__file__).parents[1])},
+                          check=True)
+    assert done.stdout == "False\n"
 
 
 def test_preprocess_command(tmp_path):

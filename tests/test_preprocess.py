@@ -88,6 +88,19 @@ class TestBandpass:
                + b * bandpass(Signal(values=y, fs=FS), cfg()).values)
         assert np.max(np.abs(mix - sep)) < 1e-9 * np.max(np.abs(mix))
 
+    @pytest.mark.parametrize("fs, low, high", [
+        (360.0, 20.0, 0.5), (250.0, 20.0, 0.5), (360.0, 40.0, 1.0), (360.0, 20.0, 0.5)])
+    def test_cached_design_equals_fresh_design(self, fs, low, high):
+        # the designs are cached per (cutoff, type, rate); each case,
+        # including a repeat of the first, must filter as a fresh design
+        x = np.random.default_rng(1).standard_normal(1000)
+        fresh = sp_signal.sosfiltfilt(
+            sp_signal.butter(FILTER_ORDER, low, "lowpass", fs=fs, output="sos"),
+            sp_signal.sosfiltfilt(
+                sp_signal.butter(FILTER_ORDER, high, "highpass", fs=fs, output="sos"), x))
+        out = bandpass(Signal(values=x, fs=fs), cfg(lowpass_hz=low, highpass_hz=high))
+        assert np.array_equal(out.values, fresh)
+
     def test_zero_phase(self):
         # a symmetric pulse stays centered after filtering
         sig = triangular_pulse(1000, 2000)
