@@ -10,7 +10,9 @@ and reads the left-hand label counts of every midpoint threshold off
 cumulative one-hot counts (`searchsorted(..., "left")` counts exactly
 the rows `x < thr`), then scores all thresholds' Gini impurities in one
 array expression. KNN predicts a whole batch: distances in row blocks of
-at most _KNN_BLOCK_ENTRIES entries, a stable sort per row, votes for the
+at most _KNN_BLOCK_ENTRIES entries, the k-th distance per row by
+partition and a sort of only the entries within it (the same neighbours,
+in the same order, as a stable sort of the whole row), votes for the
 block at once, and the summed-distance tie-break only for tied rows.
 """
 
@@ -111,8 +113,8 @@ def knn_fit(X, y, hp: Hyperparams) -> TrainedModel:
 def _knn_predict(p, Q):
     """Label indices for the query rows Q, in row blocks of at most
     _KNN_BLOCK_ENTRIES distances. Neighbours are the first k of a stable
-    distance sort; a vote tie goes to the smallest summed distance,
-    then to label order."""
+    distance sort, found by partition; a vote tie goes to the smallest
+    summed distance, then to label order."""
     X, y, k = p["X"], p["y"], p["k"]
     n_labels = int(y.max()) + 1
     out = np.empty(len(Q), dtype=int)
@@ -127,7 +129,13 @@ def _knn_predict(p, Q):
             D = np.empty((len(B), len(X)))
             for i, q in enumerate(B):
                 D[i] = np.sqrt(np.sum((X - q) ** 2, axis=1))
-        order = np.argsort(D, axis=1, kind="stable")[:, :k]
+        # the k nearest in stable-sort order without sorting whole rows:
+        # every entry within the k-th distance, sorted by (row, d, column)
+        kth = np.partition(D, k - 1, axis=1)[:, k - 1:k]
+        r, c = np.nonzero(D <= kth)
+        c = c[np.lexsort((c, D[r, c], r))]
+        first = np.searchsorted(r, np.arange(len(B)))  # r is ascending
+        order = c[first[:, None] + np.arange(k)]
         near = y[order]
         votes = (near[:, :, None] == np.arange(n_labels)).sum(axis=1)
         winners = votes == votes.max(axis=1, keepdims=True)

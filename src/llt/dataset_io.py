@@ -19,6 +19,8 @@ from .classifiers import TrainedModel
 from .types import Beat, Corpus, Label, LinearLaw, Role, Signal
 
 FORMAT_VERSION = "1"
+# follows the label token of an artifact beat in a beat CSV
+_ARTIFACT_MARK = "*"
 
 
 class ArtifactFileError(ValueError):
@@ -33,8 +35,10 @@ def _fmt(x: float) -> str:
 
 def load_corpus(path, role: Role = Role.TRAIN) -> Corpus:
     """Beat CSV: one row per beat, leading label token (N/E/?), then the
-    sample values. Row length fixes the corpus window length. A bad row
-    is an ArtifactFileError naming path:line."""
+    sample values. A `*` after the label token (`E*,0,...`) marks an
+    artifact beat, whose samples are placeholders. Row length fixes the
+    corpus window length. A bad row is an ArtifactFileError naming
+    path:line."""
     beats = []
     window_len = None
     with open(path, "r", encoding="utf-8") as f:
@@ -44,6 +48,8 @@ def load_corpus(path, role: Role = Role.TRAIN) -> Corpus:
                 continue
             fields = line.split(",")
             token, rest = fields[0].strip(), fields[1:]
+            artifact = token.endswith(_ARTIFACT_MARK)
+            token = token.removesuffix(_ARTIFACT_MARK)
             try:
                 label = Label.from_token(token)
             except ValueError as e:
@@ -56,7 +62,8 @@ def load_corpus(path, role: Role = Role.TRAIN) -> Corpus:
                 raise ArtifactFileError(
                     f"{path}:{lineno}: expected {window_len} samples, got {len(rest)}"
                 )
-            beats.append(Beat(samples=_finite_cells(path, lineno, rest), label=label))
+            beats.append(Beat(samples=_finite_cells(path, lineno, rest), label=label,
+                              artifact=artifact))
     if window_len is None:
         raise ArtifactFileError(f"{path}: no beats found")
     return Corpus(beats=beats, window_len=window_len, role=role)
@@ -83,9 +90,12 @@ def _finite_cells(path, lineno: int, cells: list[str]) -> np.ndarray:
 
 
 def save_corpus(corpus: Corpus, path) -> None:
+    """Beat CSV as `load_corpus` reads it; only artifact beats carry the
+    marker, so a corpus without artifacts is plain `LABEL,v1,...` rows."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for b in corpus.beats:
-            f.write(b.label.value + "," + ",".join(_fmt(v) for v in b.samples) + "\n")
+            token = b.label.value + (_ARTIFACT_MARK if b.artifact else "")
+            f.write(token + "," + ",".join(_fmt(v) for v in b.samples) + "\n")
 
 
 def load_raw_signals(path) -> list[Signal]:

@@ -5,12 +5,18 @@ Beats that cannot be produced cleanly (window overrun, degenerate
 window, zero or multiple peaks under a single-beat expectation) are
 emitted with artifact=True; downstream classification labels them
 ectopic by rule instead of running the model.
+
+The band-pass is scipy's sosfiltfilt, bit for bit, with the parts that
+depend only on the filter design (the sections, sosfilt_zi and the pad
+length) computed once per design instead of once per record. Peak
+candidates come from one vectorised local-maximum mask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,35 +42,63 @@ class PreprocessConfig:
             raise ValueError("peak_threshold must be in (0, 1)")
 
 
+class _Design(NamedTuple):
+    """One FILTER_ORDER Butterworth design and the constants that
+    scipy.signal.sosfiltfilt would derive from it on every call."""
+
+    sos: np.ndarray  # second-order sections, read-only
+    zi: np.ndarray   # sosfilt_zi(sos), read-only
+    pad: int         # sosfiltfilt's default odd-extension length
+
+
 @lru_cache(maxsize=64)
-def _butter_sos(cutoff: float, btype: str, fs: float) -> np.ndarray:
-    """Second-order sections of the FILTER_ORDER Butterworth design, made
-    once per (cutoff, btype, fs). Read-only, because every caller shares
-    the cached array."""
-    from scipy.signal import butter
+def _butter_sos(cutoff: float, btype: str, fs: float) -> _Design:
+    """The design for (cutoff, btype, fs), made once per key: the
+    sections, their steady-state initial conditions and the pad length
+    3 * (2*n_sections + 1 - min(#zero b2, #zero a2)). The arrays are
+    read-only, because every caller shares them."""
+    from scipy.signal import butter, sosfilt_zi
 
     sos = butter(FILTER_ORDER, cutoff, btype, fs=fs, output="sos")
+    zi = sosfilt_zi(sos)
+    ntaps = 2 * len(sos) + 1 - min((sos[:, 2] == 0).sum(), (sos[:, 5] == 0).sum())
     sos.setflags(write=False)
-    return sos
+    zi.setflags(write=False)
+    return _Design(sos=sos, zi=zi, pad=3 * int(ntaps))
+
+
+def _filtfilt(design: _Design, x: np.ndarray) -> np.ndarray:
+    """scipy.signal.sosfiltfilt(design.sos, x) for a 1-D x, bit for bit.
+    These are its own steps (odd extension, a forward sosfilt from
+    zi * ext[0], a backward one from zi * y[-1], reverse and trim) with
+    the same arithmetic in the same order; only the per-call validation,
+    axis moves and the sosfilt_zi solve are left out, since they depend
+    on the design alone. sosfilt rejects read-only sections, hence the
+    copy."""
+    from scipy.signal import sosfilt
+
+    sos, n = design.sos.copy(), design.pad
+    ext = np.concatenate((2 * x[0] - x[n:0:-1], x, 2 * x[-1] - x[-2:-(n + 2):-1]))
+    y, _ = sosfilt(sos, ext, zi=design.zi * ext[0])
+    y, _ = sosfilt(sos, y[::-1], zi=design.zi * y[-1])
+    return y[::-1][n:-n]
 
 
 def bandpass(sig: Signal, cfg: PreprocessConfig) -> Signal:
     """Butterworth high-pass then low-pass, each run forward-backward
-    for zero phase so the QRS center is not shifted. scipy.signal is
-    imported here, not at module load: it costs about a second and only
-    raw-record preprocessing needs it."""
+    for zero phase so the QRS center is not shifted. Each design, its
+    sosfilt_zi and its pad length are cached per (cutoff, type, rate),
+    so a record costs two sosfilt passes per filter. scipy.signal is
+    imported in the helpers, not at module load: it costs about a second
+    and only raw-record preprocessing needs it."""
     nyq = sig.fs / 2.0
     if cfg.lowpass_hz >= nyq:
         raise ValueError(f"lowpass cutoff {cfg.lowpass_hz} Hz >= Nyquist {nyq} Hz")
     if len(sig.values) <= 6 * FILTER_ORDER:
         raise ValueError(f"signal too short to filter ({len(sig.values)} samples)")
-    from scipy.signal import sosfiltfilt
-
-    sos_hp = _butter_sos(cfg.highpass_hz, "highpass", sig.fs)
-    sos_lp = _butter_sos(cfg.lowpass_hz, "lowpass", sig.fs)
-    # sosfiltfilt takes only writable sections, hence the copies
-    out = sosfiltfilt(sos_lp.copy(), sosfiltfilt(sos_hp.copy(), sig.values))
-    return Signal(values=out, fs=sig.fs)
+    hp = _butter_sos(cfg.highpass_hz, "highpass", sig.fs)
+    lp = _butter_sos(cfg.lowpass_hz, "lowpass", sig.fs)
+    return Signal(values=_filtfilt(lp, _filtfilt(hp, sig.values)), fs=sig.fs)
 
 
 def standardize(window: np.ndarray) -> np.ndarray:
@@ -84,8 +118,8 @@ def detect_peaks(sig: Signal, cfg: PreprocessConfig) -> list[int]:
     if len(v) < 3 or v.max() <= 0:
         return []
     thr = cfg.peak_threshold * v.max()
-    cand = [i for i in range(1, len(v) - 1)
-            if v[i] >= v[i - 1] and v[i] > v[i + 1] and v[i] > thr]
+    m = v[1:-1]
+    cand = (np.flatnonzero((m >= v[:-2]) & (m > v[2:]) & (m > thr)) + 1).tolist()
     # accept in descending amplitude (index breaks ties) under the gap rule
     accepted: list[int] = []
     for i in sorted(cand, key=lambda i: (-v[i], i)):

@@ -374,3 +374,19 @@ def test_knn_predict_equals_per_row_oracle(data, queries, metric, block):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(classifiers, "_KNN_BLOCK_ENTRIES", block)
         assert np.array_equal(predict_batch(model, Q), expected)
+
+
+@pytest.mark.parametrize("metric", ["chebyshev", "euclidean"])
+@pytest.mark.parametrize("block", [1, 5, 1 << 20])
+def test_knn_ties_at_kth_distance_keep_stable_order(metric, block):
+    # each query has more training rows at its k-th distance than places
+    # left; the stable sort keeps the lowest row indices among them
+    X = np.array([[0.0], [2.0], [2.0], [2.0], [2.0]])
+    y = ["a", "b", "b", "a", "a"]
+    Q = np.array([[0.0], [4.0], [2.0], [1.0], [3.0]])
+    model = knn_fit(X, y, Hyperparams(knn_k=2, knn_metric=metric))
+    expected = [model.labels[_oracle_knn_predict_one(model.params, q)] for q in Q]
+    assert expected == ["a", "b", "b", "a", "b"]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classifiers, "_KNN_BLOCK_ENTRIES", block)
+        assert list(predict_batch(model, Q)) == expected

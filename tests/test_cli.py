@@ -261,6 +261,35 @@ def test_preprocess_command(tmp_path):
     assert corpus.window_len == 30
 
 
+def test_preprocess_artifact_reaches_evaluate(tmp_path):
+    # a one-peak and a two-peak record: the second is an artifact beat,
+    # which must survive the beat CSV and be counted by `llt evaluate`
+    records = []
+    for centers in ((1000,), (600, 1400)):
+        v = np.zeros(2000)
+        for c in centers:
+            for i in range(-8, 9):
+                v[c + i] = 1.0 - abs(i) / 9
+        records.append("360;" + ",".join(f"{x:.17g}" for x in v) + "\n")
+    raw = tmp_path / "raw.csv"
+    raw.write_text("".join(records))
+    beats = tmp_path / "beats.csv"
+    assert run(["preprocess", "--in", str(raw), "--out", str(beats), "--label", "E"]) == 0
+    assert [b.artifact for b in load_corpus(beats).beats] == [False, True]
+
+    data = tmp_path / "data"
+    out = tmp_path / "run"
+    assert run(["synth", "--beats", "40", "--out-dir", str(data)]) == 0
+    assert run(["reproduce", "--data", str(data), "--out", str(out)]) == 0
+    report = tmp_path / "eval.csv"
+    assert run(["evaluate", "--law", str(out / "law_normal.law"),
+                "--model", str(out / "model_knn-k4.txt"),
+                "--test", str(beats), "--report", str(report)]) == 0
+    header, row = [line.split(",") for line in report.read_text().splitlines()
+                   if line.startswith(("method,", "knn,test,"))]
+    assert row[header.index("artifacts")] == "1"
+
+
 @pytest.mark.parametrize("command, text, message", [
     (["fit-law", "--train"], "N,1,2,3\nE,nan,1,2\n", "2: column 2: 'nan' is not finite"),
     (["preprocess", "--in"], "360;1,2,inf\n", "1: column 4: 'inf' is not finite"),

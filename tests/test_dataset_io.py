@@ -25,7 +25,7 @@ from llt.dataset_io import (
     split_train_validation,
 )
 from llt.linear_law import fit_law
-from llt.types import Corpus, Label, Role
+from llt.types import Beat, Corpus, Label, Role
 
 from conftest import random_beats
 
@@ -41,6 +41,27 @@ class TestCorpusFormat:
         for a, b in zip(corpus.beats, back.beats):
             assert np.array_equal(a.samples, b.samples)  # 17-digit exact
             assert a.label == b.label
+
+    def test_artifact_round_trip(self, tmp_path):
+        beats = random_beats(4, 3, seed=2)
+        beats[1] = Beat(samples=np.zeros(3), label=Label.ECTOPIC, artifact=True)
+        beats[3] = Beat(samples=np.zeros(3), label=Label.UNLABELED, artifact=True)
+        path = tmp_path / "c.csv"
+        save_corpus(Corpus(beats=beats, window_len=3), path)
+        lines = path.read_text().splitlines()
+        assert lines[1] == "E*,0,0,0" and lines[3] == "?*,0,0,0"
+        assert "*" not in lines[0] + lines[2]
+        back = load_corpus(path)
+        assert [b.artifact for b in back.beats] == [False, True, False, True]
+        assert [b.label for b in back.beats] == [b.label for b in beats]
+
+    def test_corpus_without_artifacts_has_no_marker(self, tmp_path):
+        corpus = Corpus(beats=[Beat(samples=np.array([0.5, -1.0]), label=Label.NORMAL),
+                               Beat(samples=np.array([1.0, 2.0]), label=Label.ECTOPIC)],
+                        window_len=2)
+        path = tmp_path / "c.csv"
+        save_corpus(corpus, path)
+        assert path.read_bytes() == b"N,0.5,-1\nE,1,2\n"
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "c.csv"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import signal as sp_signal
 
 from llt.preprocess import (
@@ -101,6 +103,31 @@ class TestBandpass:
         out = bandpass(Signal(values=x, fs=fs), cfg(lowpass_hz=low, highpass_hz=high))
         assert np.array_equal(out.values, fresh)
 
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(6 * FILTER_ORDER + 1, 4000),
+           fs=st.sampled_from([125.0, 250.0, 360.0, 500.0, 1000.0]),
+           cutoffs=st.sampled_from([(20.0, 0.5), (40.0, 1.0), (5.0, 3.0),
+                                    (60.0, 0.05), (0.45, 0.2)]),
+           kind=st.sampled_from(["noise", "constant", "impulse"]),
+           seed=st.integers(0, 2 ** 16))
+    @example(n=25, fs=360.0, cutoffs=(20.0, 0.5), kind="noise", seed=0)
+    @example(n=25, fs=125.0, cutoffs=(60.0, 0.05), kind="impulse", seed=0)
+    @example(n=4000, fs=1000.0, cutoffs=(40.0, 1.0), kind="constant", seed=0)
+    def test_equals_fresh_sosfiltfilt(self, n, fs, cutoffs, kind, seed):
+        # the cached zi, pad length and hand-run passes must give
+        # sosfiltfilt's bits with a freshly made design
+        low, high = cutoffs
+        rng = np.random.default_rng(seed)
+        x = {"noise": lambda: rng.standard_normal(n) * rng.uniform(0.1, 100.0),
+             "constant": lambda: np.full(n, rng.uniform(-5.0, 5.0)),
+             "impulse": lambda: np.eye(1, n, int(rng.integers(n)))[0]}[kind]()
+        fresh = sp_signal.sosfiltfilt(
+            sp_signal.butter(FILTER_ORDER, low, "lowpass", fs=fs, output="sos"),
+            sp_signal.sosfiltfilt(
+                sp_signal.butter(FILTER_ORDER, high, "highpass", fs=fs, output="sos"), x))
+        out = bandpass(Signal(values=x, fs=fs), cfg(lowpass_hz=low, highpass_hz=high))
+        assert np.array_equal(out.values, fresh)
+
     def test_zero_phase(self):
         # a symmetric pulse stays centered after filtering
         sig = triangular_pulse(1000, 2000)
@@ -168,6 +195,20 @@ class TestDetectPeaks:
             v = rng.standard_normal(400)
             sig = Signal(values=v, fs=FS)
             assert detect_peaks(sig, cfg()) == brute_force_peaks(v, 0.5, 72)
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]), max_size=300),
+           threshold=st.sampled_from([0.1, 0.5, 0.75, 0.9]),
+           refractory=st.integers(1, 80))
+    @example(values=[0.0, 2.0, 2.0, 0.0, 2.0, 1.0, 2.0, 2.0, 2.0],
+             threshold=0.5, refractory=1)
+    def test_quantised_signals_match_oracle(self, values, threshold, refractory):
+        # few levels make plateaus and equal heights common: a plateau's
+        # candidate is its last sample (>= on the left, > on the right)
+        v = np.array(values)
+        c = cfg(peak_threshold=threshold, refractory_samples=refractory)
+        assert detect_peaks(Signal(values=v, fs=FS), c) == brute_force_peaks(
+            v, threshold, refractory)
 
     def test_refractory_gap(self):
         rng = np.random.default_rng(3)
