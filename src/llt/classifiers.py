@@ -1,9 +1,15 @@
 """Classifiers trained on law-residual features, implemented natively:
-Chebyshev KNN, linear SVM (sub-gradient), RBF SVM (SMO), random forest
+Chebyshev KNN, linear and RBF soft-margin SVMs, random forest
 (CART/Gini bagging) and a one-hidden-layer network.
 
 Every fit is deterministic given (features, labels, hyperparameters):
 the seed drives all shuffling, bootstrapping and initialization.
+
+Both SVMs solve the same dual with one SMO solver (second-order working
+set selection, as in LIBSVM) on their kernel matrix, X Xᵀ or the RBF
+kernel; it returns only when the maximal-violating-pair gap is at most
+SMO_TOL and otherwise raises ConvergenceError naming the gap. The linear
+model stores w = Σ αᵢyᵢxᵢ, so both model layouts keep their fields.
 
 The forest's split search sorts each candidate feature once per node
 and reads the left-hand label counts of every midpoint threshold off
@@ -18,13 +24,21 @@ block at once, and the summed-distance tie-break only for tied rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-LINEAR_SVM_EPOCHS = 100
-SMO_MAX_OUTER = 1000
+from .types import ConvergenceError
+
+# the SVM solver stops when its maximal-violating-pair gap is at most this
 SMO_TOL = 1e-3
+# SMO iterations after which the SVM solver raises ConvergenceError; a
+# linear kernel at a large C·‖x‖² can need 10⁵ on forty rows
+_SMO_MAX_ITER = 1_000_000
+# least curvature Kᵢᵢ + Kⱼⱼ - 2Kᵢⱼ the SMO step divides by (LIBSVM's TAU,
+# here also for tiny positive ones, whose b²/a and step would overflow)
+_SMO_TAU = 1e-12
 # most distances (query rows x training rows) one KNN predict block holds
 _KNN_BLOCK_ENTRIES = 1 << 20
 
@@ -46,8 +60,10 @@ class Hyperparams:
         for name in ("knn_k", "rf_estimators", "rf_depth", "mlp_hidden", "mlp_epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.mlp_lr <= 0 or self.svm_c <= 0:
-            raise ValueError("mlp_lr and svm_c must be positive")
+        for name in ("svm_c", "rbf_gamma", "mlp_lr"):
+            v = getattr(self, name)
+            if v is not None and not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and positive, got {v}")
         if self.knn_metric not in ("chebyshev", "euclidean"):
             raise ValueError(f"unknown metric {self.knn_metric!r}")
 
@@ -149,41 +165,111 @@ def _knn_predict(p, Q):
     return out
 
 
-# --------------------------------------------------------- linear SVM
+# ---------------------------------------------------------------- SVMs
 
-def linear_svm_fit(X, y, hp: Hyperparams) -> TrainedModel:
-    """Hinge loss + L2 regularization by per-sample sub-gradient descent
-    (Pegasos-style schedule) with seeded shuffling."""
+def _smo(K, ys, C):
+    """Solve the SVM dual  max Σα - ½αᵀQα  s.t. 0 <= α <= C, Σαᵢyᵢ = 0,
+    with Qᵢⱼ = yᵢyⱼKᵢⱼ, by SMO with second-order working-set selection
+    (Fan, Chen & Lin, JMLR 2005; LIBSVM's WSS2).
+
+    The solver keeps v = -y∘G, where G = Qα - 1 is the gradient of
+    ½αᵀQα - Σα; vᵢ = yᵢ - Σₜ αₜyₜKᵢₜ updates from two rows of the kernel
+    matrix K as given, so no second n×n array is made. Returns
+    (alpha, rho, gap, history): the decision value is
+    Σ αᵢyᵢK(xᵢ, x) - rho, gap is the final maximal-violating-pair gap
+    m(α) - M(α) <= SMO_TOL, and history holds the dual objective
+    ½(Σα - αᵀG) at the start and after every iteration. Raises
+    ConvergenceError with the gap after _SMO_MAX_ITER iterations.
+    """
+    diag = K.diagonal().copy()
+    alpha = np.zeros(len(ys))
+    v = ys.copy()
+    up = ys > 0   # αᵢyᵢ can rise: yᵢ = +1 and αᵢ < C, or yᵢ = -1 and αᵢ > 0
+    low = ~up     # αᵢyᵢ can fall: yᵢ = +1 and αᵢ > 0, or yᵢ = -1 and αᵢ < C
+    history = [0.0]
+    for it in range(_SMO_MAX_ITER + 1):
+        i = int(np.argmax(np.where(up, v, -np.inf)))
+        m = float(v[i])
+        v_low = np.where(low, v, np.inf)
+        M = v_low.min()
+        gap = float(m - M)
+        if gap <= SMO_TOL:
+            break
+        if it == _SMO_MAX_ITER:
+            raise ConvergenceError(
+                f"SMO did not converge in {_SMO_MAX_ITER} iterations "
+                f"(KKT gap {gap:.3e} > {SMO_TOL:g})")
+        Ki = K[i]
+        a = np.maximum(diag[i] + diag - 2.0 * Ki, _SMO_TAU)  # Kᵢᵢ + Kₜₜ - 2Kᵢₜ
+        # -b²/a is least where b = m - vₜ > 0 over `low`; 0 elsewhere
+        b = np.maximum(m - v_low, 0.0)
+        j = int(np.argmax(b * b / a))
+        # LIBSVM's two-variable step, clipped to the box along yᵀα = const
+        yi, yj, quad = ys[i], ys[j], float(a[j])
+        ai, aj, gi, gj = float(alpha[i]), float(alpha[j]), -yi * m, -yj * float(v[j])
+        if yi != yj:
+            delta = (-gi - gj) / quad
+            diff = ai - aj
+            ai, aj = ai + delta, aj + delta
+            if diff > 0:
+                if aj < 0:
+                    ai, aj = diff, 0.0
+            elif ai < 0:
+                ai, aj = 0.0, -diff
+            if diff > 0:
+                if ai > C:
+                    ai, aj = C, C - diff
+            elif aj > C:
+                ai, aj = C + diff, C
+        else:
+            delta = (gi - gj) / quad
+            total = ai + aj
+            ai, aj = ai - delta, aj + delta
+            if total > C:
+                if ai > C:
+                    ai, aj = C, total - C
+            elif aj < 0:
+                ai, aj = total, 0.0
+            if total > C:
+                if aj > C:
+                    ai, aj = total - C, C
+            elif ai < 0:
+                ai, aj = 0.0, total
+        v -= Ki * (yi * (ai - alpha[i])) + K[j] * (yj * (aj - alpha[j]))
+        for t, at in ((i, ai), (j, aj)):
+            alpha[t] = at
+            up[t] = at < C if ys[t] > 0 else at > 0
+            low[t] = at > 0 if ys[t] > 0 else at < C
+        history.append(0.5 * float(alpha.sum() + (alpha * ys) @ v))
+    free = (alpha > 0) & (alpha < C)
+    # with no free α, LIBSVM's midpoint of the bounds on rho, which are
+    # -m and -M when every α sits at a bound
+    rho = -float(v[free].mean()) if free.any() else -float(m + M) / 2.0
+    return alpha, rho, gap, history
+
+
+def _svm_labels(X, y, name):
     X, y = _check_xy(X, y)
     labels, yi = _label_index(y)
     if len(labels) != 2:
-        raise ValueError(f"linear SVM needs exactly 2 classes, got {len(labels)}")
-    ys = np.where(yi == 1, 1.0, -1.0)
-    n, d = X.shape
-    lam = 1.0 / (hp.svm_c * n)
-    rng = np.random.default_rng(hp.seed)
-    w = np.zeros(d)
-    b = 0.0
-    t = 0
-    for _ in range(LINEAR_SVM_EPOCHS):
-        for i in rng.permutation(n):
-            t += 1
-            eta = 1.0 / (lam * t)
-            if ys[i] * (X[i] @ w + b) < 1.0:
-                w = (1.0 - eta * lam) * w + eta * ys[i] * X[i]
-                b = b + eta * ys[i] / n
-            else:
-                w = (1.0 - eta * lam) * w
+        raise ValueError(f"{name} needs exactly 2 classes, got {len(labels)}")
+    return X, labels, np.where(yi == 1, 1.0, -1.0)
+
+
+def linear_svm_fit(X, y, hp: Hyperparams) -> TrainedModel:
+    """Soft-margin linear SVM: the SMO dual on the Gram matrix X Xᵀ,
+    stored as w = Σ αᵢyᵢxᵢ and b = -rho."""
+    X, labels, ys = _svm_labels(X, y, "linear SVM")
+    alpha, rho, gap, history = _smo(X @ X.T, ys, hp.svm_c)
     return TrainedModel(
         kind="svm-linear",
-        feature_dim=d,
+        feature_dim=X.shape[1],
         labels=labels,
-        params={"w": w, "b": b},
-        train_meta={"n_train": n, "seed": hp.seed, "C": hp.svm_c},
+        params={"w": (alpha * ys) @ X, "b": -rho},
+        train_meta={"n_train": len(X), "seed": hp.seed, "C": hp.svm_c,
+                    "iterations": len(history) - 1, "gap": gap},
     )
 
-
-# ------------------------------------------------------------ RBF SVM
 
 def _rbf_kernel(A, B, gamma):
     aa = np.sum(A * A, axis=1)[:, None]
@@ -196,81 +282,13 @@ def rbf_gamma_default(X: np.ndarray) -> float:
     return 1.0 / (X.shape[1] * v) if v > 0 else 1.0
 
 
-def smo_dual_objective(alpha, ys, K):
-    return float(alpha.sum() - 0.5 * (alpha * ys) @ K @ (alpha * ys))
-
-
 def rbf_svm_fit(X, y, hp: Hyperparams) -> TrainedModel:
-    """SMO over the dual with an RBF kernel. Deterministic: first index
-    by scan order, second by largest |E_i - E_j|."""
-    X, y = _check_xy(X, y)
-    labels, yi = _label_index(y)
-    if len(labels) != 2:
-        raise ValueError(f"RBF SVM needs exactly 2 classes, got {len(labels)}")
-    ys = np.where(yi == 1, 1.0, -1.0)
-    n = len(X)
-    C = hp.svm_c
+    """Soft-margin SVM with an RBF kernel: the SMO dual on K(X, X),
+    stored as its support vectors (α > 0), αᵢyᵢ and b = -rho."""
+    X, labels, ys = _svm_labels(X, y, "RBF SVM")
     gamma = hp.rbf_gamma if hp.rbf_gamma is not None else rbf_gamma_default(X)
-    K = _rbf_kernel(X, X, gamma)
-    alpha = np.zeros(n)
-    b = 0.0
-    objective_history = [smo_dual_objective(alpha, ys, K)]
-
-    def f_all():
-        return (alpha * ys) @ K + b
-
-    passes_without_change = 0
-    outer = 0
-    while passes_without_change < 1:
-        outer += 1
-        if outer > SMO_MAX_OUTER:
-            E = f_all() - ys
-            viol = int(np.sum((ys * E < -SMO_TOL) & (alpha < C))
-                       + np.sum((ys * E > SMO_TOL) & (alpha > 0)))
-            raise RuntimeError(
-                f"SMO did not converge in {SMO_MAX_OUTER} passes "
-                f"({viol} KKT violations remain)"
-            )
-        changed = 0
-        E = f_all() - ys
-        for i in range(n):
-            Ei = float((alpha * ys) @ K[i] + b - ys[i])
-            if not ((ys[i] * Ei < -SMO_TOL and alpha[i] < C)
-                    or (ys[i] * Ei > SMO_TOL and alpha[i] > 0)):
-                continue
-            E = (alpha * ys) @ K + b - ys
-            j = int(np.argmax(np.abs(E - Ei)))
-            if j == i:
-                continue
-            Ej = float(E[j])
-            ai_old, aj_old = alpha[i], alpha[j]
-            if ys[i] != ys[j]:
-                L, H = max(0.0, aj_old - ai_old), min(C, C + aj_old - ai_old)
-            else:
-                L, H = max(0.0, ai_old + aj_old - C), min(C, ai_old + aj_old)
-            if L >= H:
-                continue
-            eta = 2.0 * K[i, j] - K[i, i] - K[j, j]
-            if eta >= 0:
-                continue
-            aj = np.clip(aj_old - ys[j] * (Ei - Ej) / eta, L, H)
-            if abs(aj - aj_old) < 1e-8:
-                continue
-            ai = ai_old + ys[i] * ys[j] * (aj_old - aj)
-            alpha[i], alpha[j] = ai, aj
-            b1 = b - Ei - ys[i] * (ai - ai_old) * K[i, i] - ys[j] * (aj - aj_old) * K[i, j]
-            b2 = b - Ej - ys[i] * (ai - ai_old) * K[i, j] - ys[j] * (aj - aj_old) * K[j, j]
-            if 0 < ai < C:
-                b = b1
-            elif 0 < aj < C:
-                b = b2
-            else:
-                b = 0.5 * (b1 + b2)
-            changed += 1
-        objective_history.append(smo_dual_objective(alpha, ys, K))
-        passes_without_change = 0 if changed else passes_without_change + 1
-
-    sv = alpha > 1e-12
+    alpha, rho, gap, history = _smo(_rbf_kernel(X, X, gamma), ys, hp.svm_c)
+    sv = alpha > 0
     return TrainedModel(
         kind="svm-rbf",
         feature_dim=X.shape[1],
@@ -278,15 +296,17 @@ def rbf_svm_fit(X, y, hp: Hyperparams) -> TrainedModel:
         params={
             "support_vectors": X[sv],
             "coef": alpha[sv] * ys[sv],  # alpha_i * y_i
-            "b": b,
+            "b": -rho,
             "gamma": gamma,
         },
         train_meta={
-            "n_train": n,
+            "n_train": len(X),
             "seed": hp.seed,
-            "C": C,
+            "C": hp.svm_c,
             "n_support": int(sv.sum()),
-            "objective_history": objective_history,
+            "iterations": len(history) - 1,
+            "gap": gap,
+            "objective_history": history,
         },
     )
 
@@ -440,7 +460,7 @@ def mlp_fit(X, y, hp: Hyperparams) -> TrainedModel:
     for _ in range(hp.mlp_epochs):
         loss, grads = mlp_loss_grad(params, X, yi)
         if not np.isfinite(loss):
-            raise RuntimeError("training diverged (non-finite loss); lower mlp_lr")
+            raise ConvergenceError("training diverged (non-finite loss); lower mlp_lr")
         if loss > prev:
             lr *= 0.5
             if lr < 1e-6 * hp.mlp_lr:

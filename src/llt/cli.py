@@ -2,7 +2,8 @@
 the whole pipeline, plus `reproduce` which chains fit -> transform ->
 train -> evaluate and emits a comparison table.
 
-Exit codes: 0 success, 1 usage error, 2 invariant-audit failure.
+Exit codes: 0 success, 1 usage error or a solver that did not converge
+(`ConvergenceError`), 2 invariant-audit failure.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .dataset_io import SplitSpec
 from .features import feature_matrix
 from .preprocess import PreprocessConfig, preprocess_record
 from .synth import RecurrenceSpec, SynthSpec, generate
-from .types import Corpus, Label, Role
+from .types import ConvergenceError, Corpus, Label, Role
 
 CONFIG_ENV_VAR = "LLT_CONFIG"
 
@@ -242,6 +243,7 @@ def run_reproduce(data_dir, out_dir, cfg: RunConfig) -> int:
     """Full protocol: split, fit the Normal law, transform, train every
     classifier configuration, score validation and test, emit the
     comparison table. Audits that no fit ever consumed Test data."""
+    hp = cfg.hyperparams()
     data = Path(data_dir)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -261,7 +263,6 @@ def run_reproduce(data_dir, out_dir, cfg: RunConfig) -> int:
         return feature_matrix(beats, law), [b.label.value for b in beats]
 
     X_tr, y_tr = xy(train)
-    hp = cfg.hyperparams()
     configs = [
         ("knn-k4", lambda: knn_fit(X_tr, y_tr, hp)),
         ("svm-linear", lambda: linear_svm_fit(X_tr, y_tr, hp)),
@@ -390,7 +391,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args, cfg)
     except SystemExit:
         raise
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, ConvergenceError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
 

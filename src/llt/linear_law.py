@@ -14,16 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import EmbeddedMatrix, embed_class
-from .types import Beat, Corpus, Label, LinearLaw
+from .types import Beat, ConvergenceError, Corpus, Label, LinearLaw
 
 # Tolerances for double precision at widths <= 32.
 EIGENPAIR_RTOL = 1e-9
 VARIANCE_IDENTITY_RTOL = 1e-10
 DEGENERACY_RTOL = 1e-9
-
-
-class ConvergenceError(RuntimeError):
-    pass
 
 
 class DegenerateLawError(ValueError):

@@ -8,6 +8,11 @@ from enum import Enum
 import numpy as np
 
 
+class ConvergenceError(RuntimeError):
+    """A solver stopped before its optimality conditions held; the
+    message states the remaining gap or residual."""
+
+
 class Label(str, Enum):
     NORMAL = "N"
     ECTOPIC = "E"

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from llt import classifiers
+from llt import classifiers, dataset_io, linear_law
 from llt.classifiers import (
+    SMO_TOL,
     Hyperparams,
     TrainedModel,
     heuristic_k,
@@ -16,11 +17,19 @@ from llt.classifiers import (
     predict_batch,
     rbf_svm_fit,
     rf_fit,
-    smo_dual_objective,
     tree_depth,
     _label_index,
     _rbf_kernel,
 )
+from llt.features import feature_matrix
+from llt.synth import RecurrenceSpec, SynthSpec, generate
+from llt.types import ConvergenceError, Corpus, Label
+
+
+def smo_dual_objective(alpha, ys, K):
+    """The SVM dual objective Σα - ½(α∘y)ᵀK(α∘y), computed directly."""
+    return float(alpha.sum() - 0.5 * (alpha * ys) @ K @ (alpha * ys))
+
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 XOR_Y = ["N", "E", "E", "N"]
@@ -203,6 +212,13 @@ class TestMLP:
         model = mlp_fit(X, y, Hyperparams(mlp_epochs=2000, mlp_lr=1.0, seed=2))
         assert np.mean(predict_batch(model, XOR_X) == np.array(XOR_Y)) == 1.0
 
+    def test_divergence_raises_convergence_error(self, monkeypatch):
+        X, y = two_blobs(seed=12)
+        monkeypatch.setattr(classifiers, "mlp_loss_grad",
+                            lambda params, X, targets: (float("nan"), {}))
+        with pytest.raises(ConvergenceError, match="training diverged"):
+            mlp_fit(X, y, Hyperparams())
+
     def test_needs_two_classes(self):
         with pytest.raises(ValueError, match="2 classes"):
             mlp_fit(np.zeros((3, 2)), ["N", "N", "N"], Hyperparams())
@@ -237,6 +253,79 @@ class TestDispatch:
         X, y = two_blobs(seed=16)
         model = rf_fit(X, y, Hyperparams())
         assert model.labels == ["E", "N"]
+
+
+class TestSMO:
+    @pytest.mark.parametrize("C, w, b", [
+        (1.0, 1.0, -2.0),  # both αs free at 1/2: ρ is the mean of yᵢGᵢ
+        (0.1, 0.2, -0.4),  # both αs at C: ρ is the midpoint of its bounds
+    ])
+    def test_bias_sign(self, C, w, b):
+        # x = 1 labelled -1 and x = 3 labelled +1: the boundary is x = 2
+        model = linear_svm_fit(np.array([[1.0], [3.0]]), ["a", "b"],
+                               Hyperparams(svm_c=C))
+        assert model.params["w"] == pytest.approx([w], abs=1e-12)
+        assert model.params["b"] == pytest.approx(b, abs=1e-12)
+
+    @pytest.mark.parametrize("fit", [linear_svm_fit, rbf_svm_fit])
+    def test_iteration_cap_raises_with_gap(self, fit, monkeypatch):
+        X, y = two_blobs(seed=4)
+        monkeypatch.setattr(classifiers, "_SMO_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError,
+                           match=r"did not converge in 1 iterations \(KKT gap "):
+            fit(X, y, Hyperparams())
+
+    def test_hard_corpus(self):
+        # `llt synth --beats 1000 --noise 0.2 --omega-b 0.4`, split as
+        # `llt reproduce` splits it: an RBF SVM stopped before its KKT gap
+        # closes scores far below the linear SVM on this corpus
+        spec = SynthSpec(class_b=RecurrenceSpec("sinusoid", omega=0.4),
+                         beats_per_class=1000, noise_sigma=0.2)
+        train, val, test = generate(spec)
+        full = Corpus(beats=train.beats + val.beats, window_len=spec.window_len)
+        train, _ = dataset_io.split_train_validation(full, dataset_io.SplitSpec())
+        law = linear_law.fit_law(train.with_label(Label.NORMAL), 12, "Normal")
+        X = feature_matrix(train.beats, law)
+        y = [b.label.value for b in train.beats]
+        Xt = feature_matrix(test.beats, law)
+        yt = np.array([b.label.value for b in test.beats])
+        acc = {}
+        for fit in (linear_svm_fit, rbf_svm_fit):
+            model = fit(X, y, Hyperparams())
+            assert model.train_meta["gap"] <= SMO_TOL
+            acc[model.kind] = np.mean(predict_batch(model, Xt) == yt)
+        assert acc["svm-rbf"] >= acc["svm-linear"] - 0.02
+
+
+@st.composite
+def _svm_problems(draw):
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 5))
+    # duplicate rows, opposite labels among them, give Kᵢᵢ + Kⱼⱼ - 2Kᵢⱼ = 0
+    value = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1.0 + 2.0 ** -52]),
+                      st.floats(-1.0, 1.0))
+    X = np.array(draw(st.lists(value, min_size=n * d, max_size=n * d))).reshape(n, d)
+    ys = np.array([-1.0, 1.0] + draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                                              min_size=n - 2, max_size=n - 2)))
+    return X, ys
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=_svm_problems(), kernel=st.sampled_from(["linear", "rbf"]),
+       C=st.floats(0.1, 100.0), gamma=st.floats(0.05, 5.0))
+def test_smo_returns_a_kkt_point(problem, kernel, C, gamma):
+    X, ys = problem
+    K = X @ X.T if kernel == "linear" else _rbf_kernel(X, X, gamma)
+    alpha, rho, gap, history = classifiers._smo(K.copy(), ys, C)
+    assert np.all((alpha >= 0) & (alpha <= C))
+    assert abs(alpha @ ys) <= 1e-9
+    # the gap again, from a gradient computed afresh rather than maintained
+    v = ys * (1.0 - ys * (K @ (alpha * ys)))
+    up = np.where(ys > 0, alpha < C, alpha > 0)
+    low = np.where(ys > 0, alpha > 0, alpha < C)
+    assert gap <= SMO_TOL
+    assert v[up].max() - v[low].min() <= SMO_TOL + 1e-9
+    assert abs(history[-1] - smo_dual_objective(alpha, ys, K)) <= 1e-9
 
 
 def test_hyperparam_validation():

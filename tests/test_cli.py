@@ -300,3 +300,42 @@ def test_bad_input_row_exits_1(tmp_path, capsys, command, text, message):
     assert run(command + [str(path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {path}:{message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture()
+def small_data(tmp_path):
+    data = tmp_path / "data"
+    assert run(["synth", "--beats", "20", "--out-dir", str(data)]) == 0
+    return data
+
+
+@pytest.mark.parametrize("flag, value, name", [
+    ("--rbf-gamma", "-1", "rbf_gamma"),
+    ("--rbf-gamma", "nan", "rbf_gamma"),
+    ("--svm-c", "nan", "svm_c"),
+    ("--svm-c", "inf", "svm_c"),
+    ("--svm-c", "0", "svm_c"),
+    ("--mlp-lr", "inf", "mlp_lr"),
+    ("--mlp-lr", "-0.5", "mlp_lr"),
+])
+def test_bad_hyperparameter_exits_1(tmp_path, capsys, small_data, flag, value, name):
+    capsys.readouterr()
+    assert run(["reproduce", "--data", str(small_data), "--out", str(tmp_path / "run"),
+                flag, value]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {name} must be finite and positive")
+    assert not (tmp_path / "run").exists()  # rejected before any output
+
+
+def test_rbf_gamma_zero_means_auto():
+    assert RunConfig(rbf_gamma=0.0).hyperparams().rbf_gamma is None
+
+
+def test_solver_failure_exits_1_without_traceback(tmp_path, capsys, small_data, monkeypatch):
+    from llt import classifiers
+
+    monkeypatch.setattr(classifiers, "_SMO_MAX_ITER", 1)
+    capsys.readouterr()
+    assert run(["reproduce", "--data", str(small_data), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: SMO did not converge in 1 iterations (KKT gap ")
+    assert "Traceback" not in err
