@@ -155,11 +155,21 @@ def cmd_preprocess(args, cfg: RunConfig) -> int:
     return 0
 
 
+def _class_rows(corpus: Corpus, label: Label, path) -> np.ndarray:
+    """Samples of the non-artifact `label` beats that a law is fitted on;
+    a ValueError naming `path` if there is none."""
+    rows = corpus.rows(label)
+    if not len(rows):
+        raise ValueError(f"{path}: no non-artifact {label.value!r} beat to fit "
+                         f"the {label.name.title()} law on")
+    return rows
+
+
 def cmd_fit_law(args, cfg: RunConfig) -> int:
     corpus = dataset_io.load_corpus(args.train, role=Role.TRAIN)
     label = Label.from_token(args.class_token)
-    beats = [b for b in corpus.with_label(label) if not b.artifact]
-    law = linear_law.fit_law(beats, cfg.law_len, label.name.title())
+    law = linear_law.fit_law(_class_rows(corpus, label, args.train), cfg.law_len,
+                             label.name.title())
     dataset_io.save_law(law, args.out)
     print(f"fitted {label.name.title()} law l={law.width} lambda={law.lam:.6g} "
           f"on {law.train_row_count} rows -> {args.out}")
@@ -181,13 +191,16 @@ def cmd_scan(args, cfg: RunConfig) -> int:
 
 def cmd_transform(args, cfg: RunConfig) -> int:
     law = dataset_io.load_law(args.law)
-    beats = dataset_io.load_corpus(args.infile).non_artifact()
-    X = feature_matrix(beats, law)
+    corpus = dataset_io.load_corpus(args.infile)
+    clean = ~corpus.artifact
+    if not clean.any():
+        raise ValueError(f"{args.infile}: every beat is an artifact; no beat to transform")
+    X = feature_matrix(corpus.samples[clean], law)
     k = args.downsample
     if not 1 <= k <= X.shape[1]:
         raise ValueError(f"--downsample must be in 1..{X.shape[1]}, got {k}")
     X = X[:, ::k]
-    dataset_io.save_features(args.out, X, [b.label.value for b in beats],
+    dataset_io.save_features(args.out, X, corpus.labels[clean].tolist(),
                              [(law.class_tag, X.shape[1])])
     print(f"wrote {len(X)} feature vectors to {args.out}")
     return 0
@@ -253,16 +266,13 @@ def run_reproduce(data_dir, out_dir, cfg: RunConfig) -> int:
         full_train, SplitSpec(train_fraction=cfg.train_fraction, seed=cfg.seed))
 
     fit_inputs: list[tuple[str, Role]] = []
-    normal_beats = [b for b in train.with_label(Label.NORMAL) if not b.artifact]
-    law = linear_law.fit_law(normal_beats, cfg.law_len, "Normal")
+    law = linear_law.fit_law(_class_rows(train, Label.NORMAL, data / "train.csv"),
+                             cfg.law_len, "Normal")
     fit_inputs.append(("law", train.role))
     dataset_io.save_law(law, out / "law_normal.law")
 
-    def xy(corpus):
-        beats = corpus.non_artifact()
-        return feature_matrix(beats, law), [b.label.value for b in beats]
-
-    X_tr, y_tr = xy(train)
+    clean = ~train.artifact
+    X_tr, y_tr = feature_matrix(train.samples[clean], law), train.labels[clean].tolist()
     configs = [
         ("knn-k4", lambda: knn_fit(X_tr, y_tr, hp)),
         ("svm-linear", lambda: linear_svm_fit(X_tr, y_tr, hp)),

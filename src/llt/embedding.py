@@ -45,14 +45,24 @@ def embed_series(values: np.ndarray, width: int) -> np.ndarray:
     return np.ascontiguousarray(sliding_window_view(values, width)[:, ::-1])
 
 
-def embed_class(beats: list[Beat], width: int) -> EmbeddedMatrix:
-    """Stack per-beat embeddings into one block matrix, in input order."""
-    if not beats:
-        raise ValueError("cannot fit law on empty class")
+def _stack_beats(beats: list[Beat]) -> np.ndarray:
+    """(N, L) sample array of equal-length beats, in input order."""
     lengths = {len(b.samples) for b in beats}
     if len(lengths) != 1:
         raise ValueError(f"beats have mixed lengths {sorted(lengths)}")
-    samples = np.stack([b.samples for b in beats])
+    return np.stack([b.samples for b in beats])
+
+
+def embed_class(beats: np.ndarray | list[Beat], width: int) -> EmbeddedMatrix:
+    """Stack per-beat embeddings into one block matrix, in input order.
+
+    `beats` is an (N, L) sample array, one beat per row, or a list of
+    beats, which is stacked first."""
+    if len(beats) == 0:
+        raise ValueError("cannot fit law on empty class")
+    samples = beats if isinstance(beats, np.ndarray) else _stack_beats(beats)
+    if samples.ndim != 2:
+        raise ValueError(f"beat samples must be an (N, L) array, got shape {samples.shape}")
     _check_width(width, samples.shape[1])
     windows = sliding_window_view(samples, width, axis=1)[:, :, ::-1]
     data = np.ascontiguousarray(windows.reshape(-1, width))

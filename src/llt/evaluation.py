@@ -8,6 +8,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .classifiers import TrainedModel, predict_batch
 from .features import feature_matrix
 from .types import Corpus, Label, LinearLaw, Role
@@ -55,27 +57,29 @@ class MetricsReport:
         }
 
 
+_TOKENS = tuple(label.value for label in Label)
+
+
+def _label_tokens(values, what: str) -> np.ndarray:
+    """`values` as an array of label tokens; ValueError on any other."""
+    tokens = np.asarray(values, dtype=str)
+    known = np.isin(tokens, _TOKENS)
+    if not known.all():
+        raise ValueError(f"unknown label token {str(tokens[~known][0])!r} in {what}")
+    return tokens
+
+
 def score(predictions, truth, positive: Label = Label.NORMAL) -> ConfusionCounts:
     """Exact confusion tallies with the given positive class."""
-    predictions = [Label(str(p)) for p in predictions]
-    truth = [Label(str(t)) for t in truth]
     if len(predictions) != len(truth):
         raise ValueError(
             f"{len(predictions)} predictions vs {len(truth)} truth labels"
         )
-    c = ConfusionCounts()
-    for p, t in zip(predictions, truth):
-        if t == positive:
-            if p == positive:
-                c.tp += 1
-            else:
-                c.fn += 1
-        else:
-            if p == positive:
-                c.fp += 1
-            else:
-                c.tn += 1
-    return c
+    pred_pos = _label_tokens(predictions, "predictions") == positive.value
+    true_pos = _label_tokens(truth, "truth labels") == positive.value
+    count = lambda mask: int(np.count_nonzero(mask))
+    return ConfusionCounts(tp=count(pred_pos & true_pos), fn=count(~pred_pos & true_pos),
+                           fp=count(pred_pos & ~true_pos), tn=count(~pred_pos & ~true_pos))
 
 
 def _ratio(num: int, den: int) -> Fraction | None:
@@ -109,26 +113,15 @@ def evaluate_pipeline(test: Corpus, law: LinearLaw, model: TrainedModel,
     rule; everything else goes through the reference-law features and
     the trained model. Unlabeled beats have no truth and are not scored;
     a corpus without a labeled beat raises ValueError."""
-    preds: list[str] = []
-    truth: list[str] = []
-    artifact_count = 0
-    clean = []
-    for beat in test.beats:
-        artifact_count += beat.artifact
-        if beat.label is Label.UNLABELED:
-            continue
-        if not beat.artifact:
-            clean.append(beat)
-        else:
-            preds.append(Label.ECTOPIC.value)
-            truth.append(beat.label.value)
-    if clean:
-        X = feature_matrix(clean, law)
-        for p, b in zip(predict_batch(model, X), clean):
-            preds.append(str(p))
-            truth.append(b.label.value)
-    counts = score(preds, truth)
-    return metrics(counts, artifact_count=artifact_count,
+    labelled = test.labels != Label.UNLABELED.value
+    ruled = labelled & test.artifact
+    clean = labelled & ~test.artifact
+    preds = np.full(np.count_nonzero(ruled), Label.ECTOPIC.value)
+    if clean.any():
+        X = feature_matrix(test.samples[clean], law)
+        preds = np.concatenate([preds, predict_batch(model, X)])
+    counts = score(preds, np.concatenate([test.labels[ruled], test.labels[clean]]))
+    return metrics(counts, artifact_count=int(np.count_nonzero(test.artifact)),
                    dataset_role=test.role, method=method)
 
 

@@ -15,8 +15,9 @@ from .embedding import embed_class
 from .types import Beat, LinearLaw
 
 
-def feature_matrix(beats: list[Beat], law: LinearLaw) -> np.ndarray:
-    """(N, L - width + 1) residuals of `law` on N beats of length L.
+def feature_matrix(beats: np.ndarray | list[Beat], law: LinearLaw) -> np.ndarray:
+    """(N, L - width + 1) residuals of `law` on N beats of length L,
+    given as an (N, L) sample array or a list of beats.
 
     One (N, K, width) @ (width,) product: each beat's residuals are the
     bits of `embed_series(beat.samples, width) @ law.w`, which a flat

@@ -79,14 +79,14 @@ def _fix_sign(w: np.ndarray) -> np.ndarray:
 
 
 def fit_law(
-    beats: list[Beat],
+    beats: np.ndarray | list[Beat],
     width: int,
     class_tag: str,
     allow_degenerate: bool = False,
 ) -> LinearLaw:
-    """Fit the linear law of a class: embed, correlate, take the
-    smallest eigenpair, and verify its residual ``||Cw - lam w||`` and
-    the variance identity."""
+    """Fit the linear law of a class, given as an (N, L) sample array or
+    a list of beats: embed, correlate, take the smallest eigenpair, and
+    verify its residual ``||Cw - lam w||`` and the variance identity."""
     Y = embed_class(beats, width)
     C = correlation(Y)
     evals, evecs = jacobi_eigensystem(C)
@@ -117,7 +117,7 @@ def fit_law(
     return LinearLaw(w=w, lam=var, class_tag=class_tag, train_row_count=Y.rows)
 
 
-def law_variance(beats: list[Beat], law: LinearLaw) -> float:
+def law_variance(beats: np.ndarray | list[Beat], law: LinearLaw) -> float:
     """Mean squared residual of the law over all embedded rows.
 
     On the fitting set this equals the law's eigenvalue.
@@ -135,14 +135,14 @@ def scan_law_length(
     """Fit a law per width on the training reference class and compare
     its residual variance on the validation reference class. A small
     train/validation gap indicates the law generalizes at that width."""
-    train_beats = [b for b in train.with_label(class_tag) if not b.artifact]
-    val_beats = [b for b in validation.with_label(class_tag) if not b.artifact]
+    train_rows = train.rows(class_tag)
+    val_rows = validation.rows(class_tag)
     entries = []
     for width in widths:
         if not 2 <= width <= train.window_len:
             raise ValueError(f"law length {width} outside [2, {train.window_len}]")
-        law = fit_law(train_beats, width, class_tag.name.title())
-        var_val = law_variance(val_beats, law) if val_beats else float("nan")
+        law = fit_law(train_rows, width, class_tag.name.title())
+        var_val = law_variance(val_rows, law) if len(val_rows) else float("nan")
         denom = law.lam if law.lam > 0 else np.finfo(float).tiny
         gap = abs(var_val - law.lam) / denom
         entries.append(

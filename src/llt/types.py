@@ -26,6 +26,10 @@ class Label(str, Enum):
             raise ValueError(f"unknown label token {token!r}") from None
 
 
+# Label -> token; a dict lookup is cheaper than the Enum `value` property
+_TOKEN = {label: label.value for label in Label}
+
+
 class Role(str, Enum):
     TRAIN = "train"
     VALIDATION = "validation"
@@ -72,9 +76,20 @@ class Beat:
 
 @dataclass
 class Corpus:
+    """Beats of one window length, stacked once into arrays.
+
+    ``samples`` is the read-only (N, window_len) sample array, row i
+    being ``beats[i].samples``; ``labels`` holds each beat's label token
+    and ``artifact`` its artifact flag. The arrays are built at
+    construction, so ``beats`` must not be changed afterwards.
+    """
+
     beats: list[Beat]
     window_len: int
     role: Role = Role.TRAIN
+    samples: np.ndarray = field(init=False, repr=False, compare=False)
+    labels: np.ndarray = field(init=False, repr=False, compare=False)
+    artifact: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for i, b in enumerate(self.beats):
@@ -82,6 +97,13 @@ class Corpus:
                 raise ValueError(
                     f"beat {i}: length {len(b.samples)} != corpus length {self.window_len}"
                 )
+        # the rows have equal lengths, so np.array stacks them as np.stack
+        # would, at half the cost; the reshape covers a corpus of no beats
+        self.samples = np.array([b.samples for b in self.beats], dtype=float).reshape(
+            len(self.beats), self.window_len)
+        self.samples.flags.writeable = False
+        self.labels = np.array([_TOKEN[b.label] for b in self.beats], dtype=str)
+        self.artifact = np.array([b.artifact for b in self.beats], dtype=bool)
 
     def __len__(self) -> int:
         return len(self.beats)
@@ -91,6 +113,11 @@ class Corpus:
 
     def non_artifact(self) -> list[Beat]:
         return [b for b in self.beats if not b.artifact]
+
+    def rows(self, label: Label) -> np.ndarray:
+        """(n, window_len) samples of the non-artifact `label` beats, in
+        corpus order."""
+        return self.samples[~self.artifact & (self.labels == label.value)]
 
 
 @dataclass

@@ -1,5 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
+
+# Hypothesis imports its patch writer lazily, while reporting a failing
+# example; under `-W error` a DeprecationWarning that mypy_extensions
+# raises on that import turns the report into a pytest INTERNALERROR
+# with no falsifying example. Import it here with the warning ignored.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", message="mypy_extensions.TypedDict is deprecated",
+                            category=DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 from llt.types import Beat, Label
 

@@ -302,6 +302,32 @@ def test_bad_input_row_exits_1(tmp_path, capsys, command, text, message):
     assert not (tmp_path / "out").exists()
 
 
+def test_fit_law_without_class_beats_names_file(tmp_path, capsys):
+    # the only Ectopic beat is an artifact, so no beat can fit its law
+    path = tmp_path / "train.csv"
+    path.write_text("N,1,2,3,4\nN,2,3,4,1\nE*,0,0,0,0\n")
+    assert run(["fit-law", "--class", "E", "--train", str(path), "--law-len", "2",
+                "--out", str(tmp_path / "e.law")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: no non-artifact 'E' beat to fit the Ectopic law on\n")
+    assert not (tmp_path / "e.law").exists()
+
+
+def test_transform_all_artifacts_names_file(tmp_path, capsys):
+    train = tmp_path / "train.csv"
+    train.write_text("N,1,2,3,4\nN,2,3,4,1\nN,3,1,4,2\n")
+    law = tmp_path / "n.law"
+    assert run(["fit-law", "--train", str(train), "--law-len", "2", "--out", str(law)]) == 0
+    beats = tmp_path / "beats.csv"
+    beats.write_text("E*,0,0,0,0\n?*,0,0,0,0\n")
+    capsys.readouterr()
+    assert run(["transform", "--law", str(law), "--in", str(beats),
+                "--out", str(tmp_path / "f.csv")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {beats}: every beat is an artifact; no beat to transform\n")
+    assert not (tmp_path / "f.csv").exists()
+
+
 @pytest.fixture()
 def small_data(tmp_path):
     data = tmp_path / "data"

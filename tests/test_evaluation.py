@@ -31,6 +31,14 @@ class TestScore:
         with pytest.raises(ValueError, match="predictions"):
             score(["N"], ["N", "E"])
 
+    @pytest.mark.parametrize("preds, truth, where", [
+        (["N", "X"], ["N", "E"], "'X' in predictions"),
+        (["N", "E"], ["NE", "E"], "'NE' in truth labels"),
+    ])
+    def test_unknown_token(self, preds, truth, where):
+        with pytest.raises(ValueError, match=f"unknown label token {where}"):
+            score(preds, truth)
+
     def test_positive_class_switch(self):
         c = score(["N", "E"], ["E", "E"], positive=Label.ECTOPIC)
         assert (c.tp, c.fn) == (1, 1)
