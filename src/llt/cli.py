@@ -192,15 +192,15 @@ def cmd_scan(args, cfg: RunConfig) -> int:
 def cmd_transform(args, cfg: RunConfig) -> int:
     law = dataset_io.load_law(args.law)
     corpus = dataset_io.load_corpus(args.infile)
-    clean = ~corpus.artifact
-    if not clean.any():
+    rows = corpus.rows()
+    if not len(rows):
         raise ValueError(f"{args.infile}: every beat is an artifact; no beat to transform")
-    X = feature_matrix(corpus.samples[clean], law)
+    X = feature_matrix(rows, law)
     k = args.downsample
     if not 1 <= k <= X.shape[1]:
         raise ValueError(f"--downsample must be in 1..{X.shape[1]}, got {k}")
     X = X[:, ::k]
-    dataset_io.save_features(args.out, X, corpus.labels[clean].tolist(),
+    dataset_io.save_features(args.out, X, corpus.row_labels(),
                              [(law.class_tag, X.shape[1])])
     print(f"wrote {len(X)} feature vectors to {args.out}")
     return 0
@@ -271,8 +271,7 @@ def run_reproduce(data_dir, out_dir, cfg: RunConfig) -> int:
     fit_inputs.append(("law", train.role))
     dataset_io.save_law(law, out / "law_normal.law")
 
-    clean = ~train.artifact
-    X_tr, y_tr = feature_matrix(train.samples[clean], law), train.labels[clean].tolist()
+    X_tr, y_tr = feature_matrix(train.rows(), law), train.row_labels()
     configs = [
         ("knn-k4", lambda: knn_fit(X_tr, y_tr, hp)),
         ("svm-linear", lambda: linear_svm_fit(X_tr, y_tr, hp)),

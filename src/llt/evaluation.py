@@ -12,7 +12,7 @@ import numpy as np
 
 from .classifiers import TrainedModel, predict_batch
 from .features import feature_matrix
-from .types import Corpus, Label, LinearLaw, Role
+from .types import _TOKEN, Corpus, Label, LinearLaw, Role
 
 
 @dataclass
@@ -57,13 +57,10 @@ class MetricsReport:
         }
 
 
-_TOKENS = tuple(label.value for label in Label)
-
-
 def _label_tokens(values, what: str) -> np.ndarray:
     """`values` as an array of label tokens; ValueError on any other."""
     tokens = np.asarray(values, dtype=str)
-    known = np.isin(tokens, _TOKENS)
+    known = np.isin(tokens, tuple(_TOKEN.values()))
     if not known.all():
         raise ValueError(f"unknown label token {str(tokens[~known][0])!r} in {what}")
     return tokens
@@ -115,7 +112,7 @@ def evaluate_pipeline(test: Corpus, law: LinearLaw, model: TrainedModel,
     a corpus without a labeled beat raises ValueError."""
     labelled = test.labels != Label.UNLABELED.value
     ruled = labelled & test.artifact
-    clean = labelled & ~test.artifact
+    clean = labelled & test.clean
     preds = np.full(np.count_nonzero(ruled), Label.ECTOPIC.value)
     if clean.any():
         X = feature_matrix(test.samples[clean], law)

@@ -79,9 +79,10 @@ class Corpus:
     """Beats of one window length, stacked once into arrays.
 
     ``samples`` is the read-only (N, window_len) sample array, row i
-    being ``beats[i].samples``; ``labels`` holds each beat's label token
-    and ``artifact`` its artifact flag. The arrays are built at
-    construction, so ``beats`` must not be changed afterwards.
+    being ``beats[i].samples``; ``labels`` holds each beat's label token,
+    ``artifact`` its artifact flag and ``clean`` its negation. The arrays
+    are built at construction, so ``beats`` must not be changed
+    afterwards.
     """
 
     beats: list[Beat]
@@ -90,6 +91,7 @@ class Corpus:
     samples: np.ndarray = field(init=False, repr=False, compare=False)
     labels: np.ndarray = field(init=False, repr=False, compare=False)
     artifact: np.ndarray = field(init=False, repr=False, compare=False)
+    clean: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for i, b in enumerate(self.beats):
@@ -104,6 +106,7 @@ class Corpus:
         self.samples.flags.writeable = False
         self.labels = np.array([_TOKEN[b.label] for b in self.beats], dtype=str)
         self.artifact = np.array([b.artifact for b in self.beats], dtype=bool)
+        self.clean = ~self.artifact
 
     def __len__(self) -> int:
         return len(self.beats)
@@ -114,10 +117,16 @@ class Corpus:
     def non_artifact(self) -> list[Beat]:
         return [b for b in self.beats if not b.artifact]
 
-    def rows(self, label: Label) -> np.ndarray:
-        """(n, window_len) samples of the non-artifact `label` beats, in
-        corpus order."""
-        return self.samples[~self.artifact & (self.labels == label.value)]
+    def rows(self, label: Label | None = None) -> np.ndarray:
+        """(n, window_len) samples of the non-artifact beats, of `label`
+        only if one is given, in corpus order."""
+        if label is None:
+            return self.samples[self.clean]
+        return self.samples[self.clean & (self.labels == label.value)]
+
+    def row_labels(self) -> list[str]:
+        """Label tokens of the rows of `rows()`, in the same order."""
+        return self.labels[self.clean].tolist()
 
 
 @dataclass

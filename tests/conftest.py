@@ -7,10 +7,15 @@ import pytest
 # example; under `-W error` a DeprecationWarning that mypy_extensions
 # raises on that import turns the report into a pytest INTERNALERROR
 # with no falsifying example. Import it here with the warning ignored.
+# The patch writer needs libcst, which hypothesis installs only with its
+# `codemods` extra; without it hypothesis skips the patch and so may we.
 with warnings.catch_warnings():
     warnings.filterwarnings("ignore", message="mypy_extensions.TypedDict is deprecated",
                             category=DeprecationWarning)
-    import hypothesis.extra._patching  # noqa: F401
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 from llt.types import Beat, Label
 

@@ -34,8 +34,11 @@ class TestCorpusArrays:
         corpus = Corpus(beats=beats, window_len=3)
         assert corpus.labels.tolist() == ["N", "E", "N", "?", "N"]
         assert corpus.artifact.tolist() == [False, False, True, False, False]
+        assert corpus.clean.tolist() == [True, True, False, True, True]
         assert corpus.rows(Label.NORMAL)[:, 0].tolist() == [0.0, 4.0]
         assert corpus.rows(Label.ECTOPIC).shape == (1, 3)
+        assert corpus.rows()[:, 0].tolist() == [0.0, 1.0, 3.0, 4.0]
+        assert corpus.row_labels() == ["N", "E", "?", "N"]
 
     def test_empty_corpus(self):
         corpus = Corpus(beats=[], window_len=4)
@@ -146,8 +149,7 @@ def test_rows_match_beat_lists(corpus, tag, train_fraction, data):
     for width in widths:
         law = _unit_law(width)
         if clean:
-            rows = corpus.samples[~corpus.artifact]
-            assert _bits(feature_matrix(rows, law)) == _bits(feature_matrix(clean, law))
+            assert _bits(feature_matrix(corpus.rows(), law)) == _bits(feature_matrix(clean, law))
         assert _same_law(_outcome(fit_law, corpus.rows(tag), width, "Law"),
                          _outcome(fit_law, class_beats, width, "Law"))
 
