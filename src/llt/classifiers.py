@@ -46,7 +46,6 @@ _KNN_BLOCK_ENTRIES = 1 << 20
 @dataclass
 class Hyperparams:
     knn_k: int = 4
-    knn_metric: str = "chebyshev"  # or "euclidean"
     rf_estimators: int = 10
     rf_depth: int = 6
     svm_c: float = 1.0
@@ -64,8 +63,6 @@ class Hyperparams:
             v = getattr(self, name)
             if v is not None and not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be finite and positive, got {v}")
-        if self.knn_metric not in ("chebyshev", "euclidean"):
-            raise ValueError(f"unknown metric {self.knn_metric!r}")
 
 
 @dataclass
@@ -121,30 +118,25 @@ def knn_fit(X, y, hp: Hyperparams) -> TrainedModel:
         kind="knn",
         feature_dim=X.shape[1],
         labels=labels,
-        params={"X": X, "y": yi, "k": hp.knn_k, "metric": hp.knn_metric},
+        params={"X": X, "y": yi, "k": hp.knn_k, "metric": "chebyshev"},
         train_meta={"n_train": len(X), "seed": hp.seed},
     )
 
 
 def _knn_predict(p, Q):
     """Label indices for the query rows Q, in row blocks of at most
-    _KNN_BLOCK_ENTRIES distances. Neighbours are the first k of a stable
-    distance sort, found by partition; a vote tie goes to the smallest
-    summed distance, then to label order."""
+    _KNN_BLOCK_ENTRIES Chebyshev distances. Neighbours are the first k of
+    a stable distance sort, found by partition; a vote tie goes to the
+    smallest summed distance, then to label order."""
+    from scipy.spatial.distance import cdist
+
     X, y, k = p["X"], p["y"], p["k"]
     n_labels = int(y.max()) + 1
     out = np.empty(len(Q), dtype=int)
     rows = max(1, _KNN_BLOCK_ENTRIES // len(X))
     for start in range(0, len(Q), rows):
         B = Q[start:start + rows]
-        if p["metric"] == "chebyshev":
-            from scipy.spatial.distance import cdist
-
-            D = cdist(B, X, "chebyshev")
-        else:  # cdist's Euclidean rounds differently; keep this formula
-            D = np.empty((len(B), len(X)))
-            for i, q in enumerate(B):
-                D[i] = np.sqrt(np.sum((X - q) ** 2, axis=1))
+        D = cdist(B, X, "chebyshev")
         # the k nearest in stable-sort order without sorting whole rows:
         # every entry within the k-th distance, sorted by (row, d, column)
         kth = np.partition(D, k - 1, axis=1)[:, k - 1:k]

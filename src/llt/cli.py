@@ -45,7 +45,6 @@ class RunConfig:
     window_len: int = 30
     peak_threshold: float = 0.5
     refractory_ms: float = 200.0
-    fs: float = 360.0
     knn_k: int = 4
     rf_estimators: int = 10
     rf_depth: int = 6
@@ -113,7 +112,7 @@ def _preprocess_config(cfg: RunConfig) -> PreprocessConfig:
         lowpass_hz=cfg.lowpass,
         highpass_hz=cfg.highpass,
         window_len=cfg.window_len,
-        refractory_samples=max(1, round(cfg.refractory_ms / 1000.0 * cfg.fs)),
+        refractory_ms=cfg.refractory_ms,
         peak_threshold=cfg.peak_threshold,
     )
 
@@ -209,7 +208,6 @@ def cmd_transform(args, cfg: RunConfig) -> int:
 _FITTERS = {
     "knn": knn_fit,
     "svm-linear": linear_svm_fit,
-    "svm": rbf_svm_fit,
     "svm-rbf": rbf_svm_fit,
     "rf": rf_fit,
     "mlp": mlp_fit,
@@ -229,9 +227,13 @@ def _labelled_features(path) -> tuple[np.ndarray, list[str]]:
 
 def cmd_train(args, cfg: RunConfig) -> int:
     X, labels = _labelled_features(args.features)
-    model = _FITTERS[args.model](X, labels, cfg.hyperparams())
     if args.val:
         Xv, yv = _labelled_features(args.val)
+        if Xv.shape[1] != X.shape[1]:
+            raise ValueError(f"--features {args.features} has {X.shape[1]} features "
+                             f"per row but --val {args.val} has {Xv.shape[1]}")
+    model = _FITTERS[args.model](X, labels, cfg.hyperparams())
+    if args.val:
         acc = float(np.mean(predict_batch(model, Xv) == np.array(yv)))
         print(f"validation accuracy {acc:.4f}")
     dataset_io.save_model(model, args.out)
@@ -243,6 +245,11 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     law = dataset_io.load_law(args.law)
     model = dataset_io.load_model(args.model)
     test = dataset_io.load_corpus(args.test, role=Role.TEST)
+    n_features = max(0, test.window_len - law.width + 1)
+    if n_features != model.feature_dim:
+        raise ValueError(f"--law {args.law} (l={law.width}) on --test {args.test} "
+                         f"(beats of {test.window_len}) gives {n_features} features "
+                         f"but --model {args.model} expects {model.feature_dim}")
     report = evaluation.evaluate_pipeline(test, law, model, method=model.kind)
     text = "\n".join(cfg.echo_lines()) + "\n" + evaluation.compare_report([report])
     if args.report:
@@ -312,15 +319,9 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     # SUPPRESS: a subcommand without --config keeps the top-level value
     common.add_argument("--config", default=argparse.SUPPRESS, help=config_help)
-    for name, typ in (
-        ("law-len", int), ("train-fraction", float), ("seed", int),
-        ("lowpass", float), ("highpass", float), ("window-len", int),
-        ("peak-threshold", float), ("refractory-ms", float), ("fs", float),
-        ("knn-k", int), ("rf-estimators", int), ("rf-depth", int),
-        ("svm-c", float), ("rbf-gamma", float), ("mlp-hidden", int),
-        ("mlp-epochs", int), ("mlp-lr", float),
-    ):
-        common.add_argument(f"--{name}", type=typ, default=None)
+    for f in fields(RunConfig):
+        common.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                            default=None)
 
     sub = parser.add_subparsers(dest="command")
 

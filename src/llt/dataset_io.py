@@ -332,7 +332,7 @@ def _read_field(a: _Artifact, name: str, typ: str, letters: str, sizes: dict):
         if typ == "real":
             return a.number(value, float, name)
         if typ == "metric":
-            if value not in ("chebyshev", "euclidean"):
+            if value != "chebyshev":
                 a.fail(f"unknown metric {value!r}")
             return value
         count = a.number(value, int, name, 1)

@@ -144,8 +144,7 @@ BASELINE_TABLE = {
 _COLUMNS = ("acc", "se_normal", "pp_normal", "se_ectopic", "pp_ectopic")
 
 
-def compare_report(reports: list[MetricsReport],
-                   baseline: dict = BASELINE_TABLE) -> str:
+def compare_report(reports: list[MetricsReport]) -> str:
     """CSV comparison table: one row per (method, role) with measured
     metrics next to the published baseline where one exists."""
     lines = ["method,role," + ",".join(_COLUMNS)
@@ -154,7 +153,7 @@ def compare_report(reports: list[MetricsReport],
     fmt = lambda v: "" if v is None else f"{v:.1f}"
     for r in reports:
         row = r.row()
-        base = baseline.get(r.method, {}).get(r.dataset_role.value)
+        base = BASELINE_TABLE.get(r.method, {}).get(r.dataset_role.value)
         base_cells = [fmt(v) for v in base] if base else [""] * len(_COLUMNS)
         lines.append(
             ",".join(
@@ -164,7 +163,7 @@ def compare_report(reports: list[MetricsReport],
                 + [str(r.artifact_count)]
             )
         )
-    for name, entry in baseline.items():
+    for name, entry in BASELINE_TABLE.items():
         if name not in {r.method for r in reports}:
             for role in ("validation", "test"):
                 vals = entry.get(role)

@@ -1,10 +1,12 @@
 """Raw ECG signal conditioning: zero-phase band-pass filtering,
 standardization, peak detection and peak-centered windowing.
 
-Beats that cannot be produced cleanly (window overrun, degenerate
-window, zero or multiple peaks under a single-beat expectation) are
-emitted with artifact=True; downstream classification labels them
-ectopic by rule instead of running the model.
+Each record holds one beat. A record whose beat cannot be produced
+cleanly (zero or several peaks, window overrun, degenerate window)
+yields one beat with artifact=True; downstream classification labels
+it ectopic by rule instead of running the model. Every rate-dependent
+setting (the filter designs, the refractory gap between peaks) follows
+the record's own sampling rate ``fs``.
 
 The band-pass is scipy's sosfiltfilt, bit for bit, with the parts that
 depend only on the filter design (the sections, sosfilt_zi and the pad
@@ -14,6 +16,7 @@ candidates come from one vectorised local-maximum mask.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -27,17 +30,24 @@ FILTER_ORDER = 4
 
 @dataclass
 class PreprocessConfig:
+    """Settings of the preprocessing chain. Cutoffs are in Hz and the
+    refractory gap in milliseconds, so one config serves records of any
+    sampling rate; ``window_len`` is in samples."""
+
     lowpass_hz: float = 20.0
     highpass_hz: float = 0.5
     window_len: int = 30
-    refractory_samples: int = 72  # 0.2 s at 360 Hz
+    refractory_ms: float = 200.0
     peak_threshold: float = 0.5
 
     def __post_init__(self):
         if not 0.0 < self.highpass_hz < self.lowpass_hz:
             raise ValueError("need 0 < highpass_hz < lowpass_hz")
-        if self.window_len < 2 or self.refractory_samples < 1:
-            raise ValueError("window_len and refractory_samples must be positive")
+        if self.window_len < 2:
+            raise ValueError("window_len must be at least 2")
+        if not (math.isfinite(self.refractory_ms) and self.refractory_ms > 0):
+            raise ValueError(f"refractory_ms must be finite and positive, "
+                             f"got {self.refractory_ms}")
         if not 0.0 < self.peak_threshold < 1.0:
             raise ValueError("peak_threshold must be in (0, 1)")
 
@@ -113,7 +123,9 @@ def standardize(window: np.ndarray) -> np.ndarray:
 
 def detect_peaks(sig: Signal, cfg: PreprocessConfig) -> list[int]:
     """Local maxima above peak_threshold * global max, at least
-    refractory_samples apart. Conflicts keep the taller peak."""
+    refractory_ms apart at the record's rate (rounded to whole samples,
+    at least one). Conflicts keep the taller peak."""
+    gap = max(1, round(cfg.refractory_ms / 1000.0 * sig.fs))
     v = sig.values
     if len(v) < 3 or v.max() <= 0:
         return []
@@ -123,7 +135,7 @@ def detect_peaks(sig: Signal, cfg: PreprocessConfig) -> list[int]:
     # accept in descending amplitude (index breaks ties) under the gap rule
     accepted: list[int] = []
     for i in sorted(cand, key=lambda i: (-v[i], i)):
-        if all(abs(i - j) >= cfg.refractory_samples for j in accepted):
+        if all(abs(i - j) >= gap for j in accepted):
             accepted.append(i)
     return sorted(accepted)
 
@@ -148,17 +160,12 @@ def extract_beat(sig: Signal, peak: int, window_len: int,
 
 
 def preprocess_record(sig: Signal, cfg: PreprocessConfig,
-                      label: Label = Label.UNLABELED, source_id: str = "",
-                      expect_single_beat: bool = True) -> list[Beat]:
-    """Full chain: bandpass, peak detection, windowing.
-
-    Under the single-beat expectation a record with zero or several
-    peaks yields one artifact beat, never zero beats.
-    """
+                      label: Label = Label.UNLABELED, source_id: str = "") -> list[Beat]:
+    """Full chain: bandpass, peak detection, windowing. The record holds
+    one beat, so it yields exactly one: an artifact beat when it has
+    zero or several peaks."""
     filtered = bandpass(sig, cfg)
     peaks = detect_peaks(filtered, cfg)
-    if expect_single_beat:
-        if len(peaks) != 1:
-            return [_artifact_beat(cfg.window_len, label, source_id)]
-        return [extract_beat(filtered, peaks[0], cfg.window_len, label, source_id)]
-    return [extract_beat(filtered, p, cfg.window_len, label, source_id) for p in peaks]
+    if len(peaks) != 1:
+        return [_artifact_beat(cfg.window_len, label, source_id)]
+    return [extract_beat(filtered, peaks[0], cfg.window_len, label, source_id)]

@@ -36,6 +36,12 @@ class RecurrenceSpec:
         return 2 if self.kind == "sinusoid" else len(self.ar_coeffs)
 
 
+# sinusoid phases are drawn from [0, PHASE_SPAN); an arc shorter than pi
+# keeps the residual clusters linearly separable (a full circle of
+# phases surrounds the reference class's near-zero residuals)
+PHASE_SPAN = 0.6 * np.pi
+
+
 @dataclass
 class SynthSpec:
     class_a: RecurrenceSpec = field(
@@ -45,10 +51,6 @@ class SynthSpec:
     beats_per_class: int = 200
     window_len: int = 30
     noise_sigma: float = 0.01
-    # phases are drawn from [0, phase_span); an arc shorter than pi
-    # keeps the residual clusters linearly separable (a full circle of
-    # phases surrounds the reference class's near-zero residuals)
-    phase_span: float = 0.6 * np.pi
     seed: int = 0
 
     def __post_init__(self):
@@ -60,10 +62,9 @@ class SynthSpec:
             raise ValueError("noise_sigma must be finite and >= 0")
 
 
-def _one_beat(spec: RecurrenceSpec, length: int, rng: np.random.Generator,
-              phase_span: float) -> np.ndarray:
+def _one_beat(spec: RecurrenceSpec, length: int, rng: np.random.Generator) -> np.ndarray:
     if spec.kind == "sinusoid":
-        phase = rng.uniform(0.0, phase_span)
+        phase = rng.uniform(0.0, PHASE_SPAN)
         amp = rng.uniform(0.5, 1.5)
         return amp * np.cos(spec.omega * np.arange(length) + phase)
     order = spec.order
@@ -82,7 +83,7 @@ def generate(spec: SynthSpec) -> tuple[Corpus, Corpus, Corpus]:
     for label, cls in ((Label.NORMAL, spec.class_a), (Label.ECTOPIC, spec.class_b)):
         beats = []
         for _ in range(spec.beats_per_class):
-            y = _one_beat(cls, spec.window_len, rng, spec.phase_span)
+            y = _one_beat(cls, spec.window_len, rng)
             if spec.noise_sigma > 0:
                 y = y + spec.noise_sigma * rng.standard_normal(spec.window_len)
             beats.append(Beat(samples=y, label=label, source_id="synth"))

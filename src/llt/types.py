@@ -114,9 +114,6 @@ class Corpus:
     def with_label(self, label: Label) -> list[Beat]:
         return [b for b in self.beats if b.label == label]
 
-    def non_artifact(self) -> list[Beat]:
-        return [b for b in self.beats if not b.artifact]
-
     def rows(self, label: Label | None = None) -> np.ndarray:
         """(n, window_len) samples of the non-artifact beats, of `label`
         only if one is given, in corpus order."""

@@ -228,6 +228,7 @@ DAMAGED = [
     ("svm-linear", edit("svm-linear", 4, ["labels=N"]), r"svm-linear:4: bad label list 'N'"),
     ("svm-rbf", edit("svm-rbf", 7, []), r"svm-rbf:7: expected 'param gamma=', got 'matrix coef 1 2'"),
     ("knn", edit("knn", 7, ["param metric=manhattan"]), r"knn:7: unknown metric 'manhattan'"),
+    ("knn", edit("knn", 7, ["param metric=euclidean"]), r"knn:7: unknown metric 'euclidean'"),
     ("knn", edit("knn", 12, ["ivector y 0 1 2"]), r"knn:12: y: '2' is out of range"),
     ("knn", edit("knn", 12, ["ivector y 0 1"]), r"knn:12: y: size 2 disagrees with 3"),
     ("rf", edit("rf", 12, []), r"rf:12: expected node 4 of 5, got 'tree 1 1'"),

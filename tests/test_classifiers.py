@@ -59,9 +59,6 @@ class TestKNN:
         X = np.array([[2.0, 2.0], [0.0, 2.5]])
         model = knn_fit(X, ["N", "E"], Hyperparams(knn_k=1))
         assert predict_batch(model, [[0.0, 0.0]])[0] == "N"
-        model_e = knn_fit(X, ["N", "E"],
-                          Hyperparams(knn_k=1, knn_metric="euclidean"))
-        assert predict_batch(model_e, [[0.0, 0.0]])[0] == "E"
 
     def test_majority_vote(self):
         X = np.array([[0.0], [0.1], [0.2], [5.0]])
@@ -333,8 +330,6 @@ def test_hyperparam_validation():
         Hyperparams(knn_k=0)
     with pytest.raises(ValueError):
         Hyperparams(svm_c=-1.0)
-    with pytest.raises(ValueError):
-        Hyperparams(knn_metric="manhattan")
 
 
 # ------------------------------------------------ equivalence oracles
@@ -400,10 +395,7 @@ def _oracle_forest(X, y, hp):
 
 
 def _oracle_knn_predict_one(p, x):
-    if p["metric"] == "chebyshev":
-        d = np.max(np.abs(p["X"] - x), axis=1)
-    else:
-        d = np.sqrt(np.sum((p["X"] - x) ** 2, axis=1))
+    d = np.max(np.abs(p["X"] - x), axis=1)
     order = np.argsort(d, kind="stable")[: p["k"]]
     votes = np.bincount(p["y"][order], minlength=0)
     best = np.flatnonzero(votes == votes.max())
@@ -442,12 +434,10 @@ def test_rf_trees_equal_per_threshold_search(data, depth, estimators, seed):
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=_labelled_rows(min_rows=1), queries=st.data(),
-       metric=st.sampled_from(["chebyshev", "euclidean"]),
-       block=st.integers(1, 200))
+@given(data=_labelled_rows(min_rows=1), queries=st.data(), block=st.integers(1, 200))
 @example(data=(np.array([[0.0], [1.0], [3.0], [4.0]]), ["a", "a", "b", "b"]),
-         queries=None, metric="chebyshev", block=4)
-def test_knn_predict_equals_per_row_oracle(data, queries, metric, block):
+         queries=None, block=4)
+def test_knn_predict_equals_per_row_oracle(data, queries, block):
     X, y = data
     if queries is None:  # two votes each: the summed distance decides
         k, Q = 4, np.array([[1.5], [2.5], [2.0]])
@@ -457,7 +447,7 @@ def test_knn_predict_equals_per_row_oracle(data, queries, metric, block):
         Q = np.array(queries.draw(st.lists(
             st.sampled_from(_TIE_VALUES), min_size=m * X.shape[1],
             max_size=m * X.shape[1]))).reshape(m, X.shape[1])
-    model = knn_fit(X, y, Hyperparams(knn_k=k, knn_metric=metric))
+    model = knn_fit(X, y, Hyperparams(knn_k=k))
     expected = np.array([model.labels[_oracle_knn_predict_one(model.params, q)]
                          for q in Q])
     with pytest.MonkeyPatch.context() as mp:
@@ -465,7 +455,7 @@ def test_knn_predict_equals_per_row_oracle(data, queries, metric, block):
         assert np.array_equal(predict_batch(model, Q), expected)
 
 
-@pytest.mark.parametrize("metric", ["chebyshev", "euclidean"])
+@pytest.mark.parametrize("metric", ["chebyshev"])
 @pytest.mark.parametrize("block", [1, 5, 1 << 20])
 def test_knn_ties_at_kth_distance_keep_stable_order(metric, block):
     # each query has more training rows at its k-th distance than places
@@ -473,7 +463,8 @@ def test_knn_ties_at_kth_distance_keep_stable_order(metric, block):
     X = np.array([[0.0], [2.0], [2.0], [2.0], [2.0]])
     y = ["a", "b", "b", "a", "a"]
     Q = np.array([[0.0], [4.0], [2.0], [1.0], [3.0]])
-    model = knn_fit(X, y, Hyperparams(knn_k=2, knn_metric=metric))
+    model = knn_fit(X, y, Hyperparams(knn_k=2))
+    assert model.params["metric"] == metric
     expected = [model.labels[_oracle_knn_predict_one(model.params, q)] for q in Q]
     assert expected == ["a", "b", "b", "a", "b"]
     with pytest.MonkeyPatch.context() as mp:

@@ -37,6 +37,23 @@ class TestParsing:
             run(["--threads", "2", "synth", "--out-dir", str(tmp_path)])
         assert e.value.code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["preprocess", "--in", "raw.csv", "--out", "beats.csv", "--fs", "250"],
+        ["train", "--model", "svm", "--features", "f.csv", "--out", "m.txt"],
+    ])
+    def test_removed_option_rejected(self, argv):
+        with pytest.raises(SystemExit) as e:
+            run(argv)
+        assert e.value.code == 1
+
+    def test_every_config_field_is_a_flag(self):
+        from dataclasses import fields
+
+        for f in fields(RunConfig):
+            flag = "--" + f.name.replace("_", "-")
+            args = build_parser().parse_args(["synth", "--out-dir", "d", flag, "3"])
+            assert getattr(args, f.name) == type(f.default)("3")
+
     def test_missing_required_flag(self, capsys):
         with pytest.raises(SystemExit) as e:
             run(["fit-law", "--train", "x.csv"])  # --out missing
@@ -288,6 +305,66 @@ def test_preprocess_artifact_reaches_evaluate(tmp_path):
     header, row = [line.split(",") for line in report.read_text().splitlines()
                    if line.startswith(("method,", "knn,test,"))]
     assert row[header.index("artifacts")] == "1"
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-5"])
+def test_bad_refractory_ms_exits_1(tmp_path, capsys, value):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("360;" + ",".join(["0"] * 100 + ["1"] + ["0"] * 100) + "\n")
+    out = tmp_path / "beats.csv"
+    assert run(["preprocess", "--in", str(raw), "--out", str(out),
+                "--refractory-ms", value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: refractory_ms ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.fixture()
+def two_widths(tmp_path, capsys):
+    """A corpus of 30-sample beats, its Normal laws at l=12 and l=10, the
+    l=12 feature file of its train beats (19 residuals a row) and a KNN
+    model fitted on it."""
+    data = tmp_path / "data"
+    assert run(["synth", "--beats", "20", "--out-dir", str(data)]) == 0
+    p = {"train": data / "train.csv", "test": data / "test.csv", "law12": tmp_path / "12.law",
+         "law10": tmp_path / "10.law", "features": tmp_path / "f.csv",
+         "model": tmp_path / "m.txt"}
+    for width in ("12", "10"):
+        assert run(["fit-law", "--train", str(p["train"]), "--law-len", width,
+                    "--out", str(p["law" + width])]) == 0
+    assert run(["transform", "--law", str(p["law12"]), "--in", str(p["train"]),
+                "--out", str(p["features"])]) == 0
+    assert run(["train", "--model", "knn", "--features", str(p["features"]),
+                "--out", str(p["model"])]) == 0
+    capsys.readouterr()
+    return p
+
+
+def test_evaluate_feature_count_mismatch_names_flags(tmp_path, capsys, two_widths):
+    p = two_widths
+    report = tmp_path / "eval.csv"
+    assert run(["evaluate", "--law", str(p["law10"]), "--model", str(p["model"]),
+                "--test", str(p["test"]), "--report", str(report)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --law {p['law10']} (l=10) on --test {p['test']} (beats of 30) "
+        f"gives 21 features but --model {p['model']} expects 19\n")
+    assert not report.exists()
+
+
+def test_train_val_width_mismatch_names_flags(tmp_path, capsys, two_widths):
+    p = two_widths
+    val = tmp_path / "val.csv"
+    assert run(["transform", "--law", str(p["law10"]), "--in", str(p["test"]),
+                "--out", str(val)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "m2.txt"
+    assert run(["train", "--model", "knn", "--features", str(p["features"]),
+                "--val", str(val), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --features {p['features']} has 19 features per row "
+        f"but --val {val} has 21\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, text, message", [

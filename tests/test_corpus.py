@@ -144,7 +144,7 @@ def corpora(draw):
 def test_rows_match_beat_lists(corpus, tag, train_fraction, data):
     length = corpus.window_len
     widths = range(2, length + 1)
-    clean = corpus.non_artifact()
+    clean = [b for b in corpus.beats if not b.artifact]
     class_beats = [b for b in clean if b.label == tag]
     for width in widths:
         law = _unit_law(width)

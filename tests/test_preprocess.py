@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -204,10 +206,11 @@ class TestDetectPeaks:
              threshold=0.5, refractory=1)
     def test_quantised_signals_match_oracle(self, values, threshold, refractory):
         # few levels make plateaus and equal heights common: a plateau's
-        # candidate is its last sample (>= on the left, > on the right)
+        # candidate is its last sample (>= on the left, > on the right);
+        # at 1000 Hz the gap in ms is the gap in samples
         v = np.array(values)
-        c = cfg(peak_threshold=threshold, refractory_samples=refractory)
-        assert detect_peaks(Signal(values=v, fs=FS), c) == brute_force_peaks(
+        c = cfg(peak_threshold=threshold, refractory_ms=float(refractory))
+        assert detect_peaks(Signal(values=v, fs=1000.0), c) == brute_force_peaks(
             v, threshold, refractory)
 
     def test_refractory_gap(self):
@@ -265,15 +268,17 @@ class TestPreprocessRecord:
         assert len(beats) == 1
         assert beats[0].artifact
 
-    def test_multi_beat_mode(self):
-        v = np.zeros(1000)
-        for c in (300, 700):
-            for i in range(-8, 9):
-                v[c + i] = 1.0 - abs(i) / 9
-        beats = preprocess_record(Signal(values=v, fs=FS), cfg(),
-                                  expect_single_beat=False)
-        assert len(beats) == 2
-        assert not any(b.artifact for b in beats)
+    @pytest.mark.parametrize("fs", [250.0, 360.0])
+    def test_refractory_gap_follows_record_rate(self, fs):
+        # two equal 40 ms pulses 240 ms apart, beyond the 200 ms gap at
+        # any rate: 60 samples at 250 Hz (gap 50), 86 at 360 Hz (gap 72)
+        t = np.arange(round(2.0 * fs)) / fs
+        v = sum(np.clip(1.0 - np.abs(t - c) / 0.02, 0.0, None) for c in (0.88, 1.12))
+        sig = Signal(values=v, fs=fs)
+        assert len(detect_peaks(bandpass(sig, cfg()), cfg())) == 2
+        beats = preprocess_record(sig, cfg())
+        assert len(beats) == 1
+        assert beats[0].artifact
 
 
 def test_config_validation():
@@ -281,3 +286,6 @@ def test_config_validation():
         PreprocessConfig(highpass_hz=30.0, lowpass_hz=20.0)
     with pytest.raises(ValueError):
         PreprocessConfig(peak_threshold=1.5)
+    for ms in (math.inf, math.nan, 0.0, -5.0):
+        with pytest.raises(ValueError, match="refractory_ms must be finite and positive"):
+            PreprocessConfig(refractory_ms=ms)
