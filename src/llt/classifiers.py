@@ -49,7 +49,7 @@ class Hyperparams:
     rf_estimators: int = 10
     rf_depth: int = 6
     svm_c: float = 1.0
-    rbf_gamma: float | None = None  # None -> 1 / (dim * var(features))
+    rbf_gamma: float = 0.0  # 0 -> 1 / (dim * var(features))
     mlp_hidden: int = 8
     mlp_epochs: int = 500
     mlp_lr: float = 0.5
@@ -58,11 +58,16 @@ class Hyperparams:
     def __post_init__(self):
         for name in ("knn_k", "rf_estimators", "rf_depth", "mlp_hidden", "mlp_epochs"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        for name in ("svm_c", "rbf_gamma", "mlp_lr"):
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        for name in ("svm_c", "mlp_lr"):
             v = getattr(self, name)
-            if v is not None and not (math.isfinite(v) and v > 0):
+            if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be finite and positive, got {v}")
+        if not (math.isfinite(self.rbf_gamma) and self.rbf_gamma >= 0):
+            raise ValueError(f"rbf_gamma must be finite and positive, or 0 for auto, "
+                             f"got {self.rbf_gamma}")
 
 
 @dataclass
@@ -113,7 +118,7 @@ def knn_fit(X, y, hp: Hyperparams) -> TrainedModel:
     X, y = _check_xy(X, y)
     labels, yi = _label_index(y)
     if hp.knn_k > len(X):
-        raise ValueError(f"k={hp.knn_k} exceeds training size {len(X)}")
+        raise ValueError(f"knn_k={hp.knn_k} exceeds training size {len(X)}")
     return TrainedModel(
         kind="knn",
         feature_dim=X.shape[1],
@@ -278,7 +283,7 @@ def rbf_svm_fit(X, y, hp: Hyperparams) -> TrainedModel:
     """Soft-margin SVM with an RBF kernel: the SMO dual on K(X, X),
     stored as its support vectors (α > 0), αᵢyᵢ and b = -rho."""
     X, labels, ys = _svm_labels(X, y, "RBF SVM")
-    gamma = hp.rbf_gamma if hp.rbf_gamma is not None else rbf_gamma_default(X)
+    gamma = hp.rbf_gamma or rbf_gamma_default(X)
     alpha, rho, gap, history = _smo(_rbf_kernel(X, X, gamma), ys, hp.svm_c)
     sv = alpha > 0
     return TrainedModel(

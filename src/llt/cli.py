@@ -2,6 +2,10 @@
 the whole pipeline, plus `reproduce` which chains fit -> transform ->
 train -> evaluate and emits a comparison table.
 
+`preprocess` takes the fields of PreprocessConfig as flags and config
+keys, every other subcommand those of RunConfig; a bad value exits 1,
+naming its field, before any file is read or written.
+
 Exit codes: 0 success, 1 usage error or a solver that did not converge
 (`ConvergenceError`), 2 invariant-audit failure.
 """
@@ -36,47 +40,34 @@ CONFIG_ENV_VAR = "LLT_CONFIG"
 
 
 @dataclass
-class RunConfig:
+class RunConfig(Hyperparams):
+    """Settings of every subcommand but `preprocess`: the classifier
+    hyperparameters and seed of `Hyperparams`, the law width and the
+    train share of the train/validation split."""
+
     law_len: int = 12
-    train_fraction: float = 0.4
-    seed: int = 0
-    lowpass: float = 20.0
-    highpass: float = 0.5
-    window_len: int = 30
-    peak_threshold: float = 0.5
-    refractory_ms: float = 200.0
-    knn_k: int = 4
-    rf_estimators: int = 10
-    rf_depth: int = 6
-    svm_c: float = 1.0
-    rbf_gamma: float = 0.0  # 0 -> auto
-    mlp_hidden: int = 8
-    mlp_epochs: int = 500
-    mlp_lr: float = 0.5
+    train_fraction: float = SplitSpec.train_fraction
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.law_len < 2:
+            raise ValueError(f"law_len must be at least 2, got {self.law_len}")
+        SplitSpec(self.train_fraction, self.seed)  # checks train_fraction
 
     def echo_lines(self) -> list[str]:
         return [f"# config {f.name}={getattr(self, f.name)}" for f in fields(self)]
 
-    def hyperparams(self) -> Hyperparams:
-        return Hyperparams(
-            knn_k=self.knn_k,
-            rf_estimators=self.rf_estimators,
-            rf_depth=self.rf_depth,
-            svm_c=self.svm_c,
-            rbf_gamma=self.rbf_gamma or None,
-            mlp_hidden=self.mlp_hidden,
-            mlp_epochs=self.mlp_epochs,
-            mlp_lr=self.mlp_lr,
-            seed=self.seed,
-        )
 
-
-def load_config(path: str | None, overrides: dict) -> RunConfig:
-    """Flat key=value config file; command-line flags win. A line that
-    is not key=value with a RunConfig field as key, or whose value does
-    not convert to the field's type, raises ValueError naming path:line."""
-    cfg = RunConfig()
-    types = {f.name: type(getattr(cfg, f.name)) for f in fields(RunConfig)}
+def load_config(path: str | None, overrides: dict, cls=RunConfig):
+    """`cls` (RunConfig or PreprocessConfig) from a flat key=value config
+    file and the flags in `overrides`, which win. A file key may be a
+    field of either class, so one file serves every subcommand, but only
+    the fields of `cls` are applied; its constructor checks them. A line
+    that is not key=value with such a key, or whose value does not
+    convert to the field's type, raises ValueError naming path:line."""
+    types = {f.name: type(f.default) for c in (RunConfig, PreprocessConfig)
+             for f in fields(c)}
+    values = {}
     if path is None:
         path = os.environ.get(CONFIG_ENV_VAR)
     if path:
@@ -90,14 +81,12 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
                     raise ValueError(f"{path}:{lineno}: expected key=value with a "
                                      f"known key, got {line!r}")
                 try:
-                    setattr(cfg, k, types[k](v))
+                    values[k] = types[k](v)
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: {k}={v!r} is not "
                                      f"{'an integer' if types[k] is int else 'a number'}") from None
-    for name, raw in overrides.items():
-        if raw is not None:
-            setattr(cfg, name, types[name](raw))
-    return cfg
+    values.update((k, types[k](v)) for k, v in overrides.items() if v is not None)
+    return cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,16 +96,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _preprocess_config(cfg: RunConfig) -> PreprocessConfig:
-    return PreprocessConfig(
-        lowpass_hz=cfg.lowpass,
-        highpass_hz=cfg.highpass,
-        window_len=cfg.window_len,
-        refractory_ms=cfg.refractory_ms,
-        peak_threshold=cfg.peak_threshold,
-    )
-
-
 # --------------------------------------------------------- subcommands
 
 def cmd_synth(args, cfg: RunConfig) -> int:
@@ -124,7 +103,7 @@ def cmd_synth(args, cfg: RunConfig) -> int:
         class_a=RecurrenceSpec("sinusoid", omega=args.omega_a),
         class_b=RecurrenceSpec("sinusoid", omega=args.omega_b),
         beats_per_class=args.beats,
-        window_len=cfg.window_len,
+        window_len=args.window_len,
         noise_sigma=args.noise,
         seed=cfg.seed,
     )
@@ -140,35 +119,37 @@ def cmd_synth(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_preprocess(args, cfg: RunConfig) -> int:
+def cmd_preprocess(args, cfg: PreprocessConfig) -> int:
     signals = dataset_io.load_raw_signals(args.infile)
-    pcfg = _preprocess_config(cfg)
     label = Label.from_token(args.label)
     beats = []
     for i, sig in enumerate(signals):
-        beats.extend(preprocess_record(sig, pcfg, label=label, source_id=str(i)))
-    corpus = Corpus(beats=beats, window_len=pcfg.window_len, role=Role.TRAIN)
+        beats.extend(preprocess_record(sig, cfg, label=label, source_id=str(i)))
+    corpus = Corpus(beats=beats, window_len=cfg.window_len, role=Role.TRAIN)
     dataset_io.save_corpus(corpus, args.out)
     n_art = sum(b.artifact for b in beats)
     print(f"wrote {len(beats)} beats ({n_art} artifacts) to {args.out}")
     return 0
 
 
-def _class_rows(corpus: Corpus, label: Label, path) -> np.ndarray:
-    """Samples of the non-artifact `label` beats that a law is fitted on;
-    a ValueError naming `path` if there is none."""
+def _fit_class_law(corpus: Corpus, label: Label, path, law_len: int):
+    """The `label` law of width `law_len`, fitted on the non-artifact
+    `label` beats of `corpus`; a ValueError naming `path` if the beats
+    are shorter than `law_len` or there is none."""
+    if law_len > corpus.window_len:
+        raise ValueError(f"law_len {law_len} exceeds the beat length "
+                         f"{corpus.window_len} of {path}")
     rows = corpus.rows(label)
     if not len(rows):
         raise ValueError(f"{path}: no non-artifact {label.value!r} beat to fit "
                          f"the {label.name.title()} law on")
-    return rows
+    return linear_law.fit_law(rows, law_len, label.name.title())
 
 
 def cmd_fit_law(args, cfg: RunConfig) -> int:
     corpus = dataset_io.load_corpus(args.train, role=Role.TRAIN)
     label = Label.from_token(args.class_token)
-    law = linear_law.fit_law(_class_rows(corpus, label, args.train), cfg.law_len,
-                             label.name.title())
+    law = _fit_class_law(corpus, label, args.train, cfg.law_len)
     dataset_io.save_law(law, args.out)
     print(f"fitted {label.name.title()} law l={law.width} lambda={law.lam:.6g} "
           f"on {law.train_row_count} rows -> {args.out}")
@@ -232,7 +213,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
         if Xv.shape[1] != X.shape[1]:
             raise ValueError(f"--features {args.features} has {X.shape[1]} features "
                              f"per row but --val {args.val} has {Xv.shape[1]}")
-    model = _FITTERS[args.model](X, labels, cfg.hyperparams())
+    model = _FITTERS[args.model](X, labels, cfg)
     if args.val:
         acc = float(np.mean(predict_batch(model, Xv) == np.array(yv)))
         print(f"validation accuracy {acc:.4f}")
@@ -251,7 +232,7 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
                          f"(beats of {test.window_len}) gives {n_features} features "
                          f"but --model {args.model} expects {model.feature_dim}")
     report = evaluation.evaluate_pipeline(test, law, model, method=model.kind)
-    text = "\n".join(cfg.echo_lines()) + "\n" + evaluation.compare_report([report])
+    text = evaluation.compare_report([report])
     if args.report:
         Path(args.report).write_text(text, encoding="utf-8")
     else:
@@ -262,38 +243,31 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
 def run_reproduce(data_dir, out_dir, cfg: RunConfig) -> int:
     """Full protocol: split, fit the Normal law, transform, train every
     classifier configuration, score validation and test, emit the
-    comparison table. Audits that no fit ever consumed Test data."""
-    hp = cfg.hyperparams()
+    comparison table. Creates `out_dir` and writes to it only once every
+    fit and score has returned. Audits that no fit ever consumed Test
+    data."""
     data = Path(data_dir)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     full_train = dataset_io.load_corpus(data / "train.csv", role=Role.TRAIN)
     test = dataset_io.load_corpus(data / "test.csv", role=Role.TEST)
     train, val = dataset_io.split_train_validation(
         full_train, SplitSpec(train_fraction=cfg.train_fraction, seed=cfg.seed))
 
-    fit_inputs: list[tuple[str, Role]] = []
-    law = linear_law.fit_law(_class_rows(train, Label.NORMAL, data / "train.csv"),
-                             cfg.law_len, "Normal")
-    fit_inputs.append(("law", train.role))
-    dataset_io.save_law(law, out / "law_normal.law")
-
+    law = _fit_class_law(train, Label.NORMAL, data / "train.csv", cfg.law_len)
     X_tr, y_tr = feature_matrix(train.rows(), law), train.row_labels()
-    configs = [
-        ("knn-k4", lambda: knn_fit(X_tr, y_tr, hp)),
-        ("svm-linear", lambda: linear_svm_fit(X_tr, y_tr, hp)),
-        ("svm-rbf", lambda: rbf_svm_fit(X_tr, y_tr, hp)),
-        ("rf", lambda: rf_fit(X_tr, y_tr, hp)),
-        ("mlp", lambda: mlp_fit(X_tr, y_tr, hp)),
-    ]
-    reports = []
-    for name, fit in configs:
-        model = fit()
-        fit_inputs.append((name, train.role))
-        dataset_io.save_model(model, out / f"model_{name}.txt")
-        reports.append(evaluation.evaluate_pipeline(val, law, model, method=name))
-        reports.append(evaluation.evaluate_pipeline(test, law, model, method=name))
+    # the fitters are looked up on each call, so a wrapper bound to their
+    # module-level names sees every fit
+    fits = [("knn-k4", knn_fit), ("svm-linear", linear_svm_fit),
+            ("svm-rbf", rbf_svm_fit), ("rf", rf_fit), ("mlp", mlp_fit)]
+    models = [(name, fit(X_tr, y_tr, cfg)) for name, fit in fits]
+    fit_inputs = [("law", train.role)] + [(name, train.role) for name, _ in models]
+    reports = [evaluation.evaluate_pipeline(corpus, law, model, method=name)
+               for name, model in models for corpus in (val, test)]
 
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    dataset_io.save_law(law, out / "law_normal.law")
+    for name, model in models:
+        dataset_io.save_model(model, out / f"model_{name}.txt")
     table = evaluation.compare_report(reports)
     header = "\n".join(cfg.echo_lines()
                        + [f"# fit_input {n}={r.value}" for n, r in fit_inputs]) + "\n"
@@ -312,28 +286,37 @@ def cmd_reproduce(args, cfg: RunConfig) -> int:
 
 # --------------------------------------------------------------- main
 
+def _settings_flags(cls, config_help: str) -> argparse.ArgumentParser:
+    """Parent parser of a subcommand that reads `cls`: --config and one
+    flag per field of `cls`, `-` for `_`."""
+    p = argparse.ArgumentParser(add_help=False)
+    # SUPPRESS: a subcommand without --config keeps the top-level value
+    p.add_argument("--config", default=argparse.SUPPRESS, help=config_help)
+    for f in fields(cls):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                       default=None, help=f"default {f.default}")
+    p.set_defaults(settings=cls)
+    return p
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="llt", description=__doc__)
     config_help = f"key=value config file (default from ${CONFIG_ENV_VAR})"
     parser.add_argument("--config", help=config_help)
-    common = argparse.ArgumentParser(add_help=False)
-    # SUPPRESS: a subcommand without --config keeps the top-level value
-    common.add_argument("--config", default=argparse.SUPPRESS, help=config_help)
-    for f in fields(RunConfig):
-        common.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
-                            default=None)
+    common = _settings_flags(RunConfig, config_help)
 
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("synth", parents=[common], help="generate a synthetic corpus")
     p.add_argument("--omega-a", type=float, default=0.3)
     p.add_argument("--omega-b", type=float, default=0.9)
-    p.add_argument("--beats", type=int, default=200)
-    p.add_argument("--noise", type=float, default=0.01)
+    p.add_argument("--beats", type=int, default=SynthSpec.beats_per_class)
+    p.add_argument("--window-len", type=int, default=SynthSpec.window_len)
+    p.add_argument("--noise", type=float, default=SynthSpec.noise_sigma)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("preprocess", parents=[common],
+    p = sub.add_parser("preprocess", parents=[_settings_flags(PreprocessConfig, config_help)],
                        help="raw signals (fs;v0,v1,...) -> beat CSV")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
@@ -393,11 +376,9 @@ def main(argv: list[str] | None = None) -> int:
     if not getattr(args, "func", None):
         parser.print_usage(sys.stderr)
         return 1
-    overrides = {
-        f.name: getattr(args, f.name, None) for f in fields(RunConfig)
-    }
+    overrides = {f.name: getattr(args, f.name) for f in fields(args.settings)}
     try:
-        cfg = load_config(args.config, overrides)
+        cfg = load_config(args.config, overrides, args.settings)
         return args.func(args, cfg)
     except SystemExit:
         raise

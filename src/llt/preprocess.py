@@ -30,26 +30,30 @@ FILTER_ORDER = 4
 
 @dataclass
 class PreprocessConfig:
-    """Settings of the preprocessing chain. Cutoffs are in Hz and the
-    refractory gap in milliseconds, so one config serves records of any
-    sampling rate; ``window_len`` is in samples."""
+    """Settings of the preprocessing chain, and the only declaration of
+    them: `llt preprocess` makes each field a flag (``--refractory-ms``
+    for ``refractory_ms``) and a config-file key. Cutoffs are in Hz and
+    the refractory gap in milliseconds, so one config serves records of
+    any sampling rate; ``window_len`` is in samples. Every value is
+    checked at construction, and an error names its field."""
 
-    lowpass_hz: float = 20.0
-    highpass_hz: float = 0.5
+    lowpass: float = 20.0
+    highpass: float = 0.5
     window_len: int = 30
     refractory_ms: float = 200.0
     peak_threshold: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 < self.highpass_hz < self.lowpass_hz:
-            raise ValueError("need 0 < highpass_hz < lowpass_hz")
+        if not 0.0 < self.highpass < self.lowpass:
+            raise ValueError(f"need 0 < highpass < lowpass, got highpass={self.highpass} "
+                             f"and lowpass={self.lowpass}")
         if self.window_len < 2:
-            raise ValueError("window_len must be at least 2")
+            raise ValueError(f"window_len must be at least 2, got {self.window_len}")
         if not (math.isfinite(self.refractory_ms) and self.refractory_ms > 0):
             raise ValueError(f"refractory_ms must be finite and positive, "
                              f"got {self.refractory_ms}")
         if not 0.0 < self.peak_threshold < 1.0:
-            raise ValueError("peak_threshold must be in (0, 1)")
+            raise ValueError(f"peak_threshold must be in (0, 1), got {self.peak_threshold}")
 
 
 class _Design(NamedTuple):
@@ -102,12 +106,12 @@ def bandpass(sig: Signal, cfg: PreprocessConfig) -> Signal:
     imported in the helpers, not at module load: it costs about a second
     and only raw-record preprocessing needs it."""
     nyq = sig.fs / 2.0
-    if cfg.lowpass_hz >= nyq:
-        raise ValueError(f"lowpass cutoff {cfg.lowpass_hz} Hz >= Nyquist {nyq} Hz")
+    if cfg.lowpass >= nyq:
+        raise ValueError(f"lowpass cutoff {cfg.lowpass} Hz >= Nyquist {nyq} Hz")
     if len(sig.values) <= 6 * FILTER_ORDER:
         raise ValueError(f"signal too short to filter ({len(sig.values)} samples)")
-    hp = _butter_sos(cfg.highpass_hz, "highpass", sig.fs)
-    lp = _butter_sos(cfg.lowpass_hz, "lowpass", sig.fs)
+    hp = _butter_sos(cfg.highpass, "highpass", sig.fs)
+    lp = _butter_sos(cfg.lowpass, "lowpass", sig.fs)
     return Signal(values=_filtfilt(lp, _filtfilt(hp, sig.values)), fs=sig.fs)
 
 

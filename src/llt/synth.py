@@ -55,9 +55,9 @@ class SynthSpec:
 
     def __post_init__(self):
         if self.beats_per_class < 4:
-            raise ValueError("need at least 4 beats per class")
+            raise ValueError(f"beats_per_class must be at least 4, got {self.beats_per_class}")
         if self.window_len < 4:
-            raise ValueError("window too short")
+            raise ValueError(f"window_len must be at least 4, got {self.window_len}")
         if not np.isfinite(self.noise_sigma) or self.noise_sigma < 0:
             raise ValueError("noise_sigma must be finite and >= 0")
 

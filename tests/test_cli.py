@@ -1,17 +1,33 @@
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import llt
+from llt.classifiers import Hyperparams, rbf_gamma_default, rbf_svm_fit
 from llt.cli import RunConfig, build_parser, load_config, main
 from llt.dataset_io import load_corpus, load_features, load_law, load_model
+from llt.preprocess import PreprocessConfig
 
 
 def run(argv):
     return main(argv)
+
+
+# each subcommand with its required arguments
+REQUIRED = {
+    "synth": ["--out-dir", "d"],
+    "preprocess": ["--in", "r.csv", "--out", "b.csv"],
+    "fit-law": ["--train", "t.csv", "--out", "n.law"],
+    "scan-law-length": ["--train", "t.csv"],
+    "transform": ["--law", "n.law", "--in", "b.csv", "--out", "f.csv"],
+    "train": ["--model", "knn", "--features", "f.csv", "--out", "m.txt"],
+    "evaluate": ["--law", "n.law", "--model", "m.txt", "--test", "t.csv"],
+    "reproduce": ["--data", "d"],
+}
 
 
 class TestParsing:
@@ -47,12 +63,21 @@ class TestParsing:
         assert e.value.code == 1
 
     def test_every_config_field_is_a_flag(self):
-        from dataclasses import fields
-
-        for f in fields(RunConfig):
-            flag = "--" + f.name.replace("_", "-")
-            args = build_parser().parse_args(["synth", "--out-dir", "d", flag, "3"])
-            assert getattr(args, f.name) == type(f.default)("3")
+        """`preprocess` takes exactly the fields of PreprocessConfig as
+        flags, every other subcommand exactly those of RunConfig."""
+        own = {name: RunConfig for name in REQUIRED}
+        own["preprocess"] = PreprocessConfig
+        for name, required in REQUIRED.items():
+            for cls in (RunConfig, PreprocessConfig):
+                for f in fields(cls):
+                    argv = [name, *required, "--" + f.name.replace("_", "-"), "3"]
+                    if cls is own[name]:
+                        args = build_parser().parse_args(argv)
+                        assert args.settings is cls
+                        assert getattr(args, f.name) == type(f.default)("3")
+                    elif (name, f.name) != ("synth", "window_len"):
+                        with pytest.raises(SystemExit):
+                            build_parser().parse_args(argv)
 
     def test_missing_required_flag(self, capsys):
         with pytest.raises(SystemExit) as e:
@@ -113,9 +138,22 @@ class TestConfig:
                     "--out-dir", str(tmp_path / "4")]) == 0  # the later one wins
         assert "bad:1: seed='x' is not an integer" in capsys.readouterr().err
 
-    def test_echo_lines_cover_all_fields(self):
-        from dataclasses import fields
+    def test_key_of_the_other_stage_is_ignored(self, tmp_path, capsys):
+        # one file serves every subcommand; each applies only its own keys
+        path = tmp_path / "cfg"
+        path.write_text("law_len=7\nwindow_len=20\nknn_k=0\nrefractory_ms=-1\n")
+        with pytest.raises(ValueError, match="knn_k must be positive"):
+            load_config(str(path), {})
+        path.write_text("law_len=7\nwindow_len=20\n")
+        cfg = load_config(str(path), {})
+        assert cfg.law_len == 7 and not hasattr(cfg, "window_len")
+        pcfg = load_config(str(path), {}, PreprocessConfig)
+        assert pcfg == PreprocessConfig(window_len=20)
+        assert run(["--config", str(path), "synth", "--beats", "5",
+                    "--out-dir", str(tmp_path / "data")]) == 0
+        assert load_corpus(tmp_path / "data" / "test.csv").window_len == 30
 
+    def test_echo_lines_cover_all_fields(self):
         lines = RunConfig().echo_lines()
         assert len(lines) == len(fields(RunConfig))
         assert all(l.startswith("# config ") for l in lines)
@@ -129,6 +167,16 @@ class TestSynthCommand:
         test = load_corpus(out / "test.csv")
         assert len(train) == 2 * (8 + 6)  # 40% + 30% of 20 per class
         assert len(test) == 2 * 6
+
+    def test_window_len(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert run(["synth", "--beats", "5", "--window-len", "12",
+                    "--out-dir", str(out)]) == 0
+        assert load_corpus(out / "train.csv").window_len == 12
+        capsys.readouterr()
+        assert run(["synth", "--window-len", "3", "--out-dir", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == "error: window_len must be at least 4, got 3\n"
+        assert not (tmp_path / "x").exists()
 
 
 class TestPipelineCommands:
@@ -169,6 +217,9 @@ class TestPipelineCommands:
                     "--out", str(out)]) == 0
         report = (out / "report.csv").read_text()
         assert "# config law_len=12" in report
+        echoed = [line[len("# config "):].partition("=")[0]
+                  for line in report.splitlines() if line.startswith("# config ")]
+        assert echoed == [f.name for f in fields(RunConfig)]
         assert "# fit_input law=train" in report
         for name in ("knn-k4", "svm-linear", "svm-rbf", "rf", "mlp"):
             assert f"model_{name}.txt" in {p.name for p in out.iterdir()}
@@ -191,6 +242,7 @@ def test_evaluate_command(tmp_path):
                 "--test", str(data / "test.csv"),
                 "--report", str(report)]) == 0
     assert "rf,test" in report.read_text()
+    assert "# config" not in report.read_text()  # evaluate reads no setting
 
 
 def test_evaluate_unlabeled_only_exits_1(tmp_path, capsys):
@@ -430,7 +482,56 @@ def test_bad_hyperparameter_exits_1(tmp_path, capsys, small_data, flag, value, n
 
 
 def test_rbf_gamma_zero_means_auto():
-    assert RunConfig(rbf_gamma=0.0).hyperparams().rbf_gamma is None
+    assert RunConfig().rbf_gamma == Hyperparams().rbf_gamma == 0.0
+    X = np.random.default_rng(0).standard_normal((12, 3))
+    model = rbf_svm_fit(X, ["N", "E"] * 6, Hyperparams())
+    assert model.params["gamma"] == rbf_gamma_default(X)
+
+
+@pytest.fixture()
+def stage_inputs(small_data, tmp_path):
+    """Input paths for `transform`, `reproduce` and `synth`, and the
+    path each would write."""
+    law = tmp_path / "n.law"
+    assert run(["fit-law", "--train", str(small_data / "train.csv"), "--out", str(law)]) == 0
+    out = tmp_path / "out"
+    return out, {
+        "transform": ["transform", "--law", str(law), "--in", str(small_data / "test.csv"),
+                      "--out", str(out)],
+        "reproduce": ["reproduce", "--data", str(small_data), "--out", str(out)],
+        "synth": ["synth", "--beats", "5", "--out-dir", str(out)],
+    }
+
+
+@pytest.mark.parametrize("command", ["transform", "reproduce", "synth"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--law-len", "1", "law_len must be at least 2, got 1"),
+    ("--train-fraction", "0", "train_fraction must be in (0, 1], got 0.0"),
+    ("--seed", "-1", "seed must be non-negative, got -1"),
+    ("--knn-k", "0", "knn_k must be positive, got 0"),
+])
+def test_bad_setting_exits_1_before_any_output(capsys, stage_inputs, command, flag, value,
+                                               message):
+    out, argv = stage_inputs
+    capsys.readouterr()
+    assert run(argv[command] + [flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--law-len", "40", "law_len 40 exceeds the beat length 30 of {train}"),
+    ("--knn-k", "100", "knn_k=100 exceeds training size 11"),
+])
+def test_reproduce_failure_writes_nothing(capsys, small_data, stage_inputs, flag, value,
+                                          message):
+    # both fail after the corpora are read: in the law fit, or in the KNN fit
+    out, argv = stage_inputs
+    capsys.readouterr()
+    assert run(argv["reproduce"] + [flag, value]) == 1
+    assert capsys.readouterr().err == (
+        "error: " + message.format(train=small_data / "train.csv") + "\n")
+    assert not out.exists()
 
 
 def test_solver_failure_exits_1_without_traceback(tmp_path, capsys, small_data, monkeypatch):

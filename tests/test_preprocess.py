@@ -76,7 +76,7 @@ class TestBandpass:
     def test_cutoff_above_nyquist(self):
         sig = Signal(values=np.ones(2000), fs=30.0)
         with pytest.raises(ValueError, match="Nyquist"):
-            bandpass(sig, cfg(lowpass_hz=20.0))
+            bandpass(sig, cfg(lowpass=20.0))
 
     def test_too_short(self):
         with pytest.raises(ValueError, match="too short"):
@@ -102,7 +102,7 @@ class TestBandpass:
             sp_signal.butter(FILTER_ORDER, low, "lowpass", fs=fs, output="sos"),
             sp_signal.sosfiltfilt(
                 sp_signal.butter(FILTER_ORDER, high, "highpass", fs=fs, output="sos"), x))
-        out = bandpass(Signal(values=x, fs=fs), cfg(lowpass_hz=low, highpass_hz=high))
+        out = bandpass(Signal(values=x, fs=fs), cfg(lowpass=low, highpass=high))
         assert np.array_equal(out.values, fresh)
 
     @settings(max_examples=150, deadline=None)
@@ -127,7 +127,7 @@ class TestBandpass:
             sp_signal.butter(FILTER_ORDER, low, "lowpass", fs=fs, output="sos"),
             sp_signal.sosfiltfilt(
                 sp_signal.butter(FILTER_ORDER, high, "highpass", fs=fs, output="sos"), x))
-        out = bandpass(Signal(values=x, fs=fs), cfg(lowpass_hz=low, highpass_hz=high))
+        out = bandpass(Signal(values=x, fs=fs), cfg(lowpass=low, highpass=high))
         assert np.array_equal(out.values, fresh)
 
     def test_zero_phase(self):
@@ -283,7 +283,7 @@ class TestPreprocessRecord:
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        PreprocessConfig(highpass_hz=30.0, lowpass_hz=20.0)
+        PreprocessConfig(highpass=30.0, lowpass=20.0)
     with pytest.raises(ValueError):
         PreprocessConfig(peak_threshold=1.5)
     for ms in (math.inf, math.nan, 0.0, -5.0):
