@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -64,10 +65,12 @@ def load_config(path: str | None, overrides: dict, cls=RunConfig):
     field of either class, so one file serves every subcommand, but only
     the fields of `cls` are applied; its constructor checks them. A line
     that is not key=value with such a key, or whose value does not
-    convert to the field's type, raises ValueError naming path:line."""
+    convert to the field's type, raises ValueError naming path:line; so
+    does a file value that the constructor rejects, unless a flag
+    replaced it."""
     types = {f.name: type(f.default) for c in (RunConfig, PreprocessConfig)
              for f in fields(c)}
-    values = {}
+    values, lines = {}, {}  # lines: key -> path:line of its value in the file
     if path is None:
         path = os.environ.get(CONFIG_ENV_VAR)
     if path:
@@ -85,8 +88,21 @@ def load_config(path: str | None, overrides: dict, cls=RunConfig):
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: {k}={v!r} is not "
                                      f"{'an integer' if types[k] is int else 'a number'}") from None
-    values.update((k, types[k](v)) for k, v in overrides.items() if v is not None)
-    return cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})
+                lines[k] = f"{path}:{lineno}"
+    for k, v in overrides.items():
+        if v is not None:
+            values[k] = types[k](v)
+            lines.pop(k, None)
+    names = [f.name for f in fields(cls)]
+    try:
+        return cls(**{k: values[k] for k in names if k in values})
+    except ValueError as e:
+        # each check names the fields it rejects; point at the first the file set
+        at = next((lines[w] for w in re.findall(r"\w+", str(e))
+                   if w in names and w in lines), None)
+        if at is None:
+            raise
+        raise ValueError(f"{at}: {e}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -256,7 +272,7 @@ def run_reproduce(data_dir, out_dir, cfg: RunConfig) -> int:
     X_tr, y_tr = feature_matrix(train.rows(), law), train.row_labels()
     # the fitters are looked up on each call, so a wrapper bound to their
     # module-level names sees every fit
-    fits = [("knn-k4", knn_fit), ("svm-linear", linear_svm_fit),
+    fits = [(f"knn-k{cfg.knn_k}", knn_fit), ("svm-linear", linear_svm_fit),
             ("svm-rbf", rbf_svm_fit), ("rf", rf_fit), ("mlp", mlp_fit)]
     models = [(name, fit(X_tr, y_tr, cfg)) for name, fit in fits]
     fit_inputs = [("law", train.role)] + [(name, train.role) for name, _ in models]

@@ -209,10 +209,10 @@ class TestMLP:
         model = mlp_fit(X, y, Hyperparams(mlp_epochs=2000, mlp_lr=1.0, seed=2))
         assert np.mean(predict_batch(model, XOR_X) == np.array(XOR_Y)) == 1.0
 
-    def test_divergence_raises_convergence_error(self, monkeypatch):
+    def test_divergence_raises_convergence_error(self):
+        # a NaN feature makes the first loss NaN in the fitting loop itself
         X, y = two_blobs(seed=12)
-        monkeypatch.setattr(classifiers, "mlp_loss_grad",
-                            lambda params, X, targets: (float("nan"), {}))
+        X[5, 1] = np.nan
         with pytest.raises(ConvergenceError, match="training diverged"):
             mlp_fit(X, y, Hyperparams())
 
@@ -226,6 +226,86 @@ class TestMLP:
         m2 = mlp_fit(X, y, Hyperparams(mlp_epochs=50, seed=3))
         for k in m1.params:
             assert np.array_equal(m1.params[k], m2.params[k])
+
+
+def oracle_mlp_loss_grad(params, X, targets):
+    """The network's loss and gradients as one dict-based pass with fresh
+    arrays and numpy's own reductions: the reference that the flat-vector
+    kernel must match bit for bit."""
+    h = np.tanh(X @ params["W1"] + params["b1"])
+    z = h @ params["W2"] + params["b2"]
+    z = z - z.max(axis=1, keepdims=True)
+    ez = np.exp(z)
+    p = ez / ez.sum(axis=1, keepdims=True)
+    n = len(X)
+    loss = float(-np.mean(np.log(p[np.arange(n), targets] + 1e-300)))
+    dz = p.copy()
+    dz[np.arange(n), targets] -= 1.0
+    dz /= n
+    grads = {"W2": h.T @ dz, "b2": dz.sum(axis=0)}
+    dh = (dz @ params["W2"].T) * (1.0 - h * h)
+    grads["W1"] = X.T @ dh
+    grads["b1"] = dh.sum(axis=0)
+    return loss, grads
+
+
+def oracle_mlp_fit(X, targets, hp):
+    """(params, final_loss, epochs run) of the dict-based descent loop."""
+    params = mlp_init(X.shape[1], hp.mlp_hidden, hp.seed)
+    lr, prev = hp.mlp_lr, np.inf
+    for epoch in range(hp.mlp_epochs):
+        loss, grads = oracle_mlp_loss_grad(params, X, targets)
+        if loss > prev:
+            lr *= 0.5
+            if lr < 1e-6 * hp.mlp_lr:
+                return params, prev, epoch
+        prev = loss
+        for k in params:
+            params[k] = params[k] - lr * grads[k]
+    return params, prev, hp.mlp_epochs
+
+
+def mlp_case(n, d, scale, seed):
+    """Features with a per-column offset, and 0/1 targets holding both."""
+    rng = np.random.default_rng(seed)
+    X = scale * (rng.standard_normal((n, d)) + rng.standard_normal(d))
+    t = rng.integers(0, 2, n)
+    t[:2] = (0, 1)
+    return X, t
+
+
+# the learning rate halves to its floor and the loop stops before its last epoch
+LR_BREAK_CASE = dict(n=12, d=3, hidden=3, lr=200.0, scale=30.0, epochs=200, seed=3)
+
+
+def test_lr_break_case_stops_early():
+    c = LR_BREAK_CASE
+    X, t = mlp_case(c["n"], c["d"], c["scale"], c["seed"])
+    hp = Hyperparams(mlp_hidden=c["hidden"], mlp_lr=c["lr"], mlp_epochs=c["epochs"],
+                     seed=c["seed"])
+    assert oracle_mlp_fit(X, t, hp)[2] < c["epochs"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 60), d=st.integers(1, 8), hidden=st.sampled_from([1, 2, 3, 8, 19]),
+       lr=st.sampled_from([0.05, 0.5, 5.0, 50.0, 200.0]),
+       scale=st.sampled_from([1e-3, 1.0, 30.0]), epochs=st.integers(1, 200),
+       seed=st.integers(0, 2**16))
+@example(**LR_BREAK_CASE)
+def test_mlp_matches_dict_oracle_bit_for_bit(n, d, hidden, lr, scale, epochs, seed):
+    X, t = mlp_case(n, d, scale, seed)
+    init = mlp_init(d, hidden, seed)
+    loss, grads = mlp_loss_grad(init, X, t)
+    want_loss, want_grads = oracle_mlp_loss_grad(init, X, t)
+    assert loss == want_loss
+    for k in want_grads:
+        assert np.array_equal(grads[k], want_grads[k]), k
+    hp = Hyperparams(mlp_hidden=hidden, mlp_lr=lr, mlp_epochs=epochs, seed=seed)
+    model = mlp_fit(X, np.array(["E", "N"])[t], hp)
+    want, want_final, _ = oracle_mlp_fit(X, t, hp)
+    assert model.train_meta["final_loss"] == want_final
+    for k in want:
+        assert np.array_equal(model.params[k], want[k]), k
 
 
 class TestDispatch:

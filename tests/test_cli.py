@@ -153,6 +153,31 @@ class TestConfig:
                     "--out-dir", str(tmp_path / "data")]) == 0
         assert load_corpus(tmp_path / "data" / "test.csv").window_len == 30
 
+    def test_rejected_file_value_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "cfg"
+        path.write_text("seed=3\n# comment\nknn_k=0\n")
+        message = f"{path}:3: knn_k must be positive, got 0"
+        with pytest.raises(ValueError) as e:
+            load_config(str(path), {})
+        assert str(e.value) == message
+        assert run(["--config", str(path), "synth", "--out-dir", str(tmp_path / "d")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        path.write_text("lowpass=30\nhighpass=0.5\nhighpass=40\n")  # the last line wins
+        with pytest.raises(ValueError) as e:
+            load_config(str(path), {}, PreprocessConfig)
+        assert str(e.value).startswith(f"{path}:3: need 0 < highpass < lowpass")
+
+    def test_rejected_flag_value_names_no_line(self, tmp_path, capsys):
+        path = tmp_path / "cfg"
+        for text in ("knn_k=0\n", "knn_k=3\n"):  # a flag replaces the file's value
+            path.write_text(text)
+            with pytest.raises(ValueError) as e:
+                load_config(str(path), {"knn_k": "0"})
+            assert str(e.value) == "knn_k must be positive, got 0"
+            assert run(["--config", str(path), "synth", "--knn-k", "0",
+                        "--out-dir", str(tmp_path / "d")]) == 1
+            assert capsys.readouterr().err == "error: knn_k must be positive, got 0\n"
+
     def test_echo_lines_cover_all_fields(self):
         lines = RunConfig().echo_lines()
         assert len(lines) == len(fields(RunConfig))
@@ -225,6 +250,23 @@ class TestPipelineCommands:
             assert f"model_{name}.txt" in {p.name for p in out.iterdir()}
             assert f"{name},test" in report
         assert (out / "law_normal.law").exists()
+
+    def test_reproduce_names_knn_after_its_k(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(["reproduce", "--knn-k", "2", "--data", str(data_dir),
+                    "--out", str(out)]) == 0
+        names = {p.name for p in out.iterdir()}
+        assert "model_knn-k2.txt" in names and "model_knn-k4.txt" not in names
+        assert "param k=2" in (out / "model_knn-k2.txt").read_text()
+        rows = [line.split(",") for line in (out / "report.csv").read_text().splitlines()
+                if line.startswith("knn-k")]
+        k2 = [r for r in rows if r[0] == "knn-k2"]
+        assert [r[1] for r in k2] == ["validation", "test"]
+        for r in k2:  # measured cells filled, no published baseline beside them
+            assert all(r[2:7]) and r[7:12] == [""] * 5
+        for r in rows:  # the paper's k=4 rows hold its baseline alone
+            if r[0] == "knn-k4":
+                assert r[2:7] == [""] * 5 and all(r[7:12])
 
     def test_missing_data_dir(self, tmp_path, capsys):
         assert run(["reproduce", "--data", str(tmp_path / "nope")]) == 1
