@@ -441,7 +441,7 @@ class _MLPWorkspace:
         hidden = len(params["b1"])
         shapes = {"W1": (d, hidden), "b1": (hidden,), "W2": (hidden, 2), "b2": (2,)}
         size = sum(math.prod(s) for s in shapes.values())
-        self.theta, self.grad, self.step = np.empty(size), np.empty(size), np.empty(size)
+        self.theta, self.grad = np.empty(size), np.empty(size)
         self.params, self.grads = {}, {}
         at = 0
         for k, s in shapes.items():
@@ -457,7 +457,7 @@ class _MLPWorkspace:
         self.onehot = np.zeros((n, 2))
         self.onehot[np.arange(n), targets] = 1.0
         self.pick = 2 * np.arange(n) + targets
-        self.pre, self.h, self.dh, self.gate = (np.empty((n, hidden)) for _ in range(4))
+        self.h, self.dh, self.gate = (np.empty((n, hidden)) for _ in range(3))
         self.hT = self.h.T
         self.z, self.p, self.dz = (np.empty((n, 2)) for _ in range(3))
         self.zmax, self.esum, self.pt = np.empty(n), np.empty(n), np.empty(n)
@@ -466,9 +466,9 @@ class _MLPWorkspace:
         """Mean cross-entropy at `theta`; fills `grad` with its gradient."""
         P, G = self.params, self.grads
         h, z, p, dz, dh = self.h, self.z, self.p, self.dz, self.dh
-        np.matmul(self.X, P["W1"], out=self.pre)
-        np.add(self.pre, P["b1"], out=self.pre)
-        np.tanh(self.pre, out=h)
+        np.matmul(self.X, P["W1"], out=h)
+        np.add(h, P["b1"], out=h)
+        np.tanh(h, out=h)
         np.matmul(h, P["W2"], out=z)
         np.add(z, P["b2"], out=z)
         # softmax over the two columns; a max or sum of two is exact
@@ -524,8 +524,8 @@ def mlp_fit(X, y, hp: Hyperparams) -> TrainedModel:
                 break
         prev = loss
         # theta - lr*grad, element by element, on every parameter at once
-        np.multiply(lr, ws.grad, out=ws.step)
-        np.subtract(ws.theta, ws.step, out=ws.theta)
+        np.multiply(lr, ws.grad, out=ws.grad)
+        np.subtract(ws.theta, ws.grad, out=ws.theta)
     return TrainedModel(
         kind="mlp",
         feature_dim=X.shape[1],
