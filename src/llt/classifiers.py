@@ -90,6 +90,15 @@ class TrainedModel:
     train_meta: dict = field(default_factory=dict)
 
 
+def _check_finite(X: np.ndarray) -> None:
+    """A ValueError naming the first row of X that holds a NaN or inf."""
+    bad = ~np.isfinite(X)
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=1)))
+        j = int(np.argmax(bad[i]))
+        raise ValueError(f"feature row {i} is not finite: {X[i, j]} in column {j}")
+
+
 def _check_xy(X, y):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -97,6 +106,7 @@ def _check_xy(X, y):
         raise ValueError("features must be a 2-D array")
     if len(X) != len(y):
         raise ValueError(f"{len(X)} feature rows vs {len(y)} labels")
+    _check_finite(X)
     return X, y
 
 
@@ -113,6 +123,7 @@ def _check_dim(model: TrainedModel, X: np.ndarray) -> np.ndarray:
             f"feature dimension mismatch: model expects {model.feature_dim}, "
             f"got {X.shape[1]}"
         )
+    _check_finite(X)
     return X
 
 

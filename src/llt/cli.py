@@ -2,9 +2,11 @@
 the whole pipeline, plus `reproduce` which chains fit -> transform ->
 train -> evaluate and emits a comparison table.
 
-`preprocess` takes the fields of PreprocessConfig as flags and config
-keys, every other subcommand those of RunConfig; a bad value exits 1,
-naming its field, before any file is read or written.
+Each subcommand takes as flags only the settings its handler reads, its
+entry of READS: fields of PreprocessConfig for `preprocess`, of
+RunConfig for the others; `synth` also takes those of SynthSpec. A
+config file still builds and checks the whole class. A bad value exits
+1, naming its field, before any file is read or written.
 
 Exit codes: 0 success, 1 usage error or a solver that did not converge
 (`ConvergenceError`), 2 invariant-audit failure.
@@ -34,7 +36,7 @@ from .classifiers import (
 from .dataset_io import SplitSpec
 from .features import feature_matrix
 from .preprocess import PreprocessConfig, preprocess_record
-from .synth import RecurrenceSpec, SynthSpec, generate
+from .synth import SynthSpec, generate
 from .types import ConvergenceError, Corpus, Label, Role
 
 CONFIG_ENV_VAR = "LLT_CONFIG"
@@ -57,6 +59,22 @@ class RunConfig(Hyperparams):
 
     def echo_lines(self) -> list[str]:
         return [f"# config {f.name}={getattr(self, f.name)}" for f in fields(self)]
+
+
+# the settings each subcommand's handler reads, which are its flags: fields
+# of PreprocessConfig for `preprocess`, of RunConfig for the others
+READS = {
+    "synth": ("seed",),
+    "preprocess": tuple(f.name for f in fields(PreprocessConfig)),
+    "fit-law": ("law_len",),
+    "scan-law-length": ("train_fraction", "seed"),
+    "transform": (),
+    "train": tuple(f.name for f in fields(Hyperparams)),
+    "evaluate": (),
+    "reproduce": tuple(f.name for f in fields(RunConfig)),
+}
+# `llt synth`'s own flags; its seed is RunConfig's
+_SYNTH_FLAGS = tuple(f.name for f in fields(SynthSpec) if f.name != "seed")
 
 
 def load_config(path: str | None, overrides: dict, cls=RunConfig):
@@ -115,14 +133,8 @@ class _Parser(argparse.ArgumentParser):
 # --------------------------------------------------------- subcommands
 
 def cmd_synth(args, cfg: RunConfig) -> int:
-    spec = SynthSpec(
-        class_a=RecurrenceSpec("sinusoid", omega=args.omega_a),
-        class_b=RecurrenceSpec("sinusoid", omega=args.omega_b),
-        beats_per_class=args.beats,
-        window_len=args.window_len,
-        noise_sigma=args.noise,
-        seed=cfg.seed,
-    )
+    spec = SynthSpec(seed=cfg.seed, **{name: v for name in _SYNTH_FLAGS
+                                       if (v := getattr(args, name)) is not None})
     train, val, test = generate(spec)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -259,9 +271,9 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
 def run_reproduce(data_dir, out_dir, cfg: RunConfig) -> int:
     """Full protocol: split, fit the Normal law, transform, train every
     classifier configuration, score validation and test, emit the
-    comparison table. Creates `out_dir` and writes to it only once every
-    fit and score has returned. Audits that no fit ever consumed Test
-    data."""
+    comparison table. Audits that no fit consumed Test data, and exits 2
+    before anything is scored or written if one did. Creates `out_dir`
+    and writes to it only once every fit and score has returned."""
     data = Path(data_dir)
     full_train = dataset_io.load_corpus(data / "train.csv", role=Role.TRAIN)
     test = dataset_io.load_corpus(data / "test.csv", role=Role.TEST)
@@ -276,6 +288,9 @@ def run_reproduce(data_dir, out_dir, cfg: RunConfig) -> int:
             ("svm-rbf", rbf_svm_fit), ("rf", rf_fit), ("mlp", mlp_fit)]
     models = [(name, fit(X_tr, y_tr, cfg)) for name, fit in fits]
     fit_inputs = [("law", train.role)] + [(name, train.role) for name, _ in models]
+    if any(role == Role.TEST for _, role in fit_inputs):
+        sys.stderr.write("audit failure: test corpus consumed by a fit\n")
+        return 2
     reports = [evaluation.evaluate_pipeline(corpus, law, model, method=name)
                for name, model in models for corpus in (val, test)]
 
@@ -289,10 +304,6 @@ def run_reproduce(data_dir, out_dir, cfg: RunConfig) -> int:
                        + [f"# fit_input {n}={r.value}" for n, r in fit_inputs]) + "\n"
     (out / "report.csv").write_text(header + table, encoding="utf-8")
     sys.stdout.write(table)
-
-    if any(role == Role.TEST for _, role in fit_inputs):
-        sys.stderr.write("audit failure: test corpus consumed by a fit\n")
-        return 2
     return 0
 
 
@@ -302,86 +313,75 @@ def cmd_reproduce(args, cfg: RunConfig) -> int:
 
 # --------------------------------------------------------------- main
 
-def _settings_flags(cls, config_help: str) -> argparse.ArgumentParser:
-    """Parent parser of a subcommand that reads `cls`: --config and one
-    flag per field of `cls`, `-` for `_`."""
-    p = argparse.ArgumentParser(add_help=False)
-    # SUPPRESS: a subcommand without --config keeps the top-level value
-    p.add_argument("--config", default=argparse.SUPPRESS, help=config_help)
+def _field_flags(parser, cls, names) -> None:
+    """One flag per field of `cls` in `names`, `-` for `_`; an unset flag
+    is None, which leaves the field's default or the config file's value."""
     for f in fields(cls):
-        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
-                       default=None, help=f"default {f.default}")
-    p.set_defaults(settings=cls)
-    return p
+        if f.name in names:
+            parser.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                                default=None, help=f"default {f.default}")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="llt", description=__doc__)
     config_help = f"key=value config file (default from ${CONFIG_ENV_VAR})"
     parser.add_argument("--config", help=config_help)
-    common = _settings_flags(RunConfig, config_help)
-
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("synth", parents=[common], help="generate a synthetic corpus")
-    p.add_argument("--omega-a", type=float, default=0.3)
-    p.add_argument("--omega-b", type=float, default=0.9)
-    p.add_argument("--beats", type=int, default=SynthSpec.beats_per_class)
-    p.add_argument("--window-len", type=int, default=SynthSpec.window_len)
-    p.add_argument("--noise", type=float, default=SynthSpec.noise_sigma)
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_synth)
+    def add(name, func, summary, cls=RunConfig):
+        """The subparser of `name`, whose handler reads `cls`: --config
+        and the flags of the fields in its READS entry."""
+        p = sub.add_parser(name, help=summary)
+        # SUPPRESS: a subcommand without --config keeps the top-level value
+        p.add_argument("--config", default=argparse.SUPPRESS, help=config_help)
+        _field_flags(p, cls, READS[name])
+        p.set_defaults(func=func, settings=cls, reads=READS[name])
+        return p
 
-    p = sub.add_parser("preprocess", parents=[_settings_flags(PreprocessConfig, config_help)],
-                       help="raw signals (fs;v0,v1,...) -> beat CSV")
+    p = add("synth", cmd_synth, "generate a synthetic corpus")
+    _field_flags(p, SynthSpec, _SYNTH_FLAGS)
+    p.add_argument("--out-dir", required=True)
+
+    p = add("preprocess", cmd_preprocess, "raw signals (fs;v0,v1,...) -> beat CSV",
+            PreprocessConfig)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--label", default="?", help="label token for all records")
-    p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("fit-law", parents=[common], help="fit a class law")
+    p = add("fit-law", cmd_fit_law, "fit a class law")
     p.add_argument("--class", dest="class_token", default="N")
     p.add_argument("--train", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fit_law)
 
-    p = sub.add_parser("scan-law-length", parents=[common],
-                       help="law-length diagnostics CSV")
+    p = add("scan-law-length", cmd_scan, "law-length diagnostics CSV")
     p.add_argument("--min", type=int, default=4)
     p.add_argument("--max", type=int, default=20)
     p.add_argument("--train", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("transform", parents=[common],
-                       help="beats -> law-residual features")
+    p = add("transform", cmd_transform, "beats -> law-residual features")
     p.add_argument("--law", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--downsample", type=int, default=1,
                    help="keep every k-th residual (1 <= k <= feature count)")
-    p.set_defaults(func=cmd_transform)
 
-    p = sub.add_parser("train", parents=[common], help="train a classifier")
+    p = add("train", cmd_train, "train a classifier")
     p.add_argument("--model", choices=sorted(_FITTERS), required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--val")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", parents=[common], help="score a model")
+    p = add("evaluate", cmd_evaluate, "score a model")
     p.add_argument("--law", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--report")
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("reproduce", parents=[common],
-                       help="full pipeline + comparison table")
+    p = add("reproduce", cmd_reproduce, "full pipeline + comparison table")
     p.add_argument("--data", required=True,
                    help="directory holding train.csv and test.csv")
     p.add_argument("--out", default="out")
-    p.set_defaults(func=cmd_reproduce)
 
     return parser
 
@@ -392,7 +392,7 @@ def main(argv: list[str] | None = None) -> int:
     if not getattr(args, "func", None):
         parser.print_usage(sys.stderr)
         return 1
-    overrides = {f.name: getattr(args, f.name) for f in fields(args.settings)}
+    overrides = {name: getattr(args, name) for name in args.reads}
     try:
         cfg = load_config(args.config, overrides, args.settings)
         return args.func(args, cfg)

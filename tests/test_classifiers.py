@@ -22,7 +22,7 @@ from llt.classifiers import (
     _rbf_kernel,
 )
 from llt.features import feature_matrix
-from llt.synth import RecurrenceSpec, SynthSpec, generate
+from llt.synth import SynthSpec, generate
 from llt.types import ConvergenceError, Corpus, Label
 
 
@@ -209,12 +209,20 @@ class TestMLP:
         model = mlp_fit(X, y, Hyperparams(mlp_epochs=2000, mlp_lr=1.0, seed=2))
         assert np.mean(predict_batch(model, XOR_X) == np.array(XOR_Y)) == 1.0
 
-    def test_divergence_raises_convergence_error(self):
-        # a NaN feature makes the first loss NaN in the fitting loop itself
+    def test_divergence_raises_convergence_error(self, monkeypatch):
+        # finite features are checked on entry, so only a pass of the
+        # network itself can make the loss non-finite
+        calls = []
+
+        def nan_after_two(ws):
+            calls.append(None)
+            return 0.5 if len(calls) <= 2 else np.nan
+
+        monkeypatch.setattr(classifiers._MLPWorkspace, "loss_grad", nan_after_two)
         X, y = two_blobs(seed=12)
-        X[5, 1] = np.nan
         with pytest.raises(ConvergenceError, match="training diverged"):
             mlp_fit(X, y, Hyperparams())
+        assert len(calls) == 3
 
     def test_needs_two_classes(self):
         with pytest.raises(ValueError, match="2 classes"):
@@ -308,6 +316,28 @@ def test_mlp_matches_dict_oracle_bit_for_bit(n, d, hidden, lr, scale, epochs, se
         assert np.array_equal(model.params[k], want[k]), k
 
 
+_FITS = [knn_fit, linear_svm_fit, rbf_svm_fit, rf_fit, mlp_fit]
+
+
+@pytest.mark.parametrize("fit", _FITS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_feature_names_its_row(fit, value):
+    X, y = two_blobs(seed=12)
+    X[5, 1] = X[7, 0] = value
+    with pytest.raises(ValueError, match=rf"^feature row 5 is not finite: {value} in column 1$"):
+        fit(X, y, Hyperparams())
+
+
+@pytest.mark.parametrize("fit", _FITS, ids=lambda f: f.__name__)
+def test_predict_non_finite_feature_names_its_row(fit):
+    X, y = two_blobs(seed=12)
+    model = fit(X, y, Hyperparams())
+    Q = X[:4].copy()
+    Q[2, 0] = np.nan
+    with pytest.raises(ValueError, match=r"^feature row 2 is not finite: nan in column 0$"):
+        predict_batch(model, Q)
+
+
 class TestDispatch:
     def test_dimension_mismatch(self):
         X, y = two_blobs(seed=14)
@@ -356,8 +386,7 @@ class TestSMO:
         # `llt synth --beats 1000 --noise 0.2 --omega-b 0.4`, split as
         # `llt reproduce` splits it: an RBF SVM stopped before its KKT gap
         # closes scores far below the linear SVM on this corpus
-        spec = SynthSpec(class_b=RecurrenceSpec("sinusoid", omega=0.4),
-                         beats_per_class=1000, noise_sigma=0.2)
+        spec = SynthSpec(omega_b=0.4, beats=1000, noise=0.2)
         train, val, test = generate(spec)
         full = Corpus(beats=train.beats + val.beats, window_len=spec.window_len)
         train, _ = dataset_io.split_train_validation(full, dataset_io.SplitSpec())

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 import llt
+from llt import dataset_io
 from llt.classifiers import Hyperparams, rbf_gamma_default, rbf_svm_fit
 from llt.cli import RunConfig, build_parser, load_config, main
 from llt.dataset_io import load_corpus, load_features, load_law, load_model
 from llt.preprocess import PreprocessConfig
+from llt.synth import SynthSpec
+from llt.types import Corpus, Label, Role
 
 
 def run(argv):
@@ -27,6 +30,20 @@ REQUIRED = {
     "train": ["--model", "knn", "--features", "f.csv", "--out", "m.txt"],
     "evaluate": ["--law", "n.law", "--model", "m.txt", "--test", "t.csv"],
     "reproduce": ["--data", "d"],
+}
+
+# each subcommand's settings flags: exactly the fields its handler reads
+_HYPERPARAMS = ("knn_k", "rf_estimators", "rf_depth", "svm_c", "rbf_gamma",
+                "mlp_hidden", "mlp_epochs", "mlp_lr", "seed")
+SETTINGS_FLAGS = {
+    "synth": ("seed", "omega_a", "omega_b", "beats", "window_len", "noise"),
+    "preprocess": ("lowpass", "highpass", "window_len", "refractory_ms", "peak_threshold"),
+    "fit-law": ("law_len",),
+    "scan-law-length": ("train_fraction", "seed"),
+    "transform": (),
+    "train": _HYPERPARAMS,
+    "evaluate": (),
+    "reproduce": _HYPERPARAMS + ("law_len", "train_fraction"),
 }
 
 
@@ -63,21 +80,21 @@ class TestParsing:
         assert e.value.code == 1
 
     def test_every_config_field_is_a_flag(self):
-        """`preprocess` takes exactly the fields of PreprocessConfig as
-        flags, every other subcommand exactly those of RunConfig."""
-        own = {name: RunConfig for name in REQUIRED}
-        own["preprocess"] = PreprocessConfig
+        """Every field of RunConfig, PreprocessConfig and SynthSpec is a
+        flag of exactly the subcommands whose handlers read it, 34 flags
+        in all; any other subcommand rejects it as a usage error."""
+        names = {f.name for cls in (RunConfig, PreprocessConfig, SynthSpec)
+                 for f in fields(cls)}
+        assert set().union(*SETTINGS_FLAGS.values()) == names
+        assert sum(map(len, SETTINGS_FLAGS.values())) == 34
         for name, required in REQUIRED.items():
-            for cls in (RunConfig, PreprocessConfig):
-                for f in fields(cls):
-                    argv = [name, *required, "--" + f.name.replace("_", "-"), "3"]
-                    if cls is own[name]:
-                        args = build_parser().parse_args(argv)
-                        assert args.settings is cls
-                        assert getattr(args, f.name) == type(f.default)("3")
-                    elif (name, f.name) != ("synth", "window_len"):
-                        with pytest.raises(SystemExit):
-                            build_parser().parse_args(argv)
+            for field in names:
+                argv = [name, *required, "--" + field.replace("_", "-"), "3"]
+                if field in SETTINGS_FLAGS[name]:
+                    assert getattr(build_parser().parse_args(argv), field) == 3
+                else:
+                    with pytest.raises(SystemExit):
+                        build_parser().parse_args(argv)
 
     def test_missing_required_flag(self, capsys):
         with pytest.raises(SystemExit) as e:
@@ -174,8 +191,8 @@ class TestConfig:
             with pytest.raises(ValueError) as e:
                 load_config(str(path), {"knn_k": "0"})
             assert str(e.value) == "knn_k must be positive, got 0"
-            assert run(["--config", str(path), "synth", "--knn-k", "0",
-                        "--out-dir", str(tmp_path / "d")]) == 1
+            assert run(["--config", str(path), "reproduce", "--knn-k", "0",
+                        "--data", str(tmp_path / "data"), "--out", str(tmp_path / "d")]) == 1
             assert capsys.readouterr().err == "error: knn_k must be positive, got 0\n"
 
     def test_echo_lines_cover_all_fields(self):
@@ -202,6 +219,29 @@ class TestSynthCommand:
         assert run(["synth", "--window-len", "3", "--out-dir", str(tmp_path / "x")]) == 1
         assert capsys.readouterr().err == "error: window_len must be at least 4, got 3\n"
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--omega-a", "0", "omega_a must be in (0, pi), got 0.0"),
+        ("--omega-b", "3.2", "omega_b must be in (0, pi), got 3.2"),
+        ("--beats", "2", "beats must be at least 4, got 2"),
+        ("--noise", "-1", "noise must be finite and >= 0, got -1.0"),
+    ])
+    def test_bad_flag_names_its_field(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "data"
+        assert run(["synth", flag, value, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_own_flags_reach_the_corpus(self, tmp_path):
+        # the CI byte-identity case; noiseless Normal beats obey omega_a's law
+        out = tmp_path / "data"
+        assert run(["synth", "--omega-a", "0.5", "--window-len", "24", "--noise", "0",
+                    "--beats", "50", "--seed", "7", "--out-dir", str(out)]) == 0
+        train = load_corpus(out / "train.csv")
+        assert (len(train), train.window_len) == (70, 24)
+        y = train.rows(Label.NORMAL)
+        resid = y[:, 2:] - 2.0 * np.cos(0.5) * y[:, 1:-1] + y[:, :-2]
+        assert np.max(np.abs(resid)) < 1e-12
 
 
 class TestPipelineCommands:
@@ -554,10 +594,18 @@ def stage_inputs(small_data, tmp_path):
 ])
 def test_bad_setting_exits_1_before_any_output(capsys, stage_inputs, command, flag, value,
                                                message):
+    """A bad value of a setting the subcommand reads exits 1 naming its
+    field; a setting it does not read is not a flag of it at all."""
     out, argv = stage_inputs
     capsys.readouterr()
-    assert run(argv[command] + [flag, value]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    if flag[2:].replace("-", "_") in SETTINGS_FLAGS[command]:
+        assert run(argv[command] + [flag, value]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    else:
+        with pytest.raises(SystemExit) as e:
+            run(argv[command] + [flag, value])
+        assert e.value.code == 1
+        assert f"error: unrecognized arguments: {flag} {value}\n" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -585,3 +633,21 @@ def test_solver_failure_exits_1_without_traceback(tmp_path, capsys, small_data, 
     err = capsys.readouterr().err
     assert err.startswith("error: SMO did not converge in 1 iterations (KKT gap ")
     assert "Traceback" not in err
+
+
+def test_audit_failure_exits_2_before_any_output(capsys, monkeypatch, stage_inputs):
+    # a split that hands a Test corpus to the fits
+    split = dataset_io.split_train_validation
+
+    def leaky_split(corpus, spec):
+        train, val = split(corpus, spec)
+        return Corpus(beats=train.beats, window_len=train.window_len, role=Role.TEST), val
+
+    monkeypatch.setattr(dataset_io, "split_train_validation", leaky_split)
+    out, argv = stage_inputs
+    capsys.readouterr()
+    assert run(argv["reproduce"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "audit failure: test corpus consumed by a fit\n"
+    assert captured.out == ""
+    assert not out.exists()

@@ -8,7 +8,7 @@ from llt.dataset_io import load_features, save_corpus, save_law
 from llt.embedding import embed_series
 from llt.features import feature_matrix
 from llt.linear_law import fit_law, law_variance
-from llt.synth import RecurrenceSpec, exact_law
+from llt.synth import exact_law
 from llt.types import Beat, Corpus, LinearLaw
 
 from conftest import random_beats, sinusoid_beats
@@ -32,7 +32,7 @@ def test_differencing_law_kills_constants():
 
 
 def test_sinusoid_law_residuals_tiny():
-    law = exact_law(RecurrenceSpec("sinusoid", omega=0.3), 3)
+    law = exact_law(0.3, 3)
     beats = sinusoid_beats(0.3, 3, seed=42)
     assert np.max(np.abs(feature_matrix(beats, law))) < 1e-9
 

@@ -3,29 +3,13 @@ import pytest
 
 from llt.features import feature_matrix
 from llt.linear_law import fit_law, law_variance
-from llt.synth import RecurrenceSpec, SynthSpec, exact_law, generate
+from llt.synth import SynthSpec, exact_law, generate
 from llt.types import Label, Role
-
-
-class TestRecurrenceSpec:
-    def test_sinusoid_bounds(self):
-        with pytest.raises(ValueError, match="omega"):
-            RecurrenceSpec("sinusoid", omega=0.0)
-        with pytest.raises(ValueError, match="omega"):
-            RecurrenceSpec("sinusoid", omega=np.pi)
-
-    def test_ar_needs_coeffs(self):
-        with pytest.raises(ValueError, match="coefficients"):
-            RecurrenceSpec("ar")
-
-    def test_orders(self):
-        assert RecurrenceSpec("sinusoid", omega=0.5).order == 2
-        assert RecurrenceSpec("ar", ar_coeffs=(0.5, 0.2, 0.1)).order == 3
 
 
 class TestGenerate:
     def test_split_sizes_and_roles(self):
-        train, val, test = generate(SynthSpec(beats_per_class=100))
+        train, val, test = generate(SynthSpec(beats=100))
         assert (len(train), len(val), len(test)) == (80, 60, 60)
         assert train.role is Role.TRAIN
         assert val.role is Role.VALIDATION
@@ -43,50 +27,43 @@ class TestGenerate:
         assert not np.array_equal(a.beats[0].samples, c.beats[0].samples)
 
     def test_noiseless_sinusoid_satisfies_recurrence(self):
-        spec = SynthSpec(noise_sigma=0.0, beats_per_class=10)
-        train, _, _ = generate(spec)
-        for beat in train.with_label(Label.NORMAL):
-            y = beat.samples
-            resid = y[2:] - 2.0 * np.cos(0.3) * y[1:-1] + y[:-2]
-            assert np.max(np.abs(resid)) < 1e-12
-
-    def test_ar_class_satisfies_recurrence(self):
-        spec = SynthSpec(
-            class_a=RecurrenceSpec("ar", ar_coeffs=(0.9, -0.2)),
-            noise_sigma=0.0, beats_per_class=10)
-        train, _, _ = generate(spec)
-        for beat in train.with_label(Label.NORMAL):
-            y = beat.samples
-            resid = y[2:] - 0.9 * y[1:-1] + 0.2 * y[:-2]
-            assert np.max(np.abs(resid)) < 1e-12
+        for spec in (SynthSpec(noise=0.0, beats=10),
+                     SynthSpec(omega_a=1.1, omega_b=0.2, noise=0.0, beats=10)):
+            train, _, _ = generate(spec)
+            for label, omega in ((Label.NORMAL, spec.omega_a),
+                                 (Label.ECTOPIC, spec.omega_b)):
+                for beat in train.with_label(label):
+                    y = beat.samples
+                    resid = y[2:] - 2.0 * np.cos(omega) * y[1:-1] + y[:-2]
+                    assert np.max(np.abs(resid)) < 1e-12
 
 
 class TestExactLaw:
     def test_sinusoid_coefficients(self):
-        law = exact_law(RecurrenceSpec("sinusoid", omega=0.3), 3)
+        law = exact_law(0.3, 3)
         ref = np.array([1.0, -2.0 * np.cos(0.3), 1.0])
         ref = ref / np.linalg.norm(ref)
         assert np.allclose(law.w, ref, atol=1e-15)
 
     def test_zero_padding_at_old_end(self):
-        law = exact_law(RecurrenceSpec("sinusoid", omega=0.3), 6)
+        law = exact_law(0.3, 6)
         assert np.all(law.w[3:] == 0.0)
         assert law.w[0] > 0
 
     def test_width_too_small(self):
-        with pytest.raises(ValueError, match="width"):
-            exact_law(RecurrenceSpec("ar", ar_coeffs=(0.5, 0.2, 0.1)), 3)
+        with pytest.raises(ValueError, match="needs width >= 3, got 2"):
+            exact_law(0.3, 2)
 
     def test_fitted_matches_exact(self):
-        train, _, _ = generate(SynthSpec(noise_sigma=0.0, beats_per_class=20))
+        train, _, _ = generate(SynthSpec(noise=0.0, beats=20))
         beats = train.with_label(Label.NORMAL)
         fitted = fit_law(beats, 3, "Normal")
-        ref = exact_law(RecurrenceSpec("sinusoid", omega=0.3), 3)
+        ref = exact_law(0.3, 3)
         assert abs(np.dot(fitted.w, ref.w)) > 1 - 1e-12
 
     def test_noise_bounds_lambda(self):
         sigma = 0.01
-        train, _, _ = generate(SynthSpec(noise_sigma=sigma))
+        train, _, _ = generate(SynthSpec(noise=sigma))
         beats = train.with_label(Label.NORMAL)
         law = fit_law(beats, 12, "Normal")
         # residual variance cannot exceed the injected noise power by much
@@ -112,7 +89,15 @@ def test_feature_separation_on_test_split():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError, match="at least 4"):
-        SynthSpec(beats_per_class=2)
-    with pytest.raises(ValueError, match="noise_sigma"):
-        SynthSpec(noise_sigma=-1.0)
+    # each error names the field, which is also `llt synth`'s flag
+    for name in ("omega_a", "omega_b"):
+        for omega in (0.0, np.pi, np.nan):
+            with pytest.raises(ValueError, match=rf"^{name} must be in \(0, pi\), got "):
+                SynthSpec(**{name: omega})
+    with pytest.raises(ValueError, match="^beats must be at least 4, got 2$"):
+        SynthSpec(beats=2)
+    with pytest.raises(ValueError, match="^window_len must be at least 4, got 3$"):
+        SynthSpec(window_len=3)
+    for noise in (-1.0, np.inf):
+        with pytest.raises(ValueError, match=f"^noise must be finite and >= 0, got {noise}$"):
+            SynthSpec(noise=noise)
