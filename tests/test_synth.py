@@ -7,6 +7,15 @@ from llt.synth import SynthSpec, exact_law, generate
 from llt.types import Label, Role
 
 
+class TestRecurrenceSpec:
+    def test_sinusoid_bounds(self):
+        # a sinusoid's three-tap law needs omega strictly inside (0, pi)
+        for name in ("omega_a", "omega_b"):
+            for omega in (0.0, np.pi, np.nan):
+                with pytest.raises(ValueError, match=rf"^{name} must be in \(0, pi\), got "):
+                    SynthSpec(**{name: omega})
+
+
 class TestGenerate:
     def test_split_sizes_and_roles(self):
         train, val, test = generate(SynthSpec(beats=100))
@@ -90,10 +99,6 @@ def test_feature_separation_on_test_split():
 
 def test_spec_validation():
     # each error names the field, which is also `llt synth`'s flag
-    for name in ("omega_a", "omega_b"):
-        for omega in (0.0, np.pi, np.nan):
-            with pytest.raises(ValueError, match=rf"^{name} must be in \(0, pi\), got "):
-                SynthSpec(**{name: omega})
     with pytest.raises(ValueError, match="^beats must be at least 4, got 2$"):
         SynthSpec(beats=2)
     with pytest.raises(ValueError, match="^window_len must be at least 4, got 3$"):
