@@ -87,6 +87,7 @@ class TrainedModel:
     feature_dim: int
     labels: list[str]  # index -> label token, sorted
     params: dict
+    # SMO iterations, gap and (RBF) objective history; the MLP's final loss
     train_meta: dict = field(default_factory=dict)
 
 
@@ -111,9 +112,9 @@ def _check_xy(X, y):
 
 
 def _label_index(y):
-    labels = sorted(set(str(v) for v in y))
-    idx = np.array([labels.index(str(v)) for v in y], dtype=int)
-    return labels, idx
+    """The sorted distinct label tokens of y, and each entry's index into them."""
+    labels, idx = np.unique(np.asarray(y, dtype=str), return_inverse=True)
+    return labels.tolist(), idx
 
 
 def _check_dim(model: TrainedModel, X: np.ndarray) -> np.ndarray:
@@ -146,7 +147,6 @@ def knn_fit(X, y, hp: Hyperparams) -> TrainedModel:
         feature_dim=X.shape[1],
         labels=labels,
         params={"X": X, "y": yi, "k": hp.knn_k, "metric": "chebyshev"},
-        train_meta={"n_train": len(X), "seed": hp.seed},
     )
 
 
@@ -285,8 +285,7 @@ def linear_svm_fit(X, y, hp: Hyperparams) -> TrainedModel:
         feature_dim=X.shape[1],
         labels=labels,
         params={"w": (alpha * ys) @ X, "b": -rho},
-        train_meta={"n_train": len(X), "seed": hp.seed, "C": hp.svm_c,
-                    "iterations": len(history) - 1, "gap": gap},
+        train_meta={"iterations": len(history) - 1, "gap": gap},
     )
 
 
@@ -318,15 +317,8 @@ def rbf_svm_fit(X, y, hp: Hyperparams) -> TrainedModel:
             "b": -rho,
             "gamma": gamma,
         },
-        train_meta={
-            "n_train": len(X),
-            "seed": hp.seed,
-            "C": hp.svm_c,
-            "n_support": int(sv.sum()),
-            "iterations": len(history) - 1,
-            "gap": gap,
-            "objective_history": history,
-        },
+        train_meta={"iterations": len(history) - 1, "gap": gap,
+                    "objective_history": history},
     )
 
 
@@ -412,8 +404,6 @@ def rf_fit(X, y, hp: Hyperparams) -> TrainedModel:
         feature_dim=d,
         labels=labels,
         params={"trees": trees},
-        train_meta={"n_train": n, "seed": hp.seed,
-                    "estimators": hp.rf_estimators, "depth": hp.rf_depth},
     )
 
 
@@ -542,8 +532,7 @@ def mlp_fit(X, y, hp: Hyperparams) -> TrainedModel:
         feature_dim=X.shape[1],
         labels=labels,
         params=ws.params,
-        train_meta={"n_train": len(X), "seed": hp.seed,
-                    "hidden": hp.mlp_hidden, "final_loss": prev},
+        train_meta={"final_loss": prev},
     )
 
 
@@ -568,5 +557,5 @@ def predict_batch(model: TrainedModel, X) -> np.ndarray:
         idx = np.argmax(h @ p["W2"] + p["b2"], axis=1)
     else:
         raise ValueError(f"unknown model kind {model.kind!r}")
-    return np.array([model.labels[i] for i in idx])
+    return np.asarray(model.labels)[idx]
 

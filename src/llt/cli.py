@@ -91,22 +91,17 @@ def load_config(path: str | None, overrides: dict, cls=RunConfig):
     values, lines = {}, {}  # lines: key -> path:line of its value in the file
     if path is None:
         path = os.environ.get(CONFIG_ENV_VAR)
-    if path:
-        with open(path, "r", encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                k, eq, v = (part.strip() for part in line.partition("="))
-                if not eq or k not in types:
-                    raise ValueError(f"{path}:{lineno}: expected key=value with a "
-                                     f"known key, got {line!r}")
-                try:
-                    values[k] = types[k](v)
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: {k}={v!r} is not "
-                                     f"{'an integer' if types[k] is int else 'a number'}") from None
-                lines[k] = f"{path}:{lineno}"
+    for lineno, line in dataset_io.data_lines(path) if path else ():
+        k, eq, v = (part.strip() for part in line.partition("="))
+        if not eq or k not in types:
+            raise ValueError(f"{path}:{lineno}: expected key=value with a "
+                             f"known key, got {line!r}")
+        try:
+            values[k] = types[k](v)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: {k}={v!r} is not "
+                             f"{'an integer' if types[k] is int else 'a number'}") from None
+        lines[k] = f"{path}:{lineno}"
     for k, v in overrides.items():
         if v is not None:
             values[k] = types[k](v)
@@ -214,19 +209,17 @@ def cmd_transform(args, cfg: RunConfig) -> int:
     return 0
 
 
-_FITTERS = {
-    "knn": knn_fit,
-    "svm-linear": linear_svm_fit,
-    "svm-rbf": rbf_svm_fit,
-    "rf": rf_fit,
-    "mlp": mlp_fit,
-}
+def _fitters() -> dict:
+    """Model kind -> fit function. Built on each call, so that a wrapper
+    bound to a fitter's module-level name sees every fit."""
+    return {"knn": knn_fit, "svm-linear": linear_svm_fit, "svm-rbf": rbf_svm_fit,
+            "rf": rf_fit, "mlp": mlp_fit}
 
 
-def _labelled_features(path) -> tuple[np.ndarray, list[str]]:
-    """Feature rows of a file with a label; unlabelled `?` rows (which
-    `llt transform` keeps) have no truth to fit or score against."""
-    X, labels, _ = dataset_io.load_features(path)
+def _labelled(X: np.ndarray, labels: list[str], path) -> tuple[np.ndarray, list[str]]:
+    """The feature rows with a label, and their labels: an unlabelled `?`
+    row (`llt transform` keeps them) has no truth to fit or score
+    against. A ValueError naming `path` if no row is left."""
     keep = [i for i, lbl in enumerate(labels) if lbl != Label.UNLABELED.value]
     if not keep:
         raise ValueError(f"{path}: no labelled feature row (every row is "
@@ -235,13 +228,15 @@ def _labelled_features(path) -> tuple[np.ndarray, list[str]]:
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
-    X, labels = _labelled_features(args.features)
+    X, labels, _ = dataset_io.load_features(args.features)
+    X, labels = _labelled(X, labels, args.features)
     if args.val:
-        Xv, yv = _labelled_features(args.val)
+        Xv, yv, _ = dataset_io.load_features(args.val)
+        Xv, yv = _labelled(Xv, yv, args.val)
         if Xv.shape[1] != X.shape[1]:
             raise ValueError(f"--features {args.features} has {X.shape[1]} features "
                              f"per row but --val {args.val} has {Xv.shape[1]}")
-    model = _FITTERS[args.model](X, labels, cfg)
+    model = _fitters()[args.model](X, labels, cfg)
     if args.val:
         acc = float(np.mean(predict_batch(model, Xv) == np.array(yv)))
         print(f"validation accuracy {acc:.4f}")
@@ -270,10 +265,11 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
 
 def run_reproduce(data_dir, out_dir, cfg: RunConfig) -> int:
     """Full protocol: split, fit the Normal law, transform, train every
-    classifier configuration, score validation and test, emit the
-    comparison table. Audits that no fit consumed Test data, and exits 2
-    before anything is scored or written if one did. Creates `out_dir`
-    and writes to it only once every fit and score has returned."""
+    classifier configuration on the labelled training beats, score
+    validation and test, emit the comparison table. Audits that no fit
+    consumed Test data, and exits 2 before anything is scored or written
+    if one did. Creates `out_dir` and writes to it only once every fit
+    and score has returned."""
     data = Path(data_dir)
     full_train = dataset_io.load_corpus(data / "train.csv", role=Role.TRAIN)
     test = dataset_io.load_corpus(data / "test.csv", role=Role.TEST)
@@ -281,12 +277,10 @@ def run_reproduce(data_dir, out_dir, cfg: RunConfig) -> int:
         full_train, SplitSpec(train_fraction=cfg.train_fraction, seed=cfg.seed))
 
     law = _fit_class_law(train, Label.NORMAL, data / "train.csv", cfg.law_len)
-    X_tr, y_tr = feature_matrix(train.rows(), law), train.row_labels()
-    # the fitters are looked up on each call, so a wrapper bound to their
-    # module-level names sees every fit
-    fits = [(f"knn-k{cfg.knn_k}", knn_fit), ("svm-linear", linear_svm_fit),
-            ("svm-rbf", rbf_svm_fit), ("rf", rf_fit), ("mlp", mlp_fit)]
-    models = [(name, fit(X_tr, y_tr, cfg)) for name, fit in fits]
+    X_tr, y_tr = _labelled(feature_matrix(train.rows(), law), train.row_labels(),
+                           data / "train.csv")
+    models = [(f"knn-k{cfg.knn_k}" if kind == "knn" else kind, fit(X_tr, y_tr, cfg))
+              for kind, fit in _fitters().items()]
     fit_inputs = [("law", train.role)] + [(name, train.role) for name, _ in models]
     if any(role == Role.TEST for _, role in fit_inputs):
         sys.stderr.write("audit failure: test corpus consumed by a fit\n")
@@ -367,7 +361,7 @@ def build_parser() -> _Parser:
                    help="keep every k-th residual (1 <= k <= feature count)")
 
     p = add("train", cmd_train, "train a classifier")
-    p.add_argument("--model", choices=sorted(_FITTERS), required=True)
+    p.add_argument("--model", choices=sorted(_fitters()), required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--val")
     p.add_argument("--out", required=True)

@@ -1,9 +1,9 @@
 """Disk formats and the split protocol.
 
 Laws, models and feature matrices share one envelope, written by
-`write_artifact` and checked by `read_artifact`: `version=`, the
-artifact's key=value header, `checksum=` (sha256 of the payload), then
-the payload. Reals are written with 17 significant digits so that
+`write_artifact` and checked when an `_Artifact` reads it: `version=`,
+the artifact's key=value header, `checksum=` (sha256 of the payload),
+then the payload. Reals are written with 17 significant digits so that
 parse(serialize(x)) reproduces every double bit-exactly.
 """
 
@@ -31,6 +31,16 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def data_lines(path):
+    """(line number, stripped line) of each line of a text file that is
+    neither blank nor a `#` comment."""
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.strip()
+            if line and not line.startswith("#"):
+                yield lineno, line
+
+
 # ------------------------------------------------------------- corpus
 
 def load_corpus(path, role: Role = Role.TRAIN) -> Corpus:
@@ -41,29 +51,25 @@ def load_corpus(path, role: Role = Role.TRAIN) -> Corpus:
     path:line."""
     beats = []
     window_len = None
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split(",")
-            token, rest = fields[0].strip(), fields[1:]
-            artifact = token.endswith(_ARTIFACT_MARK)
-            token = token.removesuffix(_ARTIFACT_MARK)
-            try:
-                label = Label.from_token(token)
-            except ValueError as e:
-                raise ArtifactFileError(f"{path}:{lineno}: {e}") from None
-            if window_len is None:
-                window_len = len(rest)
-                if window_len < 2:
-                    raise ArtifactFileError(f"{path}:{lineno}: too few samples")
-            elif len(rest) != window_len:
-                raise ArtifactFileError(
-                    f"{path}:{lineno}: expected {window_len} samples, got {len(rest)}"
-                )
-            beats.append(Beat(samples=_finite_cells(path, lineno, rest), label=label,
-                              artifact=artifact))
+    for lineno, line in data_lines(path):
+        fields = line.split(",")
+        token, rest = fields[0].strip(), fields[1:]
+        artifact = token.endswith(_ARTIFACT_MARK)
+        token = token.removesuffix(_ARTIFACT_MARK)
+        try:
+            label = Label.from_token(token)
+        except ValueError as e:
+            raise ArtifactFileError(f"{path}:{lineno}: {e}") from None
+        if window_len is None:
+            window_len = len(rest)
+            if window_len < 2:
+                raise ArtifactFileError(f"{path}:{lineno}: too few samples")
+        elif len(rest) != window_len:
+            raise ArtifactFileError(
+                f"{path}:{lineno}: expected {window_len} samples, got {len(rest)}"
+            )
+        beats.append(Beat(samples=_finite_cells(path, lineno, rest), label=label,
+                          artifact=artifact))
     if window_len is None:
         raise ArtifactFileError(f"{path}: no beats found")
     return Corpus(beats=beats, window_len=window_len, role=role)
@@ -102,20 +108,16 @@ def load_raw_signals(path) -> list[Signal]:
     """Raw signal CSV: one record per line, "fs;v0,v1,...". A bad row is
     an ArtifactFileError naming path:line."""
     out = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fs_part, sep, vals_part = line.partition(";")
-            try:
-                fs = float(fs_part)
-            except ValueError:
-                fs = math.nan
-            if not sep or not 0.0 < fs < math.inf:
-                raise ArtifactFileError(f"{path}:{lineno}: expected 'fs;v0,v1,...' with a "
-                                        f"positive finite fs, got {line[:40]!r}")
-            out.append(Signal(values=_finite_cells(path, lineno, vals_part.split(",")), fs=fs))
+    for lineno, line in data_lines(path):
+        fs_part, sep, vals_part = line.partition(";")
+        try:
+            fs = float(fs_part)
+        except ValueError:
+            fs = math.nan
+        if not sep or not 0.0 < fs < math.inf:
+            raise ArtifactFileError(f"{path}:{lineno}: expected 'fs;v0,v1,...' with a "
+                                    f"positive finite fs, got {line[:40]!r}")
+        out.append(Signal(values=_finite_cells(path, lineno, vals_part.split(",")), fs=fs))
     return out
 
 
@@ -158,36 +160,33 @@ def write_artifact(path, header: dict, payload_lines: list[str]) -> None:
         f.write("".join(f"{k}={v}\n" for k, v in header.items()) + payload)
 
 
-def read_artifact(path, required_keys) -> tuple[dict[str, str], list[tuple[int, str]]]:
-    """Header and numbered payload lines of a file from `write_artifact`.
-    The header must be exactly the version, `required_keys` and the
-    checksum, in that order; the version and the checksum must match."""
-    # undecodable bytes become U+FFFD and so fail the header or checksum check
-    with open(path, "r", encoding="utf-8", errors="replace") as f:
-        lines = f.read().splitlines(keepends=True)
-    expected = ["version", *required_keys, "checksum"]
-    header = dict(line.rstrip("\n").partition("=")[::2] for line in lines[:len(expected)])
-    if list(header) != expected:
-        missing = [k for k in expected if k not in header]
-        raise ArtifactFileError(f"{path}: missing header field {missing[0]!r}" if missing
-                                else f"{path}: header fields {list(header)}, expected {expected}")
-    if header["version"] != FORMAT_VERSION:
-        raise ArtifactFileError(f"{path}:1: unsupported version {header['version']!r}")
-    payload = "".join(lines[len(expected):])
-    if hashlib.sha256(payload.encode()).hexdigest() != header["checksum"]:
-        raise ArtifactFileError(f"{path}: checksum mismatch")
-    return header, list(enumerate(payload.splitlines(), start=len(expected) + 1))
-
-
 class _Artifact:
     """A checked artifact header and a cursor over its payload lines.
     Every parse error names path:line."""
 
     def __init__(self, path, required_keys):
-        self.path = path
-        self.header, self.lines = read_artifact(path, required_keys)
+        """Read a file from `write_artifact`. The header must be exactly
+        the version, `required_keys` and the checksum, in that order; the
+        version and the checksum must match."""
+        # undecodable bytes become U+FFFD and so fail the header or checksum check
+        with open(path, "r", encoding="utf-8", errors="replace") as f:
+            lines = f.read().splitlines(keepends=True)
+        expected = ["version", *required_keys, "checksum"]
+        header = dict(line.rstrip("\n").partition("=")[::2] for line in lines[:len(expected)])
+        if list(header) != expected:
+            missing = [k for k in expected if k not in header]
+            raise ArtifactFileError(
+                f"{path}: missing header field {missing[0]!r}" if missing
+                else f"{path}: header fields {list(header)}, expected {expected}")
+        if header["version"] != FORMAT_VERSION:
+            raise ArtifactFileError(f"{path}:1: unsupported version {header['version']!r}")
+        payload = "".join(lines[len(expected):])
+        if hashlib.sha256(payload.encode()).hexdigest() != header["checksum"]:
+            raise ArtifactFileError(f"{path}: checksum mismatch")
+        self.path, self.header = path, header
+        self.lines = list(enumerate(payload.splitlines(), start=len(expected) + 1))
         self.pos = 0
-        self.lineno = len(self.header)
+        self.lineno = len(expected)
 
     def fail(self, message: str):
         raise ArtifactFileError(f"{self.path}:{self.lineno}: {message}")

@@ -26,10 +26,6 @@ class ConfusionCounts:
     def total(self) -> int:
         return self.tp + self.tn + self.fp + self.fn
 
-    def transpose(self) -> "ConfusionCounts":
-        """Counts with the positive class swapped."""
-        return ConfusionCounts(tp=self.tn, tn=self.tp, fp=self.fn, fn=self.fp)
-
 
 @dataclass
 class MetricsReport:
@@ -42,19 +38,6 @@ class MetricsReport:
     artifact_count: int = 0
     dataset_role: Role = Role.TEST
     method: str = ""
-
-    def row(self) -> dict:
-        pct = lambda v: None if v is None else float(v) * 100.0
-        return {
-            "method": self.method,
-            "role": self.dataset_role.value,
-            "acc": pct(self.acc),
-            "se_normal": pct(self.se_normal),
-            "pp_normal": pct(self.pp_normal),
-            "se_ectopic": pct(self.se_ectopic),
-            "pp_ectopic": pct(self.pp_ectopic),
-            "artifacts": self.artifact_count,
-        }
 
 
 def _label_tokens(values, what: str) -> np.ndarray:
@@ -86,17 +69,17 @@ def _ratio(num: int, den: int) -> Fraction | None:
 def metrics(counts: ConfusionCounts, artifact_count: int = 0,
             dataset_role: Role = Role.TEST, method: str = "") -> MetricsReport:
     """Accuracy plus per-class Se and +P. Counts are taken with Normal
-    as positive; the Ectopic columns come from the transposed matrix.
+    as positive, so Ectopic's true positives are the true negatives.
     Zero-denominator ratios are reported as None, not zero."""
     if counts.total == 0:
         raise ValueError("cannot compute metrics on zero evaluated beats")
-    t = counts.transpose()
+    tp, tn, fp, fn = counts.tp, counts.tn, counts.fp, counts.fn
     return MetricsReport(
-        acc=Fraction(counts.tp + counts.tn, counts.total),
-        se_normal=_ratio(counts.tp, counts.tp + counts.fn),
-        pp_normal=_ratio(counts.tp, counts.tp + counts.fp),
-        se_ectopic=_ratio(t.tp, t.tp + t.fn),
-        pp_ectopic=_ratio(t.tp, t.tp + t.fp),
+        acc=Fraction(tp + tn, counts.total),
+        se_normal=_ratio(tp, tp + fn),
+        pp_normal=_ratio(tp, tp + fp),
+        se_ectopic=_ratio(tn, tn + fp),
+        pp_ectopic=_ratio(tn, tn + fn),
         counts=counts,
         artifact_count=artifact_count,
         dataset_role=dataset_role,
@@ -141,24 +124,25 @@ BASELINE_TABLE = {
               "test": (96.7, 99.4, 94.2, 93.9, 99.3)},
 }
 
+# the MetricsReport fields of the measured columns, in table order
 _COLUMNS = ("acc", "se_normal", "pp_normal", "se_ectopic", "pp_ectopic")
 
 
 def compare_report(reports: list[MetricsReport]) -> str:
     """CSV comparison table: one row per (method, role) with measured
-    metrics next to the published baseline where one exists."""
+    metrics, in percent, next to the published baseline where one exists."""
     lines = ["method,role," + ",".join(_COLUMNS)
              + "," + ",".join("baseline_" + c for c in _COLUMNS)
              + ",artifacts"]
     fmt = lambda v: "" if v is None else f"{v:.1f}"
+    pct = lambda v: "" if v is None else f"{float(v) * 100.0:.1f}"
     for r in reports:
-        row = r.row()
         base = BASELINE_TABLE.get(r.method, {}).get(r.dataset_role.value)
         base_cells = [fmt(v) for v in base] if base else [""] * len(_COLUMNS)
         lines.append(
             ",".join(
                 [r.method, r.dataset_role.value]
-                + [fmt(row[c]) for c in _COLUMNS]
+                + [pct(getattr(r, c)) for c in _COLUMNS]
                 + base_cells
                 + [str(r.artifact_count)]
             )

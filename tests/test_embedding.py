@@ -52,7 +52,7 @@ def test_embed_class_empty():
 
 def test_embed_class_mixed_lengths():
     beats = [Beat(samples=np.arange(5.0)), Beat(samples=np.arange(6.0))]
-    with pytest.raises(ValueError, match="mixed lengths"):
+    with pytest.raises(ValueError, match=r"beat 1: length 6 != corpus length 5"):
         embed_class(beats, 3)
 
 

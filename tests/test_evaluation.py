@@ -83,18 +83,21 @@ class TestMetrics:
             metrics(ConfusionCounts())
 
     def test_transpose_symmetry(self):
-        c = ConfusionCounts(tp=7, tn=4, fp=3, fn=2)
-        m = metrics(c)
-        mt = metrics(c.transpose())
+        # the same tallies with the positive class swapped by hand
+        m = metrics(ConfusionCounts(tp=7, tn=4, fp=3, fn=2))
+        mt = metrics(ConfusionCounts(tp=4, tn=7, fp=2, fn=3))
         assert m.acc == mt.acc
         assert m.se_normal == mt.se_ectopic
         assert m.pp_normal == mt.pp_ectopic
+        assert m.se_ectopic == mt.se_normal
+        assert m.pp_ectopic == mt.pp_normal
 
     def test_row_percentages(self):
-        row = metrics(ConfusionCounts(tp=1, tn=1, fp=1, fn=1),
-                      method="knn-k4").row()
-        assert row["acc"] == pytest.approx(50.0)
-        assert row["method"] == "knn-k4"
+        # compare_report prints the report's ratios as percentages
+        m = metrics(ConfusionCounts(tp=1, tn=1, fp=1, fn=1), method="knn-k4")
+        row = next(line for line in compare_report([m]).splitlines()
+                   if line.startswith("knn-k4,test"))
+        assert row.split(",")[2:7] == ["50.0"] * 5
 
 
 def small_pipeline():
