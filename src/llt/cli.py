@@ -2,6 +2,11 @@
 the whole pipeline, plus `reproduce` which chains fit -> transform ->
 train -> evaluate and emits a comparison table.
 
+`train` and `reproduce` fit the same five classifiers (`_fitters`) on
+labelled rows only (`_labelled`): an unlabelled `?` beat has no truth
+to fit or score against. `reproduce` checks that the validation part
+and the test corpus each hold a labelled beat before any fit.
+
 Each subcommand takes as flags only the settings its handler reads, its
 entry of READS: fields of PreprocessConfig for `preprocess`, of
 RunConfig for the others; `synth` also takes those of SynthSpec. A
@@ -158,15 +163,21 @@ def cmd_preprocess(args, cfg: PreprocessConfig) -> int:
 def _fit_class_law(corpus: Corpus, label: Label, path, law_len: int):
     """The `label` law of width `law_len`, fitted on the non-artifact
     `label` beats of `corpus`; a ValueError naming `path` if the beats
-    are shorter than `law_len` or there is none."""
+    are shorter than `law_len` or there is none, or if the law is
+    ambiguous."""
     if law_len > corpus.window_len:
         raise ValueError(f"law_len {law_len} exceeds the beat length "
                          f"{corpus.window_len} of {path}")
+    tag = label.name.title()
     rows = corpus.rows(label)
     if not len(rows):
         raise ValueError(f"{path}: no non-artifact {label.value!r} beat to fit "
-                         f"the {label.name.title()} law on")
-    return linear_law.fit_law(rows, law_len, label.name.title())
+                         f"the {tag} law on")
+    try:
+        return linear_law.fit_law(rows, law_len, tag)
+    except linear_law.DegenerateLawError as e:
+        raise linear_law.DegenerateLawError(f"{path}: {tag} law at law_len {law_len}: "
+                                            f"{e}") from None
 
 
 def cmd_fit_law(args, cfg: RunConfig) -> int:
@@ -265,16 +276,27 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
 
 def run_reproduce(data_dir, out_dir, cfg: RunConfig) -> int:
     """Full protocol: split, fit the Normal law, transform, train every
-    classifier configuration on the labelled training beats, score
-    validation and test, emit the comparison table. Audits that no fit
-    consumed Test data, and exits 2 before anything is scored or written
-    if one did. Creates `out_dir` and writes to it only once every fit
-    and score has returned."""
+    classifier configuration on the labelled training beats, score the
+    labelled validation and test beats, emit the comparison table.
+    Raises ValueError before any fit if the validation part or the test
+    corpus holds no labelled beat. Audits that no fit consumed Test
+    data, and exits 2 before anything is scored or written if one did.
+    Creates `out_dir` and writes to it only once every fit and score has
+    returned."""
     data = Path(data_dir)
     full_train = dataset_io.load_corpus(data / "train.csv", role=Role.TRAIN)
     test = dataset_io.load_corpus(data / "test.csv", role=Role.TEST)
     train, val = dataset_io.split_train_validation(
         full_train, SplitSpec(train_fraction=cfg.train_fraction, seed=cfg.seed))
+    # unlabelled `?` beats of each part, which no fit and no score sees
+    u_train, u_val, u_test = (int(np.count_nonzero(c.labels == Label.UNLABELED.value))
+                              for c in (train, val, test))
+    if u_val == len(val):
+        raise ValueError(f"train_fraction {cfg.train_fraction} leaves no labelled beat "
+                         f"of {data / 'train.csv'} to validate on")
+    if u_test == len(test):
+        raise ValueError(f"{data / 'test.csv'}: no labelled beat to score (every beat "
+                         f"is {Label.UNLABELED.value!r})")
 
     law = _fit_class_law(train, Label.NORMAL, data / "train.csv", cfg.law_len)
     X_tr, y_tr = _labelled(feature_matrix(train.rows(), law), train.row_labels(),
@@ -294,9 +316,10 @@ def run_reproduce(data_dir, out_dir, cfg: RunConfig) -> int:
     for name, model in models:
         dataset_io.save_model(model, out / f"model_{name}.txt")
     table = evaluation.compare_report(reports)
-    header = "\n".join(cfg.echo_lines()
-                       + [f"# fit_input {n}={r.value}" for n, r in fit_inputs]) + "\n"
-    (out / "report.csv").write_text(header + table, encoding="utf-8")
+    header = cfg.echo_lines() + [f"# fit_input {n}={r.value}" for n, r in fit_inputs]
+    if u_train + u_val + u_test:  # no line otherwise, so such reports keep their bytes
+        header.append(f"# unlabelled={u_train + u_val + u_test}")
+    (out / "report.csv").write_text("\n".join(header) + "\n" + table, encoding="utf-8")
     sys.stdout.write(table)
     return 0
 

@@ -1,6 +1,10 @@
 """Scoring and pipeline orchestration: confusion tallies, accuracy /
 sensitivity / positive-predictivity per class, the artifact rule, and
 comparison tables against the published reference numbers.
+
+Only labelled beats are scored: an unlabelled `?` beat has no truth, so
+`evaluate_pipeline` leaves it out, and a corpus with no labelled beat
+is a ValueError.
 """
 
 from __future__ import annotations

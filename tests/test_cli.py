@@ -651,3 +651,65 @@ def test_audit_failure_exits_2_before_any_output(capsys, monkeypatch, stage_inpu
     assert captured.err == "audit failure: test corpus consumed by a fit\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_reproduce_fits_and_scores_labelled_beats_only(tmp_path, capsys, small_data):
+    """`?` beats in train.csv reach no fit, and the report counts them;
+    a corpus without them gets no such line."""
+    data = tmp_path / "unlabelled"
+    data.mkdir()
+    lines = (small_data / "train.csv").read_text().splitlines(keepends=True)
+    (data / "train.csv").write_text("".join("?" + line[1:] if i < 10 else line
+                                            for i, line in enumerate(lines)))
+    (data / "test.csv").write_bytes((small_data / "test.csv").read_bytes())
+    out = tmp_path / "run"
+    assert run(["reproduce", "--data", str(data), "--out", str(out)]) == 0
+    models = sorted(out.glob("model_*.txt"))
+    assert len(models) == 5
+    for path in models:
+        assert load_model(path).labels == ["E", "N"]
+    assert "# unlabelled=10\n" in (out / "report.csv").read_text()
+    assert run(["reproduce", "--data", str(small_data), "--out", str(tmp_path / "plain")]) == 0
+    assert "# unlabelled" not in (tmp_path / "plain" / "report.csv").read_text()
+
+
+@pytest.mark.parametrize("case", ["train_fraction", "test"])
+def test_reproduce_without_scoreable_beats_exits_1_before_any_fit(
+        tmp_path, capsys, monkeypatch, small_data, case):
+    from llt import linear_law
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a law was fitted")
+
+    monkeypatch.setattr(linear_law, "fit_law", no_fit)
+    argv = ["reproduce", "--data", str(small_data), "--out", str(tmp_path / "run")]
+    if case == "train_fraction":
+        argv += ["--train-fraction", "1.0"]
+        message = (f"train_fraction 1.0 leaves no labelled beat of "
+                   f"{small_data / 'train.csv'} to validate on")
+    else:
+        test = small_data / "test.csv"
+        test.write_text("".join("?" + line[1:] for line in
+                                test.read_text().splitlines(keepends=True)))
+        message = f"{test}: no labelled beat to score (every beat is '?')"
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_ambiguous_law_error_names_its_context(tmp_path, capsys):
+    """A noiseless corpus has no unique law at the default width; the
+    error names the file, the class and law_len, or the scanned width."""
+    data = tmp_path / "data"
+    assert run(["synth", "--noise", "0", "--beats", "20", "--out-dir", str(data)]) == 0
+    train = data / "train.csv"
+    prefix = f"error: {train}: Normal law at law_len 12: rank-deficient: law ambiguous"
+    capsys.readouterr()
+    assert run(["reproduce", "--data", str(data), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err.startswith(prefix)
+    assert run(["fit-law", "--train", str(train), "--out", str(tmp_path / "n.law")]) == 1
+    assert capsys.readouterr().err.startswith(prefix)
+    assert run(["scan-law-length", "--min", "3", "--max", "5", "--train", str(train)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: law length 4: rank-deficient: law ambiguous")

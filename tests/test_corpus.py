@@ -11,7 +11,8 @@ from llt.dataset_io import SplitSpec, split_train_validation
 from llt.embedding import embed_class
 from llt.evaluation import evaluate_pipeline
 from llt.features import feature_matrix
-from llt.linear_law import LawScanReport, ScanEntry, fit_law, law_variance, scan_law_length
+from llt.linear_law import (DegenerateLawError, LawScanReport, ScanEntry, fit_law,
+                            law_variance, scan_law_length)
 from llt.types import Beat, ConvergenceError, Corpus, Label, LinearLaw, Role
 
 from conftest import random_beats
@@ -84,12 +85,16 @@ def _same_law(a, b) -> bool:
 
 
 def _scan_from_beats(train: Corpus, val: Corpus, widths, tag: Label) -> str:
-    """`scan_law_length` computed on beat lists."""
+    """`scan_law_length` computed on beat lists; an ambiguous law's error
+    names its width."""
     train_beats = [b for b in train.with_label(tag) if not b.artifact]
     val_beats = [b for b in val.with_label(tag) if not b.artifact]
     entries = []
     for width in widths:
-        law = fit_law(train_beats, width, tag.name.title())
+        try:
+            law = fit_law(train_beats, width, tag.name.title())
+        except DegenerateLawError as e:
+            raise DegenerateLawError(f"law length {width}: {e}") from None
         var_val = law_variance(val_beats, law) if val_beats else float("nan")
         denom = law.lam if law.lam > 0 else np.finfo(float).tiny
         entries.append(ScanEntry(width, law.lam, var_val, abs(var_val - law.lam) / denom,
