@@ -94,10 +94,10 @@ class TestMetrics:
 
     def test_row_percentages(self):
         # compare_report prints the report's ratios as percentages
-        m = metrics(ConfusionCounts(tp=1, tn=1, fp=1, fn=1), method="knn-k4")
+        m = metrics(ConfusionCounts(tp=3, tn=1, fp=1, fn=0), method="knn-k4")
         row = next(line for line in compare_report([m]).splitlines()
                    if line.startswith("knn-k4,test"))
-        assert row.split(",")[2:7] == ["50.0"] * 5
+        assert row.split(",")[2:7] == ["80.0", "100.0", "75.0", "50.0", "100.0"]
 
 
 def small_pipeline():
