@@ -5,7 +5,9 @@ train -> evaluate and emits a comparison table.
 `train` and `reproduce` fit the same five classifiers (`_fitters`) on
 labelled rows only (`_labelled`): an unlabelled `?` beat has no truth
 to fit or score against. `reproduce` checks that the validation part
-and the test corpus each hold a labelled beat before any fit.
+and the test corpus each hold a labelled beat before any fit, and
+`evaluate` checks its test corpus before any prediction
+(`_check_scoreable`).
 
 Each subcommand takes as flags only the settings its handler reads, its
 entry of READS: fields of PreprocessConfig for `preprocess`, of
@@ -194,7 +196,10 @@ def cmd_scan(args, cfg: RunConfig) -> int:
     corpus = dataset_io.load_corpus(args.train, role=Role.TRAIN)
     train, val = dataset_io.split_train_validation(
         corpus, SplitSpec(train_fraction=cfg.train_fraction, seed=cfg.seed))
-    report = linear_law.scan_law_length(train, val, range(args.min, args.max + 1))
+    try:
+        report = linear_law.scan_law_length(train, val, range(args.min, args.max + 1))
+    except linear_law.DegenerateLawError as e:
+        raise linear_law.DegenerateLawError(f"{args.train}: {e}") from None
     text = report.to_csv()
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -238,6 +243,14 @@ def _labelled(X: np.ndarray, labels: list[str], path) -> tuple[np.ndarray, list[
     return X[keep], [labels[i] for i in keep]
 
 
+def _check_scoreable(corpus: Corpus, path) -> None:
+    """A ValueError naming `path` if `corpus` holds no labelled beat: an
+    unlabelled `?` beat is never scored."""
+    if not np.any(corpus.labels != Label.UNLABELED.value):
+        raise ValueError(f"{path}: no labelled beat to score (every beat "
+                         f"is {Label.UNLABELED.value!r})")
+
+
 def cmd_train(args, cfg: RunConfig) -> int:
     X, labels, _ = dataset_io.load_features(args.features)
     X, labels = _labelled(X, labels, args.features)
@@ -260,6 +273,7 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     law = dataset_io.load_law(args.law)
     model = dataset_io.load_model(args.model)
     test = dataset_io.load_corpus(args.test, role=Role.TEST)
+    _check_scoreable(test, args.test)
     n_features = max(0, test.window_len - law.width + 1)
     if n_features != model.feature_dim:
         raise ValueError(f"--law {args.law} (l={law.width}) on --test {args.test} "
@@ -294,9 +308,7 @@ def run_reproduce(data_dir, out_dir, cfg: RunConfig) -> int:
     if u_val == len(val):
         raise ValueError(f"train_fraction {cfg.train_fraction} leaves no labelled beat "
                          f"of {data / 'train.csv'} to validate on")
-    if u_test == len(test):
-        raise ValueError(f"{data / 'test.csv'}: no labelled beat to score (every beat "
-                         f"is {Label.UNLABELED.value!r})")
+    _check_scoreable(test, data / "test.csv")
 
     law = _fit_class_law(train, Label.NORMAL, data / "train.csv", cfg.law_len)
     X_tr, y_tr = _labelled(feature_matrix(train.rows(), law), train.row_labels(),

@@ -135,17 +135,19 @@ def scan_law_length(
     """Fit a law per width on the training reference class and compare
     its residual variance on the validation reference class. A small
     train/validation gap indicates the law generalizes at that width.
-    A width whose law is ambiguous raises DegenerateLawError naming it."""
+    A width whose law is ambiguous raises DegenerateLawError naming the
+    class and the width."""
     train_rows = train.rows(class_tag)
     val_rows = validation.rows(class_tag)
+    tag = class_tag.name.title()
     entries = []
     for width in widths:
         if not 2 <= width <= train.window_len:
             raise ValueError(f"law length {width} outside [2, {train.window_len}]")
         try:
-            law = fit_law(train_rows, width, class_tag.name.title())
+            law = fit_law(train_rows, width, tag)
         except DegenerateLawError as e:
-            raise DegenerateLawError(f"law length {width}: {e}") from None
+            raise DegenerateLawError(f"{tag} law at law length {width}: {e}") from None
         var_val = law_variance(val_rows, law) if len(val_rows) else float("nan")
         denom = law.lam if law.lam > 0 else np.finfo(float).tiny
         gap = abs(var_val - law.lam) / denom

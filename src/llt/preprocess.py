@@ -10,7 +10,14 @@ the record's own sampling rate ``fs``.
 
 The band-pass is scipy's sosfiltfilt, bit for bit, with the parts that
 depend only on the filter design (the sections, sosfilt_zi and the pad
-length) computed once per design instead of once per record. Peak
+length) computed once per design instead of once per record. Its passes
+call scipy's compiled kernel ``scipy.signal._sosfilt._sosfilt``, the
+routine under the public sosfilt and sosfiltfilt, so a record skips
+sosfilt's per-call checks, axis moves and copies, which cost several
+times the filtering itself. The entry point is private; it is safe
+because ``TestBandpass::test_equals_fresh_sosfiltfilt`` compares
+bandpass with the public sosfiltfilt bit for bit over lengths 25-4,000
+at five rates, so a scipy that moves or changes it fails there. Peak
 candidates come from one vectorised local-maximum mask.
 """
 
@@ -83,18 +90,21 @@ def _butter_sos(cutoff: float, btype: str, fs: float) -> _Design:
 
 def _filtfilt(design: _Design, x: np.ndarray) -> np.ndarray:
     """scipy.signal.sosfiltfilt(design.sos, x) for a 1-D x, bit for bit.
-    These are its own steps (odd extension, a forward sosfilt from
+    These are its own steps (odd extension, a forward pass from
     zi * ext[0], a backward one from zi * y[-1], reverse and trim) with
-    the same arithmetic in the same order; only the per-call validation,
-    axis moves and the sosfilt_zi solve are left out, since they depend
-    on the design alone. sosfilt rejects read-only sections, hence the
-    copy."""
-    from scipy.signal import sosfilt
+    the same arithmetic in the same order, run by the compiled kernel
+    that sosfilt itself calls. The kernel filters a C-contiguous (1, n)
+    array and its (1, n_sections, 2) state in place, so each pass gets
+    its own contiguous copy, and it rejects read-only sections, hence
+    the copy of the shared design.sos. The private entry point is pinned
+    by TestBandpass::test_equals_fresh_sosfiltfilt."""
+    from scipy.signal._sosfilt import _sosfilt
 
     sos, n = design.sos.copy(), design.pad
-    ext = np.concatenate((2 * x[0] - x[n:0:-1], x, 2 * x[-1] - x[-2:-(n + 2):-1]))
-    y, _ = sosfilt(sos, ext, zi=design.zi * ext[0])
-    y, _ = sosfilt(sos, y[::-1], zi=design.zi * y[-1])
+    y = np.concatenate((2 * x[0] - x[n:0:-1], x, 2 * x[-1] - x[-2:-(n + 2):-1]))
+    _sosfilt(sos, y[None], (design.zi * y[0])[None])
+    y = y[::-1].copy()
+    _sosfilt(sos, y[None], (design.zi * y[0])[None])
     return y[::-1][n:-n]
 
 
@@ -102,7 +112,7 @@ def bandpass(sig: Signal, cfg: PreprocessConfig) -> Signal:
     """Butterworth high-pass then low-pass, each run forward-backward
     for zero phase so the QRS center is not shifted. Each design, its
     sosfilt_zi and its pad length are cached per (cutoff, type, rate),
-    so a record costs two sosfilt passes per filter. scipy.signal is
+    so a record costs two kernel passes per filter. scipy.signal is
     imported in the helpers, not at module load: it costs about a second
     and only raw-record preprocessing needs it."""
     nyq = sig.fs / 2.0

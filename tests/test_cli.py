@@ -344,7 +344,8 @@ def test_evaluate_unlabeled_only_exits_1(tmp_path, capsys):
     capsys.readouterr()
     assert run(["evaluate", "--law", str(law), "--model", str(model),
                 "--test", str(test)]) == 1
-    assert "zero evaluated beats" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"error: {test}: no labelled beat to score "
+                                       f"(every beat is '?')\n")
 
 
 @pytest.fixture()
@@ -700,7 +701,8 @@ def test_reproduce_without_scoreable_beats_exits_1_before_any_fit(
 
 def test_ambiguous_law_error_names_its_context(tmp_path, capsys):
     """A noiseless corpus has no unique law at the default width; the
-    error names the file, the class and law_len, or the scanned width."""
+    error names the file, the class and law_len, or for the scan the
+    width it reached."""
     data = tmp_path / "data"
     assert run(["synth", "--noise", "0", "--beats", "20", "--out-dir", str(data)]) == 0
     train = data / "train.csv"
@@ -712,4 +714,4 @@ def test_ambiguous_law_error_names_its_context(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(prefix)
     assert run(["scan-law-length", "--min", "3", "--max", "5", "--train", str(train)]) == 1
     assert capsys.readouterr().err.startswith(
-        "error: law length 4: rank-deficient: law ambiguous")
+        f"error: {train}: Normal law at law length 4: rank-deficient: law ambiguous")

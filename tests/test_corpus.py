@@ -86,7 +86,7 @@ def _same_law(a, b) -> bool:
 
 def _scan_from_beats(train: Corpus, val: Corpus, widths, tag: Label) -> str:
     """`scan_law_length` computed on beat lists; an ambiguous law's error
-    names its width."""
+    names its class and width."""
     train_beats = [b for b in train.with_label(tag) if not b.artifact]
     val_beats = [b for b in val.with_label(tag) if not b.artifact]
     entries = []
@@ -94,7 +94,8 @@ def _scan_from_beats(train: Corpus, val: Corpus, widths, tag: Label) -> str:
         try:
             law = fit_law(train_beats, width, tag.name.title())
         except DegenerateLawError as e:
-            raise DegenerateLawError(f"law length {width}: {e}") from None
+            raise DegenerateLawError(f"{tag.name.title()} law at law length {width}: "
+                                     f"{e}") from None
         var_val = law_variance(val_beats, law) if val_beats else float("nan")
         denom = law.lam if law.lam > 0 else np.finfo(float).tiny
         entries.append(ScanEntry(width, law.lam, var_val, abs(var_val - law.lam) / denom,

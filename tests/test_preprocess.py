@@ -10,6 +10,7 @@ from llt.preprocess import (
     FILTER_ORDER,
     PreprocessConfig,
     Signal,
+    _butter_sos,
     bandpass,
     detect_peaks,
     extract_beat,
@@ -129,6 +130,26 @@ class TestBandpass:
                 sp_signal.butter(FILTER_ORDER, high, "highpass", fs=fs, output="sos"), x))
         out = bandpass(Signal(values=x, fs=fs), cfg(lowpass=low, highpass=high))
         assert np.array_equal(out.values, fresh)
+
+    def test_filtering_in_place_leaves_input_and_design_untouched(self):
+        # the kernel filters its arrays in place: the caller's record and
+        # the cached, shared design must come out as they went in, and
+        # each call must return its own array
+        c = cfg()
+        x = np.random.default_rng(2).standard_normal(390)
+        before = x.copy()
+        sig = Signal(values=x, fs=FS)
+        first = bandpass(sig, c).values
+        second = bandpass(sig, c).values
+        assert np.array_equal(sig.values, before)
+        assert np.array_equal(first, second)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, sig.values)
+        for cutoff, btype in ((c.highpass, "highpass"), (c.lowpass, "lowpass")):
+            design = _butter_sos(cutoff, btype, FS)
+            sos = sp_signal.butter(FILTER_ORDER, cutoff, btype, fs=FS, output="sos")
+            assert np.array_equal(design.sos, sos)
+            assert np.array_equal(design.zi, sp_signal.sosfilt_zi(sos))
 
     def test_zero_phase(self):
         # a symmetric pulse stays centered after filtering
