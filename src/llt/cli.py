@@ -154,7 +154,11 @@ def cmd_preprocess(args, cfg: PreprocessConfig) -> int:
     label = Label.from_token(args.label)
     beats = []
     for i, sig in enumerate(signals):
-        beats.extend(preprocess_record(sig, cfg, label=label, source_id=str(i)))
+        try:
+            beats.extend(preprocess_record(sig, cfg, label=label, source_id=str(i)))
+        except ValueError as e:  # bandpass rejects the record: name its line
+            lineno = [n for n, _ in dataset_io.data_lines(args.infile)][i]
+            raise ValueError(f"{args.infile}:{lineno}: {e}") from None
     corpus = Corpus(beats=beats, window_len=cfg.window_len, role=Role.TRAIN)
     dataset_io.save_corpus(corpus, args.out)
     n_art = sum(b.artifact for b in beats)
@@ -193,6 +197,8 @@ def cmd_fit_law(args, cfg: RunConfig) -> int:
 
 
 def cmd_scan(args, cfg: RunConfig) -> int:
+    if args.min > args.max:
+        raise ValueError(f"--min {args.min} exceeds --max {args.max}: no law length to scan")
     corpus = dataset_io.load_corpus(args.train, role=Role.TRAIN)
     train, val = dataset_io.split_train_validation(
         corpus, SplitSpec(train_fraction=cfg.train_fraction, seed=cfg.seed))

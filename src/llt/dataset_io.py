@@ -106,7 +106,8 @@ def save_corpus(corpus: Corpus, path) -> None:
 
 def load_raw_signals(path) -> list[Signal]:
     """Raw signal CSV: one record per line, "fs;v0,v1,...". A bad row is
-    an ArtifactFileError naming path:line."""
+    an ArtifactFileError naming path:line; a file without a record is
+    one naming the path."""
     out = []
     for lineno, line in data_lines(path):
         fs_part, sep, vals_part = line.partition(";")
@@ -118,6 +119,8 @@ def load_raw_signals(path) -> list[Signal]:
             raise ArtifactFileError(f"{path}:{lineno}: expected 'fs;v0,v1,...' with a "
                                     f"positive finite fs, got {line[:40]!r}")
         out.append(Signal(values=_finite_cells(path, lineno, vals_part.split(",")), fs=fs))
+    if not out:
+        raise ArtifactFileError(f"{path}: no records found")
     return out
 
 

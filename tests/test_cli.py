@@ -276,6 +276,14 @@ class TestPipelineCommands:
         assert lines[0].startswith("l,lambda_train")
         assert len(lines) == 4
 
+    def test_scan_law_length_min_above_max_exits_1(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        assert run(["scan-law-length", "--min", "9", "--max", "4",
+                    "--train", str(data_dir / "train.csv"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: --min 9 exceeds --max 4: "
+                                           "no law length to scan\n")
+        assert not out.exists()
+
     def test_reproduce_end_to_end(self, data_dir, tmp_path, capsys):
         out = tmp_path / "run"
         assert run(["reproduce", "--data", str(data_dir),
@@ -440,6 +448,31 @@ def test_preprocess_artifact_reaches_evaluate(tmp_path):
     header, row = [line.split(",") for line in report.read_text().splitlines()
                    if line.startswith(("method,", "knn,test,"))]
     assert row[header.index("artifacts")] == "1"
+
+
+@pytest.mark.parametrize("record, message", [
+    ("360;" + ",".join(["0"] * 4 + ["1"]), "signal too short to filter (5 samples)"),
+    ("40;" + ",".join(["0"] * 100 + ["1"] + ["0"] * 100),
+     "lowpass cutoff 20.0 Hz >= Nyquist 20.0 Hz"),
+], ids=["short", "lowpass-at-nyquist"])
+def test_preprocess_names_the_line_of_a_rejected_record(tmp_path, capsys, record, message):
+    raw = tmp_path / "raw.csv"
+    good = "360;" + ",".join(["0"] * 100 + ["1"] + ["0"] * 100)
+    raw.write_text(f"# records\n{good}\n\n{record}\n{good}\n")
+    out = tmp_path / "beats.csv"
+    assert run(["preprocess", "--in", str(raw), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {raw}:4: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["", "# no record\n\n"], ids=["empty", "comments"])
+def test_preprocess_without_records_exits_1(tmp_path, capsys, text):
+    raw = tmp_path / "raw.csv"
+    raw.write_text(text)
+    out = tmp_path / "beats.csv"
+    assert run(["preprocess", "--in", str(raw), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {raw}: no records found\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "0", "-5"])

@@ -105,6 +105,14 @@ class TestCorpusFormat:
         with pytest.raises(ArtifactFileError, match="no beats"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("text", ["", "# nothing\n\n"], ids=["empty", "comments"])
+    def test_raw_signals_empty_file(self, tmp_path, text):
+        path = tmp_path / "r.csv"
+        path.write_text(text)
+        with pytest.raises(ArtifactFileError) as e:
+            load_raw_signals(path)
+        assert str(e.value) == f"{path}: no records found"
+
     def test_raw_signals(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("360;0.0,1.0,2.0\n250;5,6\n")

@@ -1,0 +1,204 @@
+"""Byte identity with a base commit: every artifact of the cases below
+must keep its bytes (acceptance criterion 9 across commits).
+
+    python3 tools/identity.py BASE_SHA
+
+The base side is the base commit's `src`, unpacked with `git archive`;
+the head side is this checkout's `src`. Each side runs every case of
+CASES in its own interpreter, started with `-B` in an empty tree
+directory, with only that side's `src`, this checkout's `perfbench`
+(whose `workloads.py` both sides import, and which nothing writes to)
+and `tools` on the path. Every path a case writes is relative to the
+tree. The two trees are then compared byte for byte. The script prints
+the relative path of each file that differs or exists on one side only,
+names the directory that keeps both trees on stderr, and exits 1. If no
+path differs it prints the number of files compared and exits 0. A case
+that fails on either side also exits 1.
+
+Why each case is there:
+
+- `synth` + `reproduce` on the default corpora of seeds 1-3, 7 and 9:
+  the whole pipeline and every file it writes. On seeds 3, 7 and 9 the
+  linear SVM scores below 100 %, so a changed decision shows in
+  `report.csv`.
+- `hard` (`--beats 1000 --noise 0.2 --omega-b 0.4`): noisy classes
+  that overlap, where KNN and RF misclassify about a quarter of the
+  test beats.
+- clinical size (`--beats 6086`, 3,408 fitting rows): BLAS may take
+  other kernel paths than on the small corpora.
+- all flags (`--omega-a 0.5 --window-len 24 --noise 0 --beats 50
+  --seed 7`): every `llt synth` flag. Noiseless sinusoids have a unique
+  law only at width 3, hence `--law-len 3`.
+- `records` and `preprocess`: the score-records workload's 300 seed-1
+  raw records written at 360 Hz and at 250 Hz (the refractory gap and
+  the filter designs follow each record's rate), and the same records
+  cut around their centre to lengths from 25 samples (the shortest
+  `bandpass` accepts) to 360, written at 125 Hz (filter designs and
+  record shapes that the 360-sample benchmark records never reach).
+- the stage subcommands on the seed-1 corpus: `fit-law`,
+  `scan-law-length`, `transform` of train.csv and test.csv, and for
+  each of the five model kinds `train --val` (its stdout, which prints
+  the validation accuracy) and `evaluate --report`. They reach the
+  feature-file, scan and model readers and writers that `reproduce`
+  does not call.
+- the three benchmark workloads (`perfbench/workloads.py`) on seeds
+  1-10: the inputs each one generates, the files a pass writes, and
+  the pass's `fingerprint()`, which `perfbench/run.py` requires to be
+  equal across a run's passes. They cover the sizes the benchmark
+  times, and `scan_law_length` and the record path on their own.
+
+There is no list of expected differences: the first change that alters
+bytes on purpose adds it, with its entries.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import shutil
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SEEDS = (1, 2, 3, 7, 9)
+MODELS = ("knn", "svm-linear", "svm-rbf", "rf", "mlp")
+
+# (runner, its arguments), in run order; paths are relative to the tree
+CASES = (
+    *(case for s in SEEDS for case in (
+        ("llt", f"synth --seed {s} --out-dir data-{s}"),
+        ("llt", f"reproduce --seed {s} --data data-{s} --out run-{s}"))),
+    ("llt", "synth --beats 1000 --noise 0.2 --omega-b 0.4 --out-dir data-hard"),
+    ("llt", "reproduce --data data-hard --out run-hard"),
+    ("llt", "synth --beats 6086 --out-dir data-clinical"),
+    ("llt", "reproduce --data data-clinical --out run-clinical"),
+    ("llt", "synth --omega-a 0.5 --window-len 24 --noise 0 --beats 50 --seed 7 "
+            "--out-dir data-flags"),
+    ("llt", "reproduce --law-len 3 --data data-flags --out run-flags"),
+    ("records",),
+    ("llt", "preprocess --in raw.csv --out beats.csv"),
+    ("llt", "preprocess --in raw250.csv --out beats250.csv"),
+    ("llt", "preprocess --in raw125.csv --out beats125.csv"),
+    ("llt", "fit-law --train data-1/train.csv --out stages/normal.law"),
+    ("llt", "scan-law-length --seed 1 --train data-1/train.csv --out stages/scan.csv"),
+    ("llt", "transform --law stages/normal.law --in data-1/train.csv "
+            "--out stages/train_features.csv"),
+    ("llt", "transform --law stages/normal.law --in data-1/test.csv "
+            "--out stages/test_features.csv"),
+    *(case for m in MODELS for case in (
+        ("llt", f"train --seed 1 --model {m} --features stages/train_features.csv "
+                f"--val stages/test_features.csv --out stages/model_{m}.txt",
+         f"stages/train_{m}.out"),
+        ("llt", f"evaluate --law stages/normal.law --model stages/model_{m}.txt "
+                f"--test data-1/test.csv --report stages/evaluate_{m}.csv"))),
+    *(("workload", w, s) for w in ("reproduce", "law-scan", "score-records")
+      for s in range(1, 11)),
+)
+
+
+def _llt(argv: str, stdout: str | None = None) -> None:
+    """`llt ARGV`, in this interpreter; its stdout goes to the file
+    `stdout` if one is named, and is dropped otherwise."""
+    from llt import cli
+
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        rc = cli.main(argv.split())
+    if rc != 0:
+        raise SystemExit(f"llt {argv}: exit {rc}")
+    if stdout:
+        Path(stdout).write_text(text.getvalue(), encoding="utf-8")
+
+
+def _records() -> None:
+    """raw.csv, raw250.csv and raw125.csv: the raw records of the
+    `records` case, one `fs;v0,v1,...` line each."""
+    import numpy as np
+    from workloads import RECORD_FS, synth_records
+
+    records, _, _ = synth_records(np.random.default_rng(1), 300)
+    lengths = np.linspace(25, 360, len(records)).astype(int)
+    mixed = [y[(len(y) - n) // 2:][:n] for y, n in zip(records, lengths)]
+    for path, fs, rows in (("raw.csv", RECORD_FS, records), ("raw250.csv", 250.0, records),
+                           ("raw125.csv", 125.0, mixed)):
+        with open(path, "w", encoding="utf-8", newline="\n") as f:
+            for y in rows:
+                f.write(f"{fs:g};" + ",".join(f"{v:.17g}" for v in y) + "\n")
+
+
+def _workload(name: str, seed: int) -> None:
+    """One pass of a benchmark workload in `NAME-SEED/`, and its
+    fingerprint in `NAME-SEED/fingerprint.txt`."""
+    from workloads import WORKLOADS
+
+    workdir = Path(f"{name}-{seed}")
+    w = WORKLOADS[name](seed, workdir)
+    w.generate()
+    w.load()
+    fingerprint = w.fingerprint(w.run_pass())
+    (workdir / "fingerprint.txt").write_text(repr(fingerprint) + "\n", encoding="utf-8")
+
+
+def write_tree(src: str) -> None:
+    """Run every case in the current directory, which is the side's
+    tree, after checking that `llt` is imported from `src`."""
+    from llt import cli
+
+    if Path(cli.__file__).resolve().parents[1] != Path(src).resolve():
+        raise SystemExit(f"llt imported from {cli.__file__}, not from {src}")
+    Path("stages").mkdir()
+    runners = {"llt": _llt, "records": _records, "workload": _workload}
+    for runner, *args in CASES:
+        runners[runner](*args)
+
+
+def compare(a: Path, b: Path) -> tuple[list[str], int]:
+    """The sorted relative paths of the files under `a` or `b` that
+    differ in bytes or exist on one side only, and the number of paths
+    compared."""
+    def files(root: Path) -> set[str]:
+        return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
+
+    in_a, in_b = files(a), files(b)
+    differ = (in_a ^ in_b) | {f for f in in_a & in_b
+                              if (a / f).read_bytes() != (b / f).read_bytes()}
+    return sorted(differ), len(in_a | in_b)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        sys.stderr.write("usage: tools/identity.py BASE_SHA\n")
+        return 2
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", argv[0], "src"],
+                             stdout=subprocess.PIPE)
+    if archive.returncode:
+        return 1
+    work = Path(tempfile.mkdtemp(prefix="identity-"))
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(work / "base-src", filter="data")
+    for side, src in (("base", work / "base-src" / "src"), ("head", ROOT / "src")):
+        tree = work / side
+        tree.mkdir()
+        path = os.pathsep.join(str(p) for p in (src, ROOT / "perfbench", ROOT / "tools"))
+        code = f"import identity; identity.write_tree({str(src)!r})"
+        if subprocess.run([sys.executable, "-B", "-c", code], cwd=tree,
+                          env=dict(os.environ, PYTHONPATH=path)).returncode:
+            sys.stderr.write(f"the {side} side failed; its tree is in {tree}\n")
+            return 1
+    differ, n = compare(work / "base", work / "head")
+    if differ:
+        print("\n".join(differ))
+        sys.stderr.write(f"{len(differ)} of {n} files differ; both trees are in {work}\n")
+        return 1
+    shutil.rmtree(work)
+    print(f"{n} files identical")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
