@@ -7,7 +7,8 @@ labelled rows only (`_labelled`): an unlabelled `?` beat has no truth
 to fit or score against. `reproduce` checks that the validation part
 and the test corpus each hold a labelled beat before any fit, and
 `evaluate` checks its test corpus before any prediction
-(`_check_scoreable`).
+(`_check_scoreable`). A law fit's errors name the class and width
+(`linear_law.fit_law`), to which `_naming` adds the file.
 
 Each subcommand takes as flags only the settings its handler reads, its
 entry of READS: fields of PreprocessConfig for `preprocess`, of
@@ -25,6 +26,7 @@ import argparse
 import os
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -151,7 +153,7 @@ def cmd_synth(args, cfg: RunConfig) -> int:
 
 def cmd_preprocess(args, cfg: PreprocessConfig) -> int:
     signals = dataset_io.load_raw_signals(args.infile)
-    label = Label.from_token(args.label)
+    label = Label(args.label)
     beats = []
     for i, sig in enumerate(signals):
         try:
@@ -166,30 +168,20 @@ def cmd_preprocess(args, cfg: PreprocessConfig) -> int:
     return 0
 
 
-def _fit_class_law(corpus: Corpus, label: Label, path, law_len: int):
-    """The `label` law of width `law_len`, fitted on the non-artifact
-    `label` beats of `corpus`; a ValueError naming `path` if the beats
-    are shorter than `law_len` or there is none, or if the law is
-    ambiguous."""
-    if law_len > corpus.window_len:
-        raise ValueError(f"law_len {law_len} exceeds the beat length "
-                         f"{corpus.window_len} of {path}")
-    tag = label.name.title()
-    rows = corpus.rows(label)
-    if not len(rows):
-        raise ValueError(f"{path}: no non-artifact {label.value!r} beat to fit "
-                         f"the {tag} law on")
+@contextmanager
+def _naming(path):
+    """Prefix `path` to a ValueError or ConvergenceError of the block."""
     try:
-        return linear_law.fit_law(rows, law_len, tag)
-    except linear_law.DegenerateLawError as e:
-        raise linear_law.DegenerateLawError(f"{path}: {tag} law at law_len {law_len}: "
-                                            f"{e}") from None
+        yield
+    except (ValueError, ConvergenceError) as e:
+        raise type(e)(f"{path}: {e}") from None
 
 
 def cmd_fit_law(args, cfg: RunConfig) -> int:
     corpus = dataset_io.load_corpus(args.train, role=Role.TRAIN)
-    label = Label.from_token(args.class_token)
-    law = _fit_class_law(corpus, label, args.train, cfg.law_len)
+    label = Label(args.class_token)
+    with _naming(args.train):
+        law = linear_law.fit_law(corpus.rows(label), cfg.law_len, label.name.title())
     dataset_io.save_law(law, args.out)
     print(f"fitted {label.name.title()} law l={law.width} lambda={law.lam:.6g} "
           f"on {law.train_row_count} rows -> {args.out}")
@@ -202,10 +194,8 @@ def cmd_scan(args, cfg: RunConfig) -> int:
     corpus = dataset_io.load_corpus(args.train, role=Role.TRAIN)
     train, val = dataset_io.split_train_validation(
         corpus, SplitSpec(train_fraction=cfg.train_fraction, seed=cfg.seed))
-    try:
+    with _naming(args.train):
         report = linear_law.scan_law_length(train, val, range(args.min, args.max + 1))
-    except linear_law.DegenerateLawError as e:
-        raise linear_law.DegenerateLawError(f"{args.train}: {e}") from None
     text = report.to_csv()
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -316,7 +306,8 @@ def run_reproduce(data_dir, out_dir, cfg: RunConfig) -> int:
                          f"of {data / 'train.csv'} to validate on")
     _check_scoreable(test, data / "test.csv")
 
-    law = _fit_class_law(train, Label.NORMAL, data / "train.csv", cfg.law_len)
+    with _naming(data / "train.csv"):
+        law = linear_law.fit_law(train.rows(Label.NORMAL), cfg.law_len, "Normal")
     X_tr, y_tr = _labelled(feature_matrix(train.rows(), law), train.row_labels(),
                            data / "train.csv")
     models = [(f"knn-k{cfg.knn_k}" if kind == "knn" else kind, fit(X_tr, y_tr, cfg))
@@ -381,10 +372,12 @@ def build_parser() -> _Parser:
             PreprocessConfig)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--label", default="?", help="label token for all records")
+    p.add_argument("--label", default="?", choices=[lbl.value for lbl in Label],
+                   help="label token for all records")
 
     p = add("fit-law", cmd_fit_law, "fit a class law")
-    p.add_argument("--class", dest="class_token", default="N")
+    p.add_argument("--class", dest="class_token", default="N",
+                   choices=[Label.NORMAL.value, Label.ECTOPIC.value])
     p.add_argument("--train", required=True)
     p.add_argument("--out", required=True)
 

@@ -51,7 +51,7 @@ def embed_class(beats: np.ndarray | list[Beat], width: int) -> EmbeddedMatrix:
     `beats` is an (N, L) sample array, one beat per row, or a list of
     beats, which is stacked first as a Corpus of the first beat's length."""
     if len(beats) == 0:
-        raise ValueError("cannot fit law on empty class")
+        raise ValueError("no beat to embed")
     samples = (beats if isinstance(beats, np.ndarray)
                else Corpus(beats, window_len=len(beats[0].samples)).samples)
     if samples.ndim != 2:

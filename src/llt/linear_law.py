@@ -5,6 +5,8 @@ The law of a class is the unit vector w minimizing the mean squared
 residual of w against the class's embedded windows; by the Lagrange
 condition this is the eigenvector of C = Y^T Y / K with the smallest
 eigenvalue, and that eigenvalue equals the training residual variance.
+`fit_law` alone checks a fit's inputs and solution; each of its errors
+names the class and the width.
 """
 
 from __future__ import annotations
@@ -50,9 +52,8 @@ class LawScanReport:
 
 
 def correlation(Y: EmbeddedMatrix) -> np.ndarray:
-    """C = Y^T Y / K. Upper triangle is mirrored so symmetry is exact."""
-    if Y.rows < 1:
-        raise ValueError("embedding has no rows")
+    """C = Y^T Y / K of an `embed_class` matrix, which has a row. Upper
+    triangle is mirrored so symmetry is exact."""
     M = Y.data.T @ Y.data / Y.rows
     upper = np.triu(M)
     return upper + upper.T - np.diag(np.diag(M))
@@ -86,35 +87,41 @@ def fit_law(
 ) -> LinearLaw:
     """Fit the linear law of a class, given as an (N, L) sample array or
     a list of beats: embed, correlate, take the smallest eigenpair, and
-    verify its residual ``||Cw - lam w||`` and the variance identity."""
-    Y = embed_class(beats, width)
-    C = correlation(Y)
-    evals, evecs = jacobi_eigensystem(C)
-    lam = float(evals[0])
-    scale = max(float(np.trace(C)), np.finfo(float).tiny)
-    multiplicity = int(np.sum(evals - lam <= DEGENERACY_RTOL * scale))
-    if multiplicity > 1 and not allow_degenerate:
-        raise DegenerateLawError(
-            f"rank-deficient: law ambiguous (smallest eigenvalue has "
-            f"multiplicity {multiplicity})"
-        )
-    w = _fix_sign(evecs[:, 0].copy())
-    w = w / np.linalg.norm(w)
-    resid = float(np.linalg.norm(C @ w - lam * w))
-    bound = EIGENPAIR_RTOL * max(1.0, float(np.linalg.norm(C)))
-    if resid > bound:
-        raise ConvergenceError(f"eigenpair residual {resid:.3e} exceeds {bound:.3e}")
-    # The residual path mean((Yw)^2) is the accurate eigenvalue estimate:
-    # forming w C w loses a near-zero eigenvalue to cancellation at
-    # eps*||C||, while the per-row dot products cancel before squaring.
-    var = float(np.mean((Y.data @ w) ** 2))
-    tol = VARIANCE_IDENTITY_RTOL * max(var, lam) + 1e-12 * scale
-    if abs(var - lam) > tol:
-        raise ConvergenceError(
-            f"variance identity violated: mean residual power {var:.17g} "
-            f"vs solver eigenvalue {lam:.17g}"
-        )
-    return LinearLaw(w=w, lam=var, class_tag=class_tag, train_row_count=Y.rows)
+    verify its residual ``||Cw - lam w||`` and the variance identity.
+    No beat or a width outside [2, L] raises ValueError, an ambiguous
+    law DegenerateLawError and a failed check ConvergenceError, each
+    message starting ``<class_tag> law at width <width>: ``."""
+    try:
+        Y = embed_class(beats, width)
+        C = correlation(Y)
+        evals, evecs = jacobi_eigensystem(C)
+        lam = float(evals[0])
+        scale = max(float(np.trace(C)), np.finfo(float).tiny)
+        multiplicity = int(np.sum(evals - lam <= DEGENERACY_RTOL * scale))
+        if multiplicity > 1 and not allow_degenerate:
+            raise DegenerateLawError(
+                f"rank-deficient: law ambiguous (smallest eigenvalue has "
+                f"multiplicity {multiplicity})"
+            )
+        w = _fix_sign(evecs[:, 0].copy())
+        w = w / np.linalg.norm(w)
+        resid = float(np.linalg.norm(C @ w - lam * w))
+        bound = EIGENPAIR_RTOL * max(1.0, float(np.linalg.norm(C)))
+        if resid > bound:
+            raise ConvergenceError(f"eigenpair residual {resid:.3e} exceeds {bound:.3e}")
+        # The residual path mean((Yw)^2) is the accurate eigenvalue estimate:
+        # forming w C w loses a near-zero eigenvalue to cancellation at
+        # eps*||C||, while the per-row dot products cancel before squaring.
+        var = float(np.mean((Y.data @ w) ** 2))
+        tol = VARIANCE_IDENTITY_RTOL * max(var, lam) + 1e-12 * scale
+        if abs(var - lam) > tol:
+            raise ConvergenceError(
+                f"variance identity violated: mean residual power {var:.17g} "
+                f"vs solver eigenvalue {lam:.17g}"
+            )
+        return LinearLaw(w=w, lam=var, class_tag=class_tag, train_row_count=Y.rows)
+    except (ValueError, ConvergenceError) as e:
+        raise type(e)(f"{class_tag} law at width {width}: {e}") from None
 
 
 def law_variance(beats: np.ndarray | list[Beat], law: LinearLaw) -> float:
@@ -135,20 +142,18 @@ def scan_law_length(
     """Fit a law per width on the training reference class and compare
     its residual variance on the validation reference class. A small
     train/validation gap indicates the law generalizes at that width.
-    A width whose law is ambiguous raises DegenerateLawError naming the
-    class and the width."""
+    A validation part without a non-artifact beat of the class raises
+    ValueError before any fit; `fit_law` rejects a bad width."""
     train_rows = train.rows(class_tag)
     val_rows = validation.rows(class_tag)
     tag = class_tag.name.title()
+    if not len(val_rows):
+        raise ValueError(f"the validation part holds no non-artifact "
+                         f"{class_tag.value!r} beat to check the {tag} law on")
     entries = []
     for width in widths:
-        if not 2 <= width <= train.window_len:
-            raise ValueError(f"law length {width} outside [2, {train.window_len}]")
-        try:
-            law = fit_law(train_rows, width, tag)
-        except DegenerateLawError as e:
-            raise DegenerateLawError(f"{tag} law at law length {width}: {e}") from None
-        var_val = law_variance(val_rows, law) if len(val_rows) else float("nan")
+        law = fit_law(train_rows, width, tag)
+        var_val = law_variance(val_rows, law)
         denom = law.lam if law.lam > 0 else np.finfo(float).tiny
         gap = abs(var_val - law.lam) / denom
         entries.append(

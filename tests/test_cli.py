@@ -554,7 +554,7 @@ def test_fit_law_without_class_beats_names_file(tmp_path, capsys):
     assert run(["fit-law", "--class", "E", "--train", str(path), "--law-len", "2",
                 "--out", str(tmp_path / "e.law")]) == 1
     assert capsys.readouterr().err == (
-        f"error: {path}: no non-artifact 'E' beat to fit the Ectopic law on\n")
+        f"error: {path}: Ectopic law at width 2: no beat to embed\n")
     assert not (tmp_path / "e.law").exists()
 
 
@@ -644,7 +644,8 @@ def test_bad_setting_exits_1_before_any_output(capsys, stage_inputs, command, fl
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--law-len", "40", "law_len 40 exceeds the beat length 30 of {train}"),
+    pytest.param("--law-len", "40", "{train}: Normal law at width 40: embedding width 40 "
+                 "exceeds series length 30", id="--law-len-40"),
     ("--knn-k", "100", "knn_k=100 exceeds training size 11"),
 ])
 def test_reproduce_failure_writes_nothing(capsys, small_data, stage_inputs, flag, value,
@@ -734,12 +735,12 @@ def test_reproduce_without_scoreable_beats_exits_1_before_any_fit(
 
 def test_ambiguous_law_error_names_its_context(tmp_path, capsys):
     """A noiseless corpus has no unique law at the default width; the
-    error names the file, the class and law_len, or for the scan the
-    width it reached."""
+    error names the file, the class and the width: law_len, or for the
+    scan the width it reached."""
     data = tmp_path / "data"
     assert run(["synth", "--noise", "0", "--beats", "20", "--out-dir", str(data)]) == 0
     train = data / "train.csv"
-    prefix = f"error: {train}: Normal law at law_len 12: rank-deficient: law ambiguous"
+    prefix = f"error: {train}: Normal law at width 12: rank-deficient: law ambiguous"
     capsys.readouterr()
     assert run(["reproduce", "--data", str(data), "--out", str(tmp_path / "run")]) == 1
     assert capsys.readouterr().err.startswith(prefix)
@@ -747,4 +748,84 @@ def test_ambiguous_law_error_names_its_context(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(prefix)
     assert run(["scan-law-length", "--min", "3", "--max", "5", "--train", str(train)]) == 1
     assert capsys.readouterr().err.startswith(
-        f"error: {train}: Normal law at law length 4: rank-deficient: law ambiguous")
+        f"error: {train}: Normal law at width 4: rank-deficient: law ambiguous")
+
+
+@pytest.fixture()
+def law_fit_corpora(tmp_path, small_data):
+    """Corpus directories: the noisy 20-beat one, a noiseless one, and a
+    copy of the first whose Ectopic beats are all artifacts."""
+    noiseless, no_ectopic = tmp_path / "noiseless", tmp_path / "no_ectopic"
+    assert run(["synth", "--noise", "0", "--beats", "20", "--out-dir", str(noiseless)]) == 0
+    no_ectopic.mkdir()
+    lines = (small_data / "train.csv").read_text().splitlines(keepends=True)
+    (no_ectopic / "train.csv").write_text("".join("E*" + line[1:] if line.startswith("E,")
+                                                  else line for line in lines))
+    return {"noisy": small_data, "noiseless": noiseless, "no_ectopic": no_ectopic}
+
+
+_AMBIGUOUS = "rank-deficient: law ambiguous (smallest eigenvalue has multiplicity"
+_TOO_WIDE = "embedding width 31 exceeds series length 30"
+
+
+@pytest.mark.parametrize("command, corpus, flags, message", [
+    pytest.param("fit-law", "no_ectopic", ["--class", "E"],
+                 "Ectopic law at width 12: no beat to embed", id="fit-law-no-beat"),
+    pytest.param("reproduce", "noisy", ["--train-fraction", "0.001"],
+                 "Normal law at width 12: no beat to embed", id="reproduce-no-beat"),
+    pytest.param("scan-law-length", "noisy", ["--train-fraction", "0.001"],
+                 "Normal law at width 4: no beat to embed", id="scan-no-beat"),
+    pytest.param("scan-law-length", "noisy", ["--min", "1"],
+                 "Normal law at width 1: embedding width must be >= 2, got 1",
+                 id="scan-width-1"),
+    pytest.param("fit-law", "noisy", ["--law-len", "31"],
+                 f"Normal law at width 31: {_TOO_WIDE}", id="fit-law-too-wide"),
+    pytest.param("reproduce", "noisy", ["--law-len", "31"],
+                 f"Normal law at width 31: {_TOO_WIDE}", id="reproduce-too-wide"),
+    pytest.param("scan-law-length", "noisy", ["--min", "31", "--max", "31"],
+                 f"Normal law at width 31: {_TOO_WIDE}", id="scan-too-wide"),
+    pytest.param("fit-law", "noiseless", [], f"Normal law at width 12: {_AMBIGUOUS} 10)",
+                 id="fit-law-ambiguous"),
+    pytest.param("reproduce", "noiseless", [], f"Normal law at width 12: {_AMBIGUOUS} 10)",
+                 id="reproduce-ambiguous"),
+    pytest.param("scan-law-length", "noiseless", ["--min", "3", "--max", "5"],
+                 f"Normal law at width 4: {_AMBIGUOUS} 2)", id="scan-ambiguous"),
+    # the scan compares each law on the validation part, before any fit
+    pytest.param("scan-law-length", "noisy", ["--train-fraction", "1.0"],
+                 "the validation part holds no non-artifact 'N' beat to check the "
+                 "Normal law on", id="scan-no-validation-beat"),
+])
+def test_law_fit_error_names_file_class_and_width(tmp_path, capsys, law_fit_corpora,
+                                                  command, corpus, flags, message):
+    """Every subcommand that fits a law reports `fit_law`'s error, which
+    names the class and the width, with the training file in front, and
+    writes nothing."""
+    data = law_fit_corpora[corpus]
+    out = tmp_path / "out"
+    source = ["--data", str(data)] if command == "reproduce" else ["--train",
+                                                                   str(data / "train.csv")]
+    capsys.readouterr()
+    assert run([command, *source, "--out", str(out), *flags]) == 1
+    assert capsys.readouterr().err == f"error: {data / 'train.csv'}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["fit-law", "--class", "Q"],
+                 "argument --class: invalid choice: 'Q' (choose from 'N', 'E')", id="class-Q"),
+    pytest.param(["fit-law", "--class", "?"],
+                 "argument --class: invalid choice: '?' (choose from 'N', 'E')", id="class-?"),
+    pytest.param(["preprocess", "--label", "Q", "--in", "raw.csv"],
+                 "argument --label: invalid choice: 'Q' (choose from 'N', 'E', '?')",
+                 id="label-Q"),
+])
+def test_label_flag_is_a_choice(tmp_path, capsys, argv, message):
+    """A label flag outside its choices is a usage error naming the flag,
+    raised before any file is read: neither input exists."""
+    if argv[0] == "fit-law":
+        argv = argv + ["--train", str(tmp_path / "missing.csv")]
+    with pytest.raises(SystemExit) as e:
+        run(argv + ["--out", str(tmp_path / "out")])
+    assert e.value.code == 1
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+    assert not (tmp_path / "out").exists()

@@ -11,8 +11,7 @@ from llt.dataset_io import SplitSpec, split_train_validation
 from llt.embedding import embed_class
 from llt.evaluation import evaluate_pipeline
 from llt.features import feature_matrix
-from llt.linear_law import (DegenerateLawError, LawScanReport, ScanEntry, fit_law,
-                            law_variance, scan_law_length)
+from llt.linear_law import LawScanReport, ScanEntry, fit_law, law_variance, scan_law_length
 from llt.types import Beat, ConvergenceError, Corpus, Label, LinearLaw, Role
 
 from conftest import random_beats
@@ -45,7 +44,7 @@ class TestCorpusArrays:
         corpus = Corpus(beats=[], window_len=4)
         assert corpus.samples.shape == (0, 4)
         assert corpus.rows(Label.NORMAL).shape == (0, 4)
-        with pytest.raises(ValueError, match="cannot fit law on empty class"):
+        with pytest.raises(ValueError, match="^Normal law at width 2: no beat to embed$"):
             fit_law(corpus.rows(Label.NORMAL), 2, "Normal")
 
     def test_beat_of_wrong_length_named(self):
@@ -85,18 +84,16 @@ def _same_law(a, b) -> bool:
 
 
 def _scan_from_beats(train: Corpus, val: Corpus, widths, tag: Label) -> str:
-    """`scan_law_length` computed on beat lists; an ambiguous law's error
-    names its class and width."""
+    """`scan_law_length` computed on beat lists."""
     train_beats = [b for b in train.with_label(tag) if not b.artifact]
     val_beats = [b for b in val.with_label(tag) if not b.artifact]
+    if not val_beats:
+        raise ValueError(f"the validation part holds no non-artifact {tag.value!r} "
+                         f"beat to check the {tag.name.title()} law on")
     entries = []
     for width in widths:
-        try:
-            law = fit_law(train_beats, width, tag.name.title())
-        except DegenerateLawError as e:
-            raise DegenerateLawError(f"{tag.name.title()} law at law length {width}: "
-                                     f"{e}") from None
-        var_val = law_variance(val_beats, law) if val_beats else float("nan")
+        law = fit_law(train_beats, width, tag.name.title())
+        var_val = law_variance(val_beats, law)
         denom = law.lam if law.lam > 0 else np.finfo(float).tiny
         entries.append(ScanEntry(width, law.lam, var_val, abs(var_val - law.lam) / denom,
                                  train.window_len - width + 1))

@@ -46,7 +46,7 @@ def test_embed_class_blocks_and_provenance():
 
 
 def test_embed_class_empty():
-    with pytest.raises(ValueError, match="empty class"):
+    with pytest.raises(ValueError, match="^no beat to embed$"):
         embed_class([], 3)
 
 

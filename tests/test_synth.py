@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from llt.embedding import embed_class
 from llt.features import feature_matrix
-from llt.linear_law import fit_law, law_variance
+from llt.linear_law import correlation, fit_law, law_variance
 from llt.synth import SynthSpec, exact_law, generate
 from llt.types import Label, Role
 
@@ -78,6 +79,34 @@ class TestExactLaw:
         # residual variance cannot exceed the injected noise power by much
         assert law.lam < 4.0 * sigma**2
         assert law.lam > 0.0
+
+    @pytest.mark.parametrize("noise", [0.01, 0.05, 0.2])
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_noisy_width3_law_matches_theory(self, seed, noise):
+        """At width 3 a sinusoid in white noise of variance s^2 has one
+        null direction, the exact law w*, and lambda = s^2 (Pisarenko).
+        With K residual windows, each residual r = w*.noise is N(0, s^2)
+        and correlates with its neighbours at lags |k| <= 2 by
+        rho_k = sum_i w*_i w*_(i+k). So mean(r^2) / s^2 has standard error
+        sqrt(2 sum rho_k^2 / K), and the fit moves lambda by O(1/K) more.
+        The law moves from w* by h = C w* - s^2 w* to first order: by
+        u_j.h / (lambda_j - mu) along each other eigenvector u_j of C,
+        mu = w*.C w*, and u_j.h has standard error at most
+        s sqrt(lambda_j sum |rho_k| / K). Both bounds are 5 such errors."""
+        z = 5.0
+        train, _, _ = generate(SynthSpec(seed=seed, noise=noise))
+        rows = train.rows(Label.NORMAL)
+        law = fit_law(rows, 3, "Normal")
+        ref = exact_law(SynthSpec.omega_a, 3).w
+        Y = embed_class(rows, 3)
+        C = correlation(Y)
+        evals = np.linalg.eigvalsh(C)
+        rho = np.correlate(ref, ref, "full")
+        assert abs(law.lam / noise**2 - 1) <= z * np.sqrt(2 * np.sum(rho**2) / Y.rows)
+        others = evals[1:]
+        drift = np.sum(others / (others - ref @ C @ ref) ** 2)
+        sin_bound = z * noise * np.sqrt(np.sum(np.abs(rho)) / Y.rows * drift)
+        assert np.sqrt(max(0.0, 1.0 - (law.w @ ref) ** 2)) <= sin_bound
 
 
 def test_cross_law_variance_ratio():
