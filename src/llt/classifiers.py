@@ -413,12 +413,6 @@ def _tree_predict(node, x):
     return node["leaf"]
 
 
-def tree_depth(node) -> int:
-    if "leaf" in node:
-        return 0
-    return 1 + max(tree_depth(node["left"]), tree_depth(node["right"]))
-
-
 # ---------------------------------------------------------------- MLP
 
 def mlp_init(feature_dim: int, hidden: int, seed: int) -> dict:

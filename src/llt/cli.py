@@ -210,7 +210,8 @@ def cmd_transform(args, cfg: RunConfig) -> int:
     rows = corpus.rows()
     if not len(rows):
         raise ValueError(f"{args.infile}: every beat is an artifact; no beat to transform")
-    X = feature_matrix(rows, law)
+    with _naming(f"--law {args.law} on --in {args.infile}"):
+        X = feature_matrix(rows, law)
     k = args.downsample
     if not 1 <= k <= X.shape[1]:
         raise ValueError(f"--downsample must be in 1..{X.shape[1]}, got {k}")
@@ -237,6 +238,14 @@ def _labelled(X: np.ndarray, labels: list[str], path) -> tuple[np.ndarray, list[
         raise ValueError(f"{path}: no labelled feature row (every row is "
                          f"{Label.UNLABELED.value!r})")
     return X[keep], [labels[i] for i in keep]
+
+
+def _fit_rows(corpus: Corpus, law, path) -> tuple[np.ndarray, list[str], Role]:
+    """The labelled feature rows of `corpus` under `law` (`_labelled`),
+    their labels, and the role of `corpus`, which the leakage audit
+    records for every fit that the rows reach."""
+    X, labels = _labelled(feature_matrix(corpus.rows(), law), corpus.row_labels(), path)
+    return X, labels, corpus.role
 
 
 def _check_scoreable(corpus: Corpus, path) -> None:
@@ -308,11 +317,10 @@ def run_reproduce(data_dir, out_dir, cfg: RunConfig) -> int:
 
     with _naming(data / "train.csv"):
         law = linear_law.fit_law(train.rows(Label.NORMAL), cfg.law_len, "Normal")
-    X_tr, y_tr = _labelled(feature_matrix(train.rows(), law), train.row_labels(),
-                           data / "train.csv")
+    X_tr, y_tr, fit_role = _fit_rows(train, law, data / "train.csv")
     models = [(f"knn-k{cfg.knn_k}" if kind == "knn" else kind, fit(X_tr, y_tr, cfg))
               for kind, fit in _fitters().items()]
-    fit_inputs = [("law", train.role)] + [(name, train.role) for name, _ in models]
+    fit_inputs = [("law", train.role)] + [(name, fit_role) for name, _ in models]
     if any(role == Role.TEST for _, role in fit_inputs):
         sys.stderr.write("audit failure: test corpus consumed by a fit\n")
         return 2

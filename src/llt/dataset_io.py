@@ -191,8 +191,8 @@ class _Artifact:
         self.pos = 0
         self.lineno = len(expected)
 
-    def fail(self, message: str):
-        raise ArtifactFileError(f"{self.path}:{self.lineno}: {message}")
+    def fail(self, message: str, lineno: int | None = None):
+        raise ArtifactFileError(f"{self.path}:{lineno or self.lineno}: {message}")
 
     def field(self, key: str, parse=None, low=-math.inf):
         """Header value of `key`, parsed as by `number` if `parse` is given."""
@@ -375,9 +375,16 @@ def load_model(path) -> TrainedModel:
             or (kind.startswith("svm") and len(labels) != 2):
         a.fail(f"bad label list {a.header['labels']!r} for {kind}")
     sizes = {"1": 1, "d": feature_dim, "c": len(labels)}
-    params = {name: _read_field(a, name, typ, letters, sizes)
-              for name, typ, letters in _MODEL_FIELDS[kind]}
+    params, at = {}, {}  # at: field -> its last line, a param's only one
+    for name, typ, letters in _MODEL_FIELDS[kind]:
+        params[name] = _read_field(a, name, typ, letters, sizes)
+        at[name] = a.lineno
     a.finish()
+    # values that no fit writes: they would fail unnamed or mispredict
+    if kind == "knn" and params["k"] > sizes["n"]:
+        a.fail(f"k={params['k']} exceeds the {sizes['n']} rows of matrix X", at["k"])
+    if kind == "svm-rbf" and params["gamma"] <= 0:
+        a.fail(f"gamma must be > 0, got {params['gamma']}", at["gamma"])
     return TrainedModel(kind=kind, feature_dim=feature_dim, labels=labels, params=params)
 
 

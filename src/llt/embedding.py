@@ -27,24 +27,6 @@ class EmbeddedMatrix:
         return self.data.shape[0]
 
 
-def _check_width(width: int, n: int) -> None:
-    if width < 2:
-        raise ValueError(f"embedding width must be >= 2, got {width}")
-    if width > n:
-        raise ValueError(f"embedding width {width} exceeds series length {n}")
-
-
-def embed_series(values: np.ndarray, width: int) -> np.ndarray:
-    """Embed a 1-D series into an (n-width+1, width) matrix.
-
-    Row j holds [v[j+width-1], v[j+width-2], ..., v[j]]: the window
-    ending at index j+width-1, newest first.
-    """
-    values = np.asarray(values, dtype=float)
-    _check_width(width, len(values))
-    return np.ascontiguousarray(sliding_window_view(values, width)[:, ::-1])
-
-
 def embed_class(beats: np.ndarray | list[Beat], width: int) -> EmbeddedMatrix:
     """Stack per-beat embeddings into one block matrix, in input order.
 
@@ -56,7 +38,10 @@ def embed_class(beats: np.ndarray | list[Beat], width: int) -> EmbeddedMatrix:
                else Corpus(beats, window_len=len(beats[0].samples)).samples)
     if samples.ndim != 2:
         raise ValueError(f"beat samples must be an (N, L) array, got shape {samples.shape}")
-    _check_width(width, samples.shape[1])
+    if width < 2:
+        raise ValueError(f"embedding width must be >= 2, got {width}")
+    if width > samples.shape[1]:
+        raise ValueError(f"embedding width {width} exceeds series length {samples.shape[1]}")
     windows = sliding_window_view(samples, width, axis=1)[:, :, ::-1]
     data = np.ascontiguousarray(windows.reshape(-1, width))
     return EmbeddedMatrix(data=data, width=width)

@@ -20,7 +20,7 @@ def feature_matrix(beats: np.ndarray | list[Beat], law: LinearLaw) -> np.ndarray
     given as an (N, L) sample array or a list of beats.
 
     One (N, K, width) @ (width,) product: each beat's residuals are the
-    bits of `embed_series(beat.samples, width) @ law.w`, which a flat
+    bits of its own (K, width) embedding times `law.w`, which a flat
     (N*K, width) product does not reproduce at widths of 8 and more."""
     windows = embed_class(beats, law.width).data
     return windows.reshape(len(beats), -1, law.width) @ law.w

@@ -1,12 +1,12 @@
-"""Raw ECG signal conditioning: zero-phase band-pass filtering,
-standardization, peak detection and peak-centered windowing.
+"""Raw ECG signal conditioning: zero-phase band-pass filtering, peak
+detection, and one standardized peak-centered window per record.
 
-Each record holds one beat. A record whose beat cannot be produced
-cleanly (zero or several peaks, window overrun, degenerate window)
-yields one beat with artifact=True; downstream classification labels
-it ectopic by rule instead of running the model. Every rate-dependent
-setting (the filter designs, the refractory gap between peaks) follows
-the record's own sampling rate ``fs``.
+Each record holds one beat, cut by preprocess_record. A record whose
+beat cannot be produced cleanly (zero or several peaks, window overrun,
+constant window) yields one beat with artifact=True; downstream
+classification labels it ectopic by rule instead of running the model.
+Every rate-dependent setting (the filter designs, the refractory gap
+between peaks) follows the record's own sampling rate ``fs``.
 
 The band-pass is scipy's sosfiltfilt, bit for bit, with the parts that
 depend only on the filter design (the sections, sosfilt_zi and the pad
@@ -125,16 +125,6 @@ def bandpass(sig: Signal, cfg: PreprocessConfig) -> Signal:
     return Signal(values=_filtfilt(lp, _filtfilt(hp, sig.values)), fs=sig.fs)
 
 
-def standardize(window: np.ndarray) -> np.ndarray:
-    """Subtract the mean, then divide by the max absolute value so the
-    result lies in [-1, 1] regardless of polarity."""
-    window = np.asarray(window, dtype=float)
-    if window.max() == window.min():
-        raise ValueError("degenerate window")
-    centered = window - window.mean()
-    return centered / np.max(np.abs(centered))
-
-
 def detect_peaks(sig: Signal, cfg: PreprocessConfig) -> list[int]:
     """Local maxima above peak_threshold * global max, at least
     refractory_ms apart at the record's rate (rounded to whole samples,
@@ -154,32 +144,21 @@ def detect_peaks(sig: Signal, cfg: PreprocessConfig) -> list[int]:
     return sorted(accepted)
 
 
-def _artifact_beat(window_len: int, label: Label, source_id: str) -> Beat:
-    return Beat(samples=np.zeros(window_len), label=label,
-                artifact=True, source_id=source_id)
-
-
-def extract_beat(sig: Signal, peak: int, window_len: int,
-                 label: Label = Label.UNLABELED, source_id: str = "") -> Beat:
-    """Standardized window with the peak at index window_len // 2;
-    out-of-bounds windows or degenerate content give an artifact beat."""
-    start = peak - window_len // 2
-    if start < 0 or start + window_len > len(sig.values):
-        return _artifact_beat(window_len, label, source_id)
-    try:
-        samples = standardize(sig.values[start : start + window_len])
-    except ValueError:
-        return _artifact_beat(window_len, label, source_id)
-    return Beat(samples=samples, label=label, artifact=False, source_id=source_id)
-
-
 def preprocess_record(sig: Signal, cfg: PreprocessConfig,
                       label: Label = Label.UNLABELED, source_id: str = "") -> list[Beat]:
-    """Full chain: bandpass, peak detection, windowing. The record holds
-    one beat, so it yields exactly one: an artifact beat when it has
-    zero or several peaks."""
+    """Full chain: bandpass, peak detection, then the window of
+    window_len samples with the peak at index window_len // 2, minus its
+    mean and divided by its max absolute value, so it lies in [-1, 1]
+    whatever its polarity. The record holds one beat, so it yields
+    exactly one: an artifact beat when the record has zero or several
+    peaks, or when the window overruns it or is constant."""
     filtered = bandpass(sig, cfg)
     peaks = detect_peaks(filtered, cfg)
-    if len(peaks) != 1:
-        return [_artifact_beat(cfg.window_len, label, source_id)]
-    return [extract_beat(filtered, peaks[0], cfg.window_len, label, source_id)]
+    n = cfg.window_len
+    start = peaks[0] - n // 2 if len(peaks) == 1 else -1  # -1: no single peak
+    window = filtered.values[start : start + n] if start >= 0 else filtered.values[:0]
+    if len(window) < n or window.max() == window.min():
+        return [Beat(samples=np.zeros(n), label=label, artifact=True, source_id=source_id)]
+    centered = window - window.mean()
+    return [Beat(samples=centered / np.max(np.abs(centered)), label=label,
+                 source_id=source_id)]

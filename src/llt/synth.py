@@ -2,8 +2,8 @@
 
 Each class is a family of sinusoids of one angular frequency, and a
 sinusoid obeys the 3-term identity y_k = 2 cos(w) y_{k-1} - y_{k-2}, so
-the fitted law can be checked against an analytic reference and
-noiseless residuals are exactly zero.
+the fitted law can be checked against an analytic reference (the
+tests' `exact_law`) and noiseless residuals are exactly zero.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import Beat, Corpus, Label, LinearLaw, Role
+from .types import Beat, Corpus, Label, Role
 
 # sinusoid phases are drawn from [0, PHASE_SPAN); an arc shorter than pi
 # keeps the residual clusters linearly separable (a full circle of
@@ -77,13 +77,3 @@ def generate(spec: SynthSpec) -> tuple[Corpus, Corpus, Corpus]:
         for r in (Role.TRAIN, Role.VALIDATION, Role.TEST)
     )
 
-
-def exact_law(omega: float, width: int, class_tag: str = "Normal") -> LinearLaw:
-    """Analytic law of the sinusoids of angular frequency `omega`,
-    (1, -2 cos(omega), 1) normalised and zero-padded to `width` at the
-    older-lag end (rows are newest-first)."""
-    if width < 3:
-        raise ValueError(f"a sinusoid's law needs width >= 3, got {width}")
-    w = np.zeros(width)
-    w[:3] = 1.0, -2.0 * np.cos(omega), 1.0
-    return LinearLaw(w=w / np.linalg.norm(w), lam=0.0, class_tag=class_tag)

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 # Hypothesis imports its patch writer lazily, while reporting a failing
 # example; under `-W error` a DeprecationWarning that mypy_extensions
@@ -17,7 +18,7 @@ with warnings.catch_warnings():
     except ImportError:
         pass
 
-from llt.types import Beat, Label
+from llt.types import Beat, Label, LinearLaw
 
 
 def sinusoid_beats(omega, n_beats, length=30, noise=0.0, seed=0,
@@ -38,6 +39,33 @@ def random_beats(n_beats, length, seed=0, label=Label.NORMAL):
     rng = np.random.default_rng(seed)
     return [Beat(samples=rng.standard_normal(length), label=label)
             for _ in range(n_beats)]
+
+
+def embed_series(values, width):
+    """Oracle of `embedding.embed_class` on one series: the
+    (n - width + 1, width) matrix whose row j holds [v[j+width-1],
+    v[j+width-2], ..., v[j]], the window ending at j+width-1, newest
+    first."""
+    values = np.asarray(values, dtype=float)
+    return np.ascontiguousarray(sliding_window_view(values, width)[:, ::-1])
+
+
+def exact_law(omega, width, class_tag="Normal"):
+    """Analytic law of the sinusoids of angular frequency `omega`,
+    (1, -2 cos(omega), 1) normalised and zero-padded to `width` at the
+    older-lag end (rows are newest-first)."""
+    if width < 3:
+        raise ValueError(f"a sinusoid's law needs width >= 3, got {width}")
+    w = np.zeros(width)
+    w[:3] = 1.0, -2.0 * np.cos(omega), 1.0
+    return LinearLaw(w=w / np.linalg.norm(w), lam=0.0, class_tag=class_tag)
+
+
+def tree_depth(node):
+    """Depth of a CART tree of `classifiers.rf_fit`; a leaf has depth 0."""
+    if "leaf" in node:
+        return 0
+    return 1 + max(tree_depth(node["left"]), tree_depth(node["right"]))
 
 
 @pytest.fixture

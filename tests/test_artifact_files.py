@@ -230,6 +230,9 @@ DAMAGED = [
     ("knn", edit("knn", 7, ["param metric=manhattan"]), r"knn:7: unknown metric 'manhattan'"),
     ("knn", edit("knn", 7, ["param metric=euclidean"]), r"knn:7: unknown metric 'euclidean'"),
     ("knn", edit("knn", 12, ["ivector y 0 1 2"]), r"knn:12: y: '2' is out of range"),
+    ("knn", edit("knn", 6, ["param k=4"]), r"knn:6: k=4 exceeds the 3 rows of matrix X"),
+    ("svm-rbf", edit("svm-rbf", 7, ["param gamma=-5"]), r"svm-rbf:7: gamma must be > 0, got -5.0"),
+    ("svm-rbf", edit("svm-rbf", 7, ["param gamma=0"]), r"svm-rbf:7: gamma must be > 0, got 0.0"),
     ("knn", edit("knn", 12, ["ivector y 0 1"]), r"knn:12: y: size 2 disagrees with 3"),
     ("rf", edit("rf", 12, []), r"rf:12: expected node 4 of 5, got 'tree 1 1'"),
     ("rf", edit("rf", 14, []), r"rf:14: payload ends before node 0 of tree 1"),

@@ -17,13 +17,14 @@ from llt.classifiers import (
     predict_batch,
     rbf_svm_fit,
     rf_fit,
-    tree_depth,
     _label_index,
     _rbf_kernel,
 )
 from llt.features import feature_matrix
 from llt.synth import SynthSpec, generate
 from llt.types import ConvergenceError, Corpus, Label
+
+from conftest import tree_depth
 
 
 def smo_dual_objective(alpha, ys, K):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import llt
-from llt import dataset_io
+from llt import cli, dataset_io
 from llt.classifiers import Hyperparams, rbf_gamma_default, rbf_svm_fit
 from llt.cli import RunConfig, build_parser, load_config, main
 from llt.dataset_io import load_corpus, load_features, load_law, load_model
@@ -573,6 +573,21 @@ def test_transform_all_artifacts_names_file(tmp_path, capsys):
     assert not (tmp_path / "f.csv").exists()
 
 
+def test_transform_law_wider_than_beats_names_files(tmp_path, capsys):
+    train = tmp_path / "train.csv"
+    train.write_text("N,1,2,3,4,5,6\nN,2,3,4,1,6,5\nN,3,1,4,2,5,6\nN,6,1,5,2,4,3\n")
+    law = tmp_path / "n.law"
+    assert run(["fit-law", "--train", str(train), "--law-len", "3", "--out", str(law)]) == 0
+    beats = tmp_path / "short.csv"
+    beats.write_text("N,1,2\n")
+    capsys.readouterr()
+    assert run(["transform", "--law", str(law), "--in", str(beats),
+                "--out", str(tmp_path / "f.csv")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --law {law} on --in {beats}: embedding width 3 exceeds series length 2\n")
+    assert not (tmp_path / "f.csv").exists()
+
+
 @pytest.fixture()
 def small_data(tmp_path):
     data = tmp_path / "data"
@@ -679,6 +694,21 @@ def test_audit_failure_exits_2_before_any_output(capsys, monkeypatch, stage_inpu
         return Corpus(beats=train.beats, window_len=train.window_len, role=Role.TEST), val
 
     monkeypatch.setattr(dataset_io, "split_train_validation", leaky_split)
+    out, argv = stage_inputs
+    capsys.readouterr()
+    assert run(argv["reproduce"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "audit failure: test corpus consumed by a fit\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_audit_fails_when_classifiers_fit_on_test_rows(capsys, monkeypatch, stage_inputs,
+                                                      small_data):
+    # the law fits on train rows, but the classifiers' rows come from test.csv
+    fit_rows = cli._fit_rows
+    test = dataset_io.load_corpus(small_data / "test.csv", role=Role.TEST)
+    monkeypatch.setattr(cli, "_fit_rows", lambda corpus, *args: fit_rows(test, *args))
     out, argv = stage_inputs
     capsys.readouterr()
     assert run(argv["reproduce"]) == 2

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from llt.embedding import embed_class, embed_series
+from llt.embedding import embed_class
 from llt.linear_law import correlation
 from llt.types import Beat, Label
 
-from conftest import random_beats
+from conftest import embed_series, random_beats
 
 
 def test_embed_series_indexing():

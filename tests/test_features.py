@@ -5,13 +5,11 @@ from hypothesis import strategies as st
 
 from llt.cli import main
 from llt.dataset_io import load_features, save_corpus, save_law
-from llt.embedding import embed_series
 from llt.features import feature_matrix
 from llt.linear_law import fit_law, law_variance
-from llt.synth import exact_law
 from llt.types import Beat, Corpus, LinearLaw
 
-from conftest import random_beats, sinusoid_beats
+from conftest import embed_series, exact_law, random_beats, sinusoid_beats
 
 
 def make_law(width, seed=0):

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import signal as sp_signal
 
+from llt import preprocess
 from llt.preprocess import (
     FILTER_ORDER,
     PreprocessConfig,
@@ -13,9 +14,7 @@ from llt.preprocess import (
     _butter_sos,
     bandpass,
     detect_peaks,
-    extract_beat,
     preprocess_record,
-    standardize,
 )
 from llt.types import Label
 
@@ -158,24 +157,70 @@ class TestBandpass:
         assert abs(int(np.argmax(out)) - 1000) <= 1
 
 
+def cut(values, window_len, monkeypatch, **kw):
+    """The one beat of preprocess_record on a record that `bandpass`,
+    patched to pass it through, leaves as `values`."""
+    monkeypatch.setattr(preprocess, "bandpass", lambda sig, config: sig)
+    sig = Signal(values=np.asarray(values, dtype=float), fs=FS)
+    (beat,) = preprocess_record(sig, cfg(window_len=window_len), **kw)
+    return beat
+
+
 class TestStandardize:
-    def test_example(self):
-        assert np.allclose(standardize(np.array([2.0, 4.0, 2.0])),
-                           [-0.5, 1.0, -0.5])
+    """preprocess_record's window minus its mean, divided by its max
+    absolute value; anything else is one artifact placeholder."""
 
-    def test_already_standard(self):
-        assert np.allclose(standardize(np.array([1.0, -1.0])), [1.0, -1.0])
+    def test_example(self, monkeypatch):
+        beat = cut([0.0, 2.0, 4.0, 2.0, 0.0], 3, monkeypatch)
+        assert not beat.artifact
+        assert np.allclose(beat.samples, [-0.5, 1.0, -0.5])
 
-    def test_degenerate(self):
-        with pytest.raises(ValueError, match="degenerate window"):
-            standardize(np.array([5.0, 5.0, 5.0]))
+    def test_already_standard(self, monkeypatch):
+        assert cut([-1.0, 1.0, 0.0], 2, monkeypatch).samples.tolist() == [-1.0, 1.0]
 
-    def test_invariants(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            out = standardize(rng.standard_normal(30))
-            assert abs(out.mean()) < 1e-12
-            assert abs(np.max(np.abs(out)) - 1.0) < 1e-12
+    def test_degenerate(self, monkeypatch):
+        # every cause of an artifact gives the same placeholder, which
+        # keeps the record's label and source
+        causes = [(np.zeros(50), 30),                                 # no peak
+                  (triangular_pulse(20, 200).values
+                   + triangular_pulse(150, 200).values, 30),          # two peaks
+                  (triangular_pulse(14, 100).values, 30),             # left overrun
+                  (triangular_pulse(86, 100).values, 30),             # right overrun
+                  ([0.0, 5.0, 5.0, 0.0], 2)]                          # constant window
+        for values, window_len in causes:
+            beat = cut(values, window_len, monkeypatch, label=Label.NORMAL, source_id="7")
+            assert beat.artifact
+            assert beat.samples.tolist() == [0.0] * window_len
+            assert (beat.label, beat.source_id) == (Label.NORMAL, "7")
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(6 * FILTER_ORDER + 1, 720),
+           fs=st.sampled_from([125.0, 250.0, 360.0]),
+           window_len=st.integers(2, 61),
+           width=st.floats(0.5, 8.0),
+           noise=st.floats(0.0, 0.3),
+           seed=st.integers(0, 2 ** 16))
+    @example(n=360, fs=360.0, window_len=30, width=3.0, noise=0.05, seed=0)
+    def test_invariants(self, n, fs, window_len, width, noise, seed):
+        # a noisy bump anywhere in a random record, through the whole chain
+        rng = np.random.default_rng(seed)
+        t = np.arange(n)
+        v = (np.exp(-0.5 * ((t - rng.uniform(0, n)) / width) ** 2)
+             + noise * rng.standard_normal(n))
+        sig, c = Signal(values=v, fs=fs), cfg(window_len=window_len)
+        (beat,) = preprocess_record(sig, c)
+        assert len(beat.samples) == window_len
+        if beat.artifact:
+            assert not beat.samples.any()
+            return
+        filtered = bandpass(sig, c)
+        start = detect_peaks(filtered, c)[0] - window_len // 2
+        window = filtered.values[start : start + window_len]
+        # the mean's rounding error, relative to max |window|, grows by
+        # the ratio of max |window| to the window's range
+        assert abs(beat.samples.mean()) <= 1e-12 * max(1.0, np.max(np.abs(window))
+                                                       / np.ptp(window))
+        assert np.max(np.abs(beat.samples)) == 1.0
 
 
 def brute_force_peaks(values, threshold_frac, refractory):
@@ -243,21 +288,38 @@ class TestDetectPeaks:
 
 
 class TestExtractBeat:
-    def test_centering(self):
-        sig = triangular_pulse(100, 500)
-        beat = extract_beat(sig, 100, 30)
-        assert not beat.artifact
-        assert len(beat.samples) == 30
-        assert int(np.argmax(beat.samples)) == 15
-        assert beat.samples[15] == 1.0
+    """The window that preprocess_record cuts around its one peak."""
 
-    def test_left_overrun(self):
-        sig = Signal(values=np.arange(100.0), fs=FS)
-        assert extract_beat(sig, 5, 30).artifact
+    def test_centering(self, monkeypatch):
+        for window_len in (2, 3, 30, 31):
+            beat = cut(triangular_pulse(100, 500).values, window_len, monkeypatch)
+            assert not beat.artifact
+            assert len(beat.samples) == window_len
+            assert int(np.argmax(beat.samples)) == window_len // 2
+            assert beat.samples[window_len // 2] == pytest.approx(1.0, rel=1e-12)
+        monkeypatch.undo()  # the whole chain: the filtered peak is centred too
+        for window_len in (2, 3, 30, 31):
+            (beat,) = preprocess_record(triangular_pulse(1000, 2000), cfg(window_len=window_len))
+            assert not beat.artifact
+            assert int(np.argmax(beat.samples)) == window_len // 2
 
-    def test_degenerate_window(self):
-        sig = Signal(values=np.zeros(100), fs=FS)
-        assert extract_beat(sig, 50, 30).artifact
+    def test_left_overrun(self, monkeypatch):
+        # the window of 30 starts 15 samples before the peak
+        assert not cut(triangular_pulse(15, 100).values, 30, monkeypatch).artifact
+        assert cut(triangular_pulse(14, 100).values, 30, monkeypatch).artifact
+
+    def test_right_overrun(self, monkeypatch):
+        # and ends 14 samples after it
+        assert not cut(triangular_pulse(85, 100).values, 30, monkeypatch).artifact
+        assert cut(triangular_pulse(86, 100).values, 30, monkeypatch).artifact
+
+    def test_degenerate_window(self, monkeypatch):
+        # only a window of 2 can be constant: from 3 on it holds the peak
+        # and its right neighbour, which detect_peaks makes strictly lower
+        plateau = [0.0, 5.0, 5.0, 0.0]  # its peak is the plateau's last sample
+        assert cut(plateau, 2, monkeypatch).artifact
+        assert np.allclose(cut(plateau, 3, monkeypatch).samples, [0.5, 0.5, -1.0])
+        assert cut([0.0, 4.0, 5.0, 0.0], 2, monkeypatch).samples.tolist() == [-1.0, 1.0]
 
 
 class TestPreprocessRecord:

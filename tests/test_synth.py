@@ -4,8 +4,10 @@ import pytest
 from llt.embedding import embed_class
 from llt.features import feature_matrix
 from llt.linear_law import correlation, fit_law, law_variance
-from llt.synth import SynthSpec, exact_law, generate
+from llt.synth import SynthSpec, generate
 from llt.types import Label, Role
+
+from conftest import exact_law
 
 
 class TestRecurrenceSpec:

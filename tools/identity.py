@@ -35,6 +35,9 @@ Why each case is there:
   cut around their centre to lengths from 25 samples (the shortest
   `bandpass` accepts) to 360, written at 125 Hz (filter designs and
   record shapes that the 360-sample benchmark records never reach).
+  The 125 Hz records are also cut at `--window-len` 2 and 61, widths
+  the 30-sample cases never use: 2 is the only width at which a window
+  can be constant, and 61 overruns many of the short records.
 - the stage subcommands on the seed-1 corpus: `fit-law`,
   `scan-law-length`, `transform` of train.csv and test.csv, and for
   each of the five model kinds `train --val` (its stdout, which prints
@@ -84,6 +87,8 @@ CASES = (
     ("llt", "preprocess --in raw.csv --out beats.csv"),
     ("llt", "preprocess --in raw250.csv --out beats250.csv"),
     ("llt", "preprocess --in raw125.csv --out beats125.csv"),
+    ("llt", "preprocess --in raw125.csv --window-len 2 --out beats125-w2.csv"),
+    ("llt", "preprocess --in raw125.csv --window-len 61 --out beats125-w61.csv"),
     ("llt", "fit-law --train data-1/train.csv --out stages/normal.law"),
     ("llt", "scan-law-length --seed 1 --train data-1/train.csv --out stages/scan.csv"),
     ("llt", "transform --law stages/normal.law --in data-1/train.csv "
