@@ -15,11 +15,14 @@ The forest's split search sorts each candidate feature once per node
 and reads the left-hand label counts of every midpoint threshold off
 cumulative one-hot counts (`searchsorted(..., "left")` counts exactly
 the rows `x < thr`), then scores all thresholds' Gini impurities in one
-array expression. KNN predicts a whole batch: distances in row blocks of
-at most _KNN_BLOCK_ENTRIES entries, the k-th distance per row by
-partition and a sort of only the entries within it (the same neighbours,
-in the same order, as a stable sort of the whole row), votes for the
-block at once, and the summed-distance tie-break only for tied rows.
+array expression and picks the best in one Python pass over them. The
+forest predicts node by node: each node splits the indices of the rows
+that reach it, and the votes of all trees add up in one array. KNN
+predicts a whole batch: distances in row blocks of at most
+_KNN_BLOCK_ENTRIES entries, the k-th distance per row by partition and
+a sort of only the entries within it (the same neighbours, in the same
+order, as a stable sort of the whole row), votes for the block at once,
+and the summed-distance tie-break only for tied rows.
 
 The network's descent loop runs on one flat parameter vector and one
 flat gradient vector, with W1, b1, W2 and b2 as reshaped views, so an
@@ -354,17 +357,9 @@ def _best_split(X, y, counts, feats):
         gl = 1.0 - np.sum(pl * pl, axis=1)
         gr = 1.0 - np.sum(pr * pr, axis=1)
         imp = (nl * gl + nr * gr) / n
-        i = 0
-        while i < len(imp):
-            if best is None:
-                j = i
-            else:
-                hits = np.flatnonzero(imp[i:] < best[0] - 1e-15)
-                if not len(hits):
-                    break
-                j = i + hits[0]
-            best = (imp[j], f, float(thr[j]))
-            i = j + 1
+        for j, v in enumerate(imp.tolist()):
+            if best is None or v < best[0] - 1e-15:
+                best = (v, f, float(thr[j]))
     return best
 
 
@@ -407,10 +402,23 @@ def rf_fit(X, y, hp: Hyperparams) -> TrainedModel:
     )
 
 
-def _tree_predict(node, x):
-    while "leaf" not in node:
-        node = node["left"] if x[node["feature"]] < node["threshold"] else node["right"]
-    return node["leaf"]
+def _forest_votes(trees, X, n_labels) -> np.ndarray:
+    """(rows, n_labels) counts of the trees' leaf labels for the rows of
+    X. Each tree splits the row indices at every node it reaches by the
+    node's test `x[feature] < threshold`, so all rows pass a node at once."""
+    votes = np.zeros((len(X), n_labels), dtype=int)
+    for tree in trees:
+        stack = [(tree, np.arange(len(X)))]
+        while stack:
+            node, rows = stack.pop()
+            if not len(rows):
+                continue
+            if "leaf" in node:
+                votes[rows, node["leaf"]] += 1
+            else:
+                left = X[rows, node["feature"]] < node["threshold"]
+                stack += [(node["left"], rows[left]), (node["right"], rows[~left])]
+    return votes
 
 
 # ---------------------------------------------------------------- MLP
@@ -544,8 +552,8 @@ def predict_batch(model: TrainedModel, X) -> np.ndarray:
         dec = _rbf_kernel(X, p["support_vectors"], p["gamma"]) @ p["coef"] + p["b"]
         idx = (dec >= 0).astype(int)
     elif model.kind == "rf":
-        votes = np.array([[_tree_predict(t, x) for t in p["trees"]] for x in X])
-        idx = np.array([np.bincount(v, minlength=len(model.labels)).argmax() for v in votes])
+        # argmax breaks a tied vote toward the first label
+        idx = np.argmax(_forest_votes(p["trees"], X, len(model.labels)), axis=1)
     elif model.kind == "mlp":
         h = np.tanh(X @ p["W1"] + p["b1"])
         idx = np.argmax(h @ p["W2"] + p["b2"], axis=1)

@@ -48,31 +48,62 @@ def load_corpus(path, role: Role = Role.TRAIN) -> Corpus:
     sample values. A `*` after the label token (`E*,0,...`) marks an
     artifact beat, whose samples are placeholders. Row length fixes the
     corpus window length. A bad row is an ArtifactFileError naming
-    path:line."""
-    beats = []
-    window_len = None
+    path:line; of several, the first in the file.
+
+    One pass over the lines checks each row's label and length and keeps
+    its value text; `_sample_rows` then reads all the values at once."""
+    linenos, kinds, texts = [], [], []
+    parsed = {}  # label field -> (label, artifact flag), parsed once per file
+    window_len = error = None
     for lineno, line in data_lines(path):
-        fields = line.split(",")
-        token, rest = fields[0].strip(), fields[1:]
-        artifact = token.endswith(_ARTIFACT_MARK)
-        token = token.removesuffix(_ARTIFACT_MARK)
-        try:
-            label = Label.from_token(token)
-        except ValueError as e:
-            raise ArtifactFileError(f"{path}:{lineno}: {e}") from None
+        field, sep, values = line.partition(",")
+        kind = parsed.get(field)
+        if kind is None:
+            token = field.strip()
+            try:
+                kind = parsed[field] = (Label.from_token(token.removesuffix(_ARTIFACT_MARK)),
+                                        token.endswith(_ARTIFACT_MARK))
+            except ValueError as e:
+                error = f"{path}:{lineno}: {e}"
+                break
+        n = values.count(",") + 1 if sep else 0
         if window_len is None:
-            window_len = len(rest)
-            if window_len < 2:
-                raise ArtifactFileError(f"{path}:{lineno}: too few samples")
-        elif len(rest) != window_len:
-            raise ArtifactFileError(
-                f"{path}:{lineno}: expected {window_len} samples, got {len(rest)}"
-            )
-        beats.append(Beat(samples=_finite_cells(path, lineno, rest), label=label,
-                          artifact=artifact))
-    if window_len is None:
+            window_len = n
+        if n < 2 or n != window_len:
+            error = (f"{path}:{lineno}: too few samples" if n == window_len else
+                     f"{path}:{lineno}: expected {window_len} samples, got {n}")
+            break
+        linenos.append(lineno)
+        kinds.append(kind)
+        texts.append(values)
+    # a bad value in a row above a bad label or length is named first
+    samples = _sample_rows(path, linenos, texts, window_len) if texts else None
+    if error:
+        raise ArtifactFileError(error)
+    if samples is None:
         raise ArtifactFileError(f"{path}: no beats found")
-    return Corpus(beats=beats, window_len=window_len, role=role)
+    return Corpus(beats=[Beat(samples=row, label=label, artifact=artifact)
+                         for row, (label, artifact) in zip(samples, kinds)],
+                  window_len=window_len, role=role)
+
+
+def _sample_rows(path, linenos: list[int], texts: list[str], width: int) -> np.ndarray:
+    """The comma-separated value texts of n >= 1 beat rows (`np.loadtxt`
+    warns on none) as an (n, width) array of finite floats. `np.loadtxt`
+    reads them all at once; it parses every number it accepts as
+    `float()` does, and it rejects some that `float()` reads (`1_0`,
+    non-ASCII digits). If it fails, or its result has another shape (it
+    skips an empty row) or a non-finite value, each row is read again by
+    `_finite_cells`, which names the first bad cell or returns `float()`'s
+    values."""
+    try:
+        values = np.loadtxt(texts, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        values = None
+    if values is not None and values.shape == (len(texts), width) and np.isfinite(values).all():
+        return values
+    return np.array([_finite_cells(path, lineno, text.split(","))
+                     for lineno, text in zip(linenos, texts)]).reshape(len(texts), width)
 
 
 def _finite_cells(path, lineno: int, cells: list[str]) -> np.ndarray:
@@ -297,8 +328,9 @@ def _field_lines(name: str, typ: str, value) -> list[str]:
             lines += [f"tree {i} {len(nodes)}", *nodes]
         return lines
     arr = np.atleast_2d(value)
+    # the same bytes as `_fmt` per value, from one list of Python floats
     return [f"matrix {name} {arr.shape[0]} {arr.shape[1]}",
-            *(" ".join(_fmt(v) for v in row) for row in arr)]
+            *(" ".join(map("{:.17g}".format, row)) for row in arr.tolist())]
 
 
 def _read_tree(a: _Artifact, i: int, sizes: dict) -> dict:
@@ -371,9 +403,12 @@ def load_model(path) -> TrainedModel:
         a.fail(f"unknown model kind {kind!r}")
     feature_dim = a.field("feature_dim", int, 1)
     labels = a.field("labels").split(",")
-    if "" in labels or len(set(labels)) != len(labels) \
-            or (kind.startswith("svm") and len(labels) != 2):
-        a.fail(f"bad label list {a.header['labels']!r} for {kind}")
+    # a fit indexes its classes in sorted order, and a model file's header
+    # is not under its checksum: a swapped list would invert every label
+    classes = sorted({Label.NORMAL.value, Label.ECTOPIC.value} & set(labels))
+    if labels != classes or (kind.startswith("svm") and len(labels) != 2):
+        a.fail(f"bad label list {a.header['labels']!r} for {kind}: expected "
+               f"distinct class tokens in sorted order")
     sizes = {"1": 1, "d": feature_dim, "c": len(labels)}
     params, at = {}, {}  # at: field -> its last line, a param's only one
     for name, typ, letters in _MODEL_FIELDS[kind]:
@@ -411,6 +446,10 @@ def load_features(path) -> tuple[np.ndarray, list[str], list[tuple[str, int]]]:
     labels, rows = [], []
     for i in range(n_rows):
         label, *values = a.next(f"feature row {i}").split(",")
+        try:
+            Label.from_token(label)
+        except ValueError as e:
+            a.fail(f"feature row: {e}")
         labels.append(label)
         rows.append(a.reals(values, width, "feature row"))
     a.finish()

@@ -70,7 +70,9 @@ class Beat:
         self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.ndim != 1 or len(self.samples) < 2:
             raise ValueError("beat needs a 1-D sample vector of length >= 2")
-        if not np.all(np.isfinite(self.samples)):
+        # the array method: np.all's dispatch costs more than the test
+        # itself, once per beat of a loaded corpus
+        if not np.isfinite(self.samples).all():
             raise ValueError("beat contains non-finite samples")
 
 

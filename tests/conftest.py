@@ -68,6 +68,31 @@ def tree_depth(node):
     return 1 + max(tree_depth(node["left"]), tree_depth(node["right"]))
 
 
+def tree_predict(node, x):
+    """Oracle of one tree's vote in `classifiers.predict_batch`: walk
+    the row x from the root, left where x[feature] < threshold."""
+    while "leaf" not in node:
+        node = node["left"] if x[node["feature"]] < node["threshold"] else node["right"]
+    return node["leaf"]
+
+
+def float_rows(path):
+    """Oracle of `dataset_io.load_corpus` on a well-formed beat CSV: per
+    line that is neither blank nor a `#` comment, its label token, its
+    artifact flag and `float()` of each of its value cells, in file
+    order."""
+    rows = []
+    with open(path, encoding="utf-8") as f:
+        for line in f:
+            line = line.strip()
+            if line and not line.startswith("#"):
+                token, *cells = line.split(",")
+                token = token.strip()
+                rows.append((token.removesuffix("*"), token.endswith("*"),
+                             [float(c) for c in cells]))
+    return rows
+
+
 @pytest.fixture
 def sin_beats():
     return sinusoid_beats(0.3, 20, length=30, seed=1)

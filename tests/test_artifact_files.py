@@ -226,6 +226,8 @@ DAMAGED = [
     ("mlp", edit("mlp", 2, ["kind=cnn"]), r"mlp:2: unknown model kind 'cnn'"),
     ("mlp", edit("mlp", 3, ["feature_dim=0"]), r"mlp:3: header field 'feature_dim': '0' is out of range"),
     ("svm-linear", edit("svm-linear", 4, ["labels=N"]), r"svm-linear:4: bad label list 'N'"),
+    ("rf", edit("rf", 4, ["labels=N,E"]), r"rf:4: bad label list 'N,E' for rf"),
+    ("knn", edit("knn", 4, ["labels=E,Q"]), r"knn:4: bad label list 'E,Q' for knn"),
     ("svm-rbf", edit("svm-rbf", 7, []), r"svm-rbf:7: expected 'param gamma=', got 'matrix coef 1 2'"),
     ("knn", edit("knn", 7, ["param metric=manhattan"]), r"knn:7: unknown metric 'manhattan'"),
     ("knn", edit("knn", 7, ["param metric=euclidean"]), r"knn:7: unknown metric 'euclidean'"),
@@ -244,6 +246,8 @@ DAMAGED = [
     ("features", edit("features", 5, ["N,nan,1,2"]), r"features:5: feature row: 'nan' is not finite"),
     ("features", edit("features", 5, ["N,1,2"]), r"features:5: feature row: expected 3 values, got 2"),
     ("features", edit("features", 5, ["N,1,x,2"]), r"features:5: feature row: 'x' is not a number"),
+    ("features", edit("features", 6, ["Q,2,3,-1e-300"]),
+     r"features:6: feature row: unknown label token 'Q'"),
     ("features", edit("features", 2, ["layout=Normal:x"]),
      r"features:2: layout segment 'Normal': 'x' is not an integer"),
     ("features", edit("features", 3, ["rows=1"]), r"features:6: unexpected payload line 'E,2"),

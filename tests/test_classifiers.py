@@ -24,7 +24,23 @@ from llt.features import feature_matrix
 from llt.synth import SynthSpec, generate
 from llt.types import ConvergenceError, Corpus, Label
 
-from conftest import tree_depth
+from conftest import tree_depth, tree_predict
+
+
+def hard_features():
+    """Training and test features and labels of `llt synth --beats 1000
+    --noise 0.2 --omega-b 0.4`, split as `llt reproduce` splits it:
+    noisy classes that overlap."""
+    spec = SynthSpec(omega_b=0.4, beats=1000, noise=0.2)
+    train, val, test = generate(spec)
+    full = Corpus(beats=train.beats + val.beats, window_len=spec.window_len)
+    train, _ = dataset_io.split_train_validation(full, dataset_io.SplitSpec())
+    law = linear_law.fit_law(train.with_label(Label.NORMAL), 12, "Normal")
+    X = feature_matrix(train.beats, law)
+    y = [b.label.value for b in train.beats]
+    Xt = feature_matrix(test.beats, law)
+    yt = np.array([b.label.value for b in test.beats])
+    return X, y, Xt, yt
 
 
 def smo_dual_objective(alpha, ys, K):
@@ -173,6 +189,41 @@ class TestRandomForest:
         X = np.zeros((5, 2))
         model = rf_fit(X, ["N"] * 5, Hyperparams(rf_estimators=2))
         assert all(t == {"leaf": 0} for t in model.params["trees"])
+
+    def test_predict_equals_per_row_walk_on_hard_corpus(self):
+        X, y, Xt, _ = hard_features()
+        model = rf_fit(X, y, Hyperparams(rf_estimators=10))
+        for Q in (X, Xt):
+            votes = forest_votes_oracle(model, Q)
+            # 5-5 ties occur, and argmax gives them to the first label
+            assert np.any(votes[:, 0] == 5)
+            assert np.array_equal(predict_batch(model, Q),
+                                  np.array(model.labels)[np.argmax(votes, axis=1)])
+            assert np.array_equal(predict_batch(model, Q), forest_oracle(model, Q))
+
+    def test_row_on_the_threshold_goes_right(self):
+        tree = {"feature": 0, "threshold": 0.5, "left": {"leaf": 0},
+                "right": {"feature": 1, "threshold": -1.0, "left": {"leaf": 0},
+                          "right": {"leaf": 1}}}
+        model = TrainedModel(kind="rf", feature_dim=2, labels=["E", "N"],
+                             params={"trees": [tree]})
+        Q = np.array([[0.5, -1.0], [0.5, -1.5], [0.25, 7.0], [np.nextafter(0.5, 0), 7.0]])
+        assert list(predict_batch(model, Q)) == ["N", "E", "E", "E"]
+        assert list(forest_oracle(model, Q)) == ["N", "E", "E", "E"]
+
+    def test_near_tie_keeps_first_candidate(self):
+        # y has 2 of label 0 and 6 of label 1. Feature 0 puts two 1s
+        # left, feature 1 a 0 and a 1: both splits have Gini 1/3, which
+        # rounds to 0.3333333333333333 and 0.33333333333333326. The later,
+        # lower one is not lower by more than 1e-15, so the first stays.
+        y = np.array([0, 0, 1, 1, 1, 1, 1, 1])
+        X = np.array([[1, 0], [1, 1], [0, 0], [0, 1], [1, 1], [1, 1], [1, 1], [1, 1]],
+                     dtype=float)
+        counts = np.bincount(y)
+        first = classifiers._best_split(X[:, :1], y, counts, np.array([0]))
+        later = classifiers._best_split(X[:, 1:], y, counts, np.array([0]))
+        assert 0 < first[0] - later[0] < 1e-15
+        assert classifiers._best_split(X, y, counts, np.array([1, 0])) == (first[0], 0, 0.5)
 
 
 class TestMLP:
@@ -384,18 +435,9 @@ class TestSMO:
             fit(X, y, Hyperparams())
 
     def test_hard_corpus(self):
-        # `llt synth --beats 1000 --noise 0.2 --omega-b 0.4`, split as
-        # `llt reproduce` splits it: an RBF SVM stopped before its KKT gap
-        # closes scores far below the linear SVM on this corpus
-        spec = SynthSpec(omega_b=0.4, beats=1000, noise=0.2)
-        train, val, test = generate(spec)
-        full = Corpus(beats=train.beats + val.beats, window_len=spec.window_len)
-        train, _ = dataset_io.split_train_validation(full, dataset_io.SplitSpec())
-        law = linear_law.fit_law(train.with_label(Label.NORMAL), 12, "Normal")
-        X = feature_matrix(train.beats, law)
-        y = [b.label.value for b in train.beats]
-        Xt = feature_matrix(test.beats, law)
-        yt = np.array([b.label.value for b in test.beats])
+        # an RBF SVM stopped before its KKT gap closes scores far below
+        # the linear SVM on this corpus
+        X, y, Xt, yt = hard_features()
         acc = {}
         for fit in (linear_svm_fit, rbf_svm_fit):
             model = fit(X, y, Hyperparams())
@@ -504,6 +546,19 @@ def _oracle_forest(X, y, hp):
     return trees
 
 
+def forest_votes_oracle(model, Q):
+    """Per-label vote counts of the forest's trees for each row of Q,
+    one row through one tree at a time."""
+    votes = np.array([[tree_predict(t, q) for t in model.params["trees"]] for q in Q])
+    return np.array([np.bincount(v, minlength=len(model.labels)) for v in votes])
+
+
+def forest_oracle(model, Q):
+    """The forest's labels for Q by the per-row walk: the most votes, a
+    tie to the first label."""
+    return np.array(model.labels)[np.argmax(forest_votes_oracle(model, Q), axis=1)]
+
+
 def _oracle_knn_predict_one(p, x):
     d = np.max(np.abs(p["X"] - x), axis=1)
     order = np.argsort(d, kind="stable")[: p["k"]]
@@ -541,6 +596,21 @@ def test_rf_trees_equal_per_threshold_search(data, depth, estimators, seed):
     X, y = data
     hp = Hyperparams(rf_estimators=estimators, rf_depth=depth, seed=seed)
     assert rf_fit(X, y, hp).params["trees"] == _oracle_forest(X, y, hp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_labelled_rows(), queries=st.data(), depth=st.integers(1, 6),
+       estimators=st.integers(1, 12), seed=st.integers(0, 2 ** 16))
+def test_rf_predict_equals_per_row_walk(data, queries, depth, estimators, seed):
+    X, y = data
+    model = rf_fit(X, y, Hyperparams(rf_estimators=estimators, rf_depth=depth, seed=seed))
+    m = queries.draw(st.integers(1, 12))
+    # the training values include midpoints that round onto a value, so
+    # some query rows sit exactly on a threshold
+    Q = np.array(queries.draw(st.lists(st.sampled_from(_TIE_VALUES), min_size=m * X.shape[1],
+                                       max_size=m * X.shape[1]))).reshape(m, X.shape[1])
+    for rows in (Q, X):
+        assert np.array_equal(predict_batch(model, rows), forest_oracle(model, rows))
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from llt import dataset_io
 from llt.classifiers import (
     Hyperparams,
     knn_fit,
@@ -27,7 +30,7 @@ from llt.dataset_io import (
 from llt.linear_law import fit_law
 from llt.types import Beat, Corpus, Label, Role
 
-from conftest import random_beats
+from conftest import float_rows, random_beats
 
 
 class TestCorpusFormat:
@@ -99,6 +102,53 @@ class TestCorpusFormat:
             load_corpus(path)
         assert str(e.value) == f"{path}:2: column 2: '{cell}' is not finite"
 
+    @pytest.mark.parametrize("text, message", [
+        ("N,1,2,3\nN\nE,4,5,6\n", "2: expected 3 samples, got 0"),
+        ("N,1,2,3\nE,4,5,6,7\n", "2: expected 3 samples, got 4"),
+        ("N,1,2,3\nE,4,#5,6\n", "2: column 3: '#5' is not a number"),
+        ("N,1,2,3 # note\n", "1: column 4: '3 # note' is not a number"),
+        ("N,1,nan,3\n", "1: column 3: 'nan' is not finite"),
+        ("N,1,2,3\nE,4,5,1e999\n", "2: column 4: '1e999' is not finite"),
+        ("N,1,,3\n", "1: column 3: '' is not a number"),
+        ("N,1\n", "1: too few samples"),
+        ("N\n", "1: too few samples"),
+        # the first bad row in the file is named, whatever its fault
+        ("N,1,x,3\nQ,4,5,6\n", "1: column 3: 'x' is not a number"),
+        ("N,1,x,3\nE,4,5\n", "1: column 3: 'x' is not a number"),
+        ("Q,1,x,3\nE,4,y,6\n", "1: unknown label token 'Q'"),
+        ("N,1,2\nE,4\nE,x,6\n", "2: expected 2 samples, got 1"),
+    ], ids=["value-less row", "long row", "hash in a cell", "hash after a cell", "nan",
+            "overflow", "empty cell", "one sample", "no sample", "value before label",
+            "value before length", "label before value", "length before value"])
+    def test_bad_row_message(self, tmp_path, text, message):
+        path = tmp_path / "c.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ArtifactFileError) as e:
+            load_corpus(path)
+        assert str(e.value) == f"{path}:{message}"
+
+    @pytest.mark.parametrize("text, values", [
+        ("N,1_0,2,3\nE,4,5,6\n", [[10.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+        ("N,1,2,3\nE,\u0661\u0662,5,6\n", [[1.0, 2.0, 3.0], [12.0, 5.0, 6.0]]),
+        ("N, 1 ,\t2,3\u2003\nE*,-0,5e-324,1e308\n", [[1.0, 2.0, 3.0], [-0.0, 5e-324, 1e308]]),
+    ], ids=["underscore", "arabic-indic digits", "padding, -0, subnormal"])
+    def test_values_equal_float(self, tmp_path, text, values):
+        # np.loadtxt rejects `1_0` and non-ASCII digits, which float() reads
+        path = tmp_path / "c.csv"
+        path.write_text(text, encoding="utf-8")
+        samples = load_corpus(path).samples
+        assert samples.tobytes() == np.array(values).tobytes()
+        assert samples.tobytes() == np.array([r for *_, r in float_rows(path)]).tobytes()
+
+    def test_well_formed_file_read_in_bulk(self, tmp_path, monkeypatch):
+        # the row-by-row read is only a fallback; the bulk read gives the
+        # same bytes on a file it accepts
+        path = tmp_path / "c.csv"
+        path.write_text("# header\nN,0.1,-0,3e-320\n\nE*, 1e308 ,2,-3\n")
+        expected = load_corpus(path).samples.tobytes()
+        monkeypatch.setattr(dataset_io, "_finite_cells", None)
+        assert load_corpus(path).samples.tobytes() == expected
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("# nothing\n")
@@ -136,6 +186,45 @@ class TestCorpusFormat:
         with pytest.raises(ArtifactFileError) as e:
             load_raw_signals(path)
         assert str(e.value) == f"{path}:3: {message}"
+
+
+# planted in every corpus of the property below: signed zeros,
+# subnormals, the smallest normal, the largest doubles, and two values
+# whose shortest form has fewer digits than the 17 written
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
+                1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.integers(1, 300), width=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1),
+       drawn=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20),
+       extra_lines=st.lists(st.sampled_from(["", "   ", "# a comment", "#E,1,2", " # x"]),
+                            max_size=6))
+def test_load_corpus_equals_float_oracle(tmp_path, rows, width, seed, drawn, extra_lines):
+    """A corpus written by save_corpus, with comment and blank lines put
+    in, reads back bit for bit as `float()` reads each row."""
+    rng = np.random.default_rng(seed)
+    samples = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-300, 300, (rows, width))
+    planted = np.array(_EDGE_VALUES + drawn)
+    at = rng.integers(0, rows * width, len(planted))
+    samples.ravel()[at] = planted
+    beats = [Beat(samples=s, label=list(Label)[rng.integers(3)], artifact=bool(rng.random() < 0.2))
+             for s in samples]
+    path = tmp_path / "c.csv"
+    save_corpus(Corpus(beats=beats, window_len=width), path)
+    lines = path.read_text().splitlines()
+    for line in extra_lines:
+        lines.insert(int(rng.integers(0, len(lines) + 1)), line)
+    path.write_text("\n".join(lines) + "\n")
+
+    corpus = load_corpus(path)
+    oracle = float_rows(path)
+    assert corpus.samples.tobytes() == np.array([v for *_, v in oracle]).tobytes()
+    assert corpus.samples.tobytes() == samples.tobytes()
+    assert [(b.label.value, b.artifact) for b in corpus.beats] == [r[:2] for r in oracle]
+    assert [(b.label, b.artifact) for b in corpus.beats] == [(b.label, b.artifact)
+                                                             for b in beats]
 
 
 class TestSplit:

@@ -44,6 +44,16 @@ Why each case is there:
   the validation accuracy) and `evaluate --report`. They reach the
   feature-file, scan and model readers and writers that `reproduce`
   does not call.
+- `hand`: a hand-written beat CSV, `hand.csv`, with comment and blank
+  lines, cells padded with spaces and a tab, `*` artifact rows, a `?`
+  row, `-0`, a subnormal and a `1_0` cell, through `fit-law --law-len 3`
+  and `transform`. `load_corpus` reads a file's values in one
+  `np.loadtxt` call, which rejects `1_0`, and then reads such a file
+  again row by row with `float()`. A base commit may read every file
+  with `float()`, so both sides must write the same bytes: the case
+  checks that the fallback and its line handling match. `hand-bulk.csv`
+  is the same file with `10` for `1_0`, which the bulk read accepts,
+  padding included.
 - the three benchmark workloads (`perfbench/workloads.py`) on seeds
   1-10: the inputs each one generates, the files a pass writes, and
   the pass's `fingerprint()`, which `perfbench/run.py` requires to be
@@ -89,6 +99,10 @@ CASES = (
     ("llt", "preprocess --in raw125.csv --out beats125.csv"),
     ("llt", "preprocess --in raw125.csv --window-len 2 --out beats125-w2.csv"),
     ("llt", "preprocess --in raw125.csv --window-len 61 --out beats125-w61.csv"),
+    ("hand",),
+    ("llt", "fit-law --law-len 3 --train hand.csv --out stages/hand.law"),
+    *(("llt", f"transform --law stages/hand.law --in {f}.csv --out stages/{f}_features.csv")
+      for f in ("hand", "hand-bulk")),
     ("llt", "fit-law --train data-1/train.csv --out stages/normal.law"),
     ("llt", "scan-law-length --seed 1 --train data-1/train.csv --out stages/scan.csv"),
     ("llt", "transform --law stages/normal.law --in data-1/train.csv "
@@ -136,6 +150,28 @@ def _records() -> None:
                 f.write(f"{fs:g};" + ",".join(f"{v:.17g}" for v in y) + "\n")
 
 
+# the `hand` case's beats; `{ten}` is `1_0` in hand.csv, `10` in hand-bulk.csv
+HAND_CSV = """\
+# hand-written beats
+N,0.5,{ten},-0.25, 0.75 ,1.5,-1,0.125,2
+
+N, -0 ,0.3,0.9,-0.6,5e-324,0.2,-0.8,1.1
+   # an indented comment
+#E,1,2,3,4,5,6,7,8
+E*,0,0,0,0,0,0,0,0
+N,1.25,-0.5,0.0625,\t0.7,-1.3,0.4,0.9,-0.2
+E,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8e-1
+?,0.3,-0.3,0.6,-0.6,0.9,-0.9,1.2,-1.2
+ N* ,0,0,0,0,0,0,0,0
+"""
+
+
+def _hand() -> None:
+    """hand.csv and hand-bulk.csv: the `hand` case's beat CSVs."""
+    for path, ten in (("hand.csv", "1_0"), ("hand-bulk.csv", "10")):
+        Path(path).write_text(HAND_CSV.format(ten=ten), encoding="utf-8")
+
+
 def _workload(name: str, seed: int) -> None:
     """One pass of a benchmark workload in `NAME-SEED/`, and its
     fingerprint in `NAME-SEED/fingerprint.txt`."""
@@ -157,7 +193,7 @@ def write_tree(src: str) -> None:
     if Path(cli.__file__).resolve().parents[1] != Path(src).resolve():
         raise SystemExit(f"llt imported from {cli.__file__}, not from {src}")
     Path("stages").mkdir()
-    runners = {"llt": _llt, "records": _records, "workload": _workload}
+    runners = {"llt": _llt, "records": _records, "hand": _hand, "workload": _workload}
     for runner, *args in CASES:
         runners[runner](*args)
 
