@@ -497,16 +497,6 @@ class _MLPWorkspace:
         return loss
 
 
-def mlp_loss_grad(params: dict, X: np.ndarray, targets: np.ndarray):
-    """Cross-entropy loss and analytic gradients for the tanh network,
-    from the kernel `mlp_fit` runs.
-
-    targets: integer class indices (0/1).
-    """
-    ws = _MLPWorkspace(np.asarray(X, dtype=float), np.asarray(targets), params)
-    return ws.loss_grad(), ws.grads
-
-
 def mlp_fit(X, y, hp: Hyperparams) -> TrainedModel:
     """Full-batch gradient descent on cross-entropy; tanh hidden layer,
     two softmax outputs. Learning rate halves when the loss rises."""

@@ -8,7 +8,9 @@ to fit or score against. `reproduce` checks that the validation part
 and the test corpus each hold a labelled beat before any fit, and
 `evaluate` checks its test corpus before any prediction
 (`_check_scoreable`). A law fit's errors name the class and width
-(`linear_law.fit_law`), to which `_naming` adds the file.
+(`linear_law.fit_law`), to which `_naming` adds the file; `_naming`
+also adds the training file to a classifier fit's errors (one class
+only, a `knn_k` above the rows, a solver that did not converge).
 
 Each subcommand takes as flags only the settings its handler reads, its
 entry of READS: fields of PreprocessConfig for `preprocess`, of
@@ -265,7 +267,8 @@ def cmd_train(args, cfg: RunConfig) -> int:
         if Xv.shape[1] != X.shape[1]:
             raise ValueError(f"--features {args.features} has {X.shape[1]} features "
                              f"per row but --val {args.val} has {Xv.shape[1]}")
-    model = _fitters()[args.model](X, labels, cfg)
+    with _naming(args.features):
+        model = _fitters()[args.model](X, labels, cfg)
     if args.val:
         acc = float(np.mean(predict_batch(model, Xv) == np.array(yv)))
         print(f"validation accuracy {acc:.4f}")
@@ -318,8 +321,9 @@ def run_reproduce(data_dir, out_dir, cfg: RunConfig) -> int:
     with _naming(data / "train.csv"):
         law = linear_law.fit_law(train.rows(Label.NORMAL), cfg.law_len, "Normal")
     X_tr, y_tr, fit_role = _fit_rows(train, law, data / "train.csv")
-    models = [(f"knn-k{cfg.knn_k}" if kind == "knn" else kind, fit(X_tr, y_tr, cfg))
-              for kind, fit in _fitters().items()]
+    with _naming(data / "train.csv"):
+        models = [(f"knn-k{cfg.knn_k}" if kind == "knn" else kind, fit(X_tr, y_tr, cfg))
+                  for kind, fit in _fitters().items()]
     fit_inputs = [("law", train.role)] + [(name, fit_role) for name, _ in models]
     if any(role == Role.TEST for _, role in fit_inputs):
         sys.stderr.write("audit failure: test corpus consumed by a fit\n")

@@ -3,8 +3,16 @@
 Laws, models and feature matrices share one envelope, written by
 `write_artifact` and checked when an `_Artifact` reads it: `version=`,
 the artifact's key=value header, `checksum=` (sha256 of the payload),
-then the payload. Reals are written with 17 significant digits so that
-parse(serialize(x)) reproduces every double bit-exactly.
+then the payload.
+
+Every file kind stores its reals as rows, and one codec reads and writes
+them: beat-CSV and feature rows (after their label), raw-signal records
+(after their rate), law coefficients (one per line) and model matrices
+(space-separated). `_real_lines` writes each row's reals with 17
+significant digits, so that parse(serialize(x)) reproduces every double
+bit-exactly. `_real_rows` reads the rows of a file at once; their
+callers first check each row's label and value count in one pass over
+the lines, so that a file with several faults names the first.
 """
 
 from __future__ import annotations
@@ -21,6 +29,9 @@ from .types import Beat, Corpus, Label, LinearLaw, Role, Signal
 FORMAT_VERSION = "1"
 # follows the label token of an artifact beat in a beat CSV
 _ARTIFACT_MARK = "*"
+# ASCII separators that `np.loadtxt` strips around a value as whitespace
+# and `float()` rejects
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
 class ArtifactFileError(ValueError):
@@ -29,6 +40,66 @@ class ArtifactFileError(ValueError):
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+def _real_lines(values: np.ndarray, sep: str) -> list[str]:
+    """Each row of the 2-D `values` as one line of its reals joined by
+    `sep`: the bytes of `_fmt` per value, from one list of Python floats."""
+    fmt = "{:.17g}".format
+    return [sep.join(map(fmt, row)) for row in values.tolist()]
+
+
+def _real_rows(path, linenos: list[int], texts: list[str], width: int, sep: str | None,
+               what: str) -> np.ndarray:
+    """The value texts of n rows, each holding `width` values separated
+    by `sep` (`None`: whitespace), as an (n, width) array of finite
+    floats.
+
+    `np.loadtxt` reads all the rows at once; it parses every number it
+    accepts as `float()` does, and it rejects some that `float()` reads
+    (`1_0`, non-ASCII digits). If it fails, or its result has another
+    shape (it skips an empty row) or a non-finite value, `_float_rows`
+    reads the rows again, and names the first bad cell as
+    `path:line: <what>: ...` or gives `float()`'s values. So it does
+    when a row is empty or holds one of `_LOADTXT_ONLY_SPACE`: on no
+    value `np.loadtxt` warns, and it strips those around a value."""
+    values = None
+    blob = "".join(texts)
+    if width and texts and all(texts) and not any(c in blob for c in _LOADTXT_ONLY_SPACE):
+        try:
+            values = np.loadtxt(texts, delimiter=sep, comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if values is not None and values.shape == (len(texts), width) and np.isfinite(values).all():
+        return values
+    return _float_rows(path, linenos, texts, width, sep, what)
+
+
+def _float_rows(path, linenos: list[int], texts: list[str], width: int, sep: str | None,
+                what: str) -> np.ndarray:
+    """The rows of `_real_rows`, read one cell at a time with `float()`.
+    A bad cell fails as `path:line: <what>: 'cell' is not a number` (or
+    `is not finite`); a `{}` in `what` becomes the cell's column,
+    counting a row's leading field (a label or a sampling rate) as
+    column 1. The callers check each row's value count, except for law
+    lines: a row that does not split into `width` cells is one cell,
+    which then is not a number, as a law line with a comma is not."""
+    rows = []
+    for lineno, text in zip(linenos, texts):
+        cells = text.split(sep)
+        row = []
+        for column, cell in enumerate(cells if len(cells) == width else [text], start=2):
+            try:
+                value = float(cell)
+            except ValueError:
+                value = None
+            if value is None or not math.isfinite(value):
+                raise ArtifactFileError(
+                    f"{path}:{lineno}: {what.format(column)}: {cell!r} is not "
+                    f"{'a number' if value is None else 'finite'}")
+            row.append(value)
+        rows.append(row)
+    return np.array(rows).reshape(len(texts), width)
 
 
 def data_lines(path):
@@ -51,7 +122,7 @@ def load_corpus(path, role: Role = Role.TRAIN) -> Corpus:
     path:line; of several, the first in the file.
 
     One pass over the lines checks each row's label and length and keeps
-    its value text; `_sample_rows` then reads all the values at once."""
+    its value text; `_real_rows` then reads all the values at once."""
     linenos, kinds, texts = [], [], []
     parsed = {}  # label field -> (label, artifact flag), parsed once per file
     window_len = error = None
@@ -77,7 +148,7 @@ def load_corpus(path, role: Role = Role.TRAIN) -> Corpus:
         kinds.append(kind)
         texts.append(values)
     # a bad value in a row above a bad label or length is named first
-    samples = _sample_rows(path, linenos, texts, window_len) if texts else None
+    samples = _real_rows(path, linenos, texts, window_len, ",", "column {}") if texts else None
     if error:
         raise ArtifactFileError(error)
     if samples is None:
@@ -87,52 +158,14 @@ def load_corpus(path, role: Role = Role.TRAIN) -> Corpus:
                   window_len=window_len, role=role)
 
 
-def _sample_rows(path, linenos: list[int], texts: list[str], width: int) -> np.ndarray:
-    """The comma-separated value texts of n >= 1 beat rows (`np.loadtxt`
-    warns on none) as an (n, width) array of finite floats. `np.loadtxt`
-    reads them all at once; it parses every number it accepts as
-    `float()` does, and it rejects some that `float()` reads (`1_0`,
-    non-ASCII digits). If it fails, or its result has another shape (it
-    skips an empty row) or a non-finite value, each row is read again by
-    `_finite_cells`, which names the first bad cell or returns `float()`'s
-    values."""
-    try:
-        values = np.loadtxt(texts, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        values = None
-    if values is not None and values.shape == (len(texts), width) and np.isfinite(values).all():
-        return values
-    return np.array([_finite_cells(path, lineno, text.split(","))
-                     for lineno, text in zip(linenos, texts)]).reshape(len(texts), width)
-
-
-def _finite_cells(path, lineno: int, cells: list[str]) -> np.ndarray:
-    """The cells of one CSV row as finite floats. A bad cell fails as
-    `path:line: column c: ...`, where column 1 is the row's leading
-    field (the label or the sampling rate)."""
-    try:
-        values = np.array([float(c) for c in cells])
-        if np.isfinite(values).all():
-            return values
-    except ValueError:
-        pass
-    for column, cell in enumerate(cells, start=2):
-        try:
-            value = float(cell)
-        except ValueError:
-            raise ArtifactFileError(
-                f"{path}:{lineno}: column {column}: {cell!r} is not a number") from None
-        if not math.isfinite(value):
-            raise ArtifactFileError(f"{path}:{lineno}: column {column}: {cell!r} is not finite")
-
-
 def save_corpus(corpus: Corpus, path) -> None:
     """Beat CSV as `load_corpus` reads it; only artifact beats carry the
     marker, so a corpus without artifacts is plain `LABEL,v1,...` rows."""
+    tokens = [label + _ARTIFACT_MARK if artifact else label
+              for label, artifact in zip(corpus.labels.tolist(), corpus.artifact.tolist())]
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for b in corpus.beats:
-            token = b.label.value + (_ARTIFACT_MARK if b.artifact else "")
-            f.write(token + "," + ",".join(_fmt(v) for v in b.samples) + "\n")
+        f.write("".join(token + "," + row + "\n"
+                        for token, row in zip(tokens, _real_lines(corpus.samples, ","))))
 
 
 def load_raw_signals(path) -> list[Signal]:
@@ -149,7 +182,9 @@ def load_raw_signals(path) -> list[Signal]:
         if not sep or not 0.0 < fs < math.inf:
             raise ArtifactFileError(f"{path}:{lineno}: expected 'fs;v0,v1,...' with a "
                                     f"positive finite fs, got {line[:40]!r}")
-        out.append(Signal(values=_finite_cells(path, lineno, vals_part.split(",")), fs=fs))
+        width = vals_part.count(",") + 1
+        values = _real_rows(path, [lineno], [vals_part], width, ",", "column {}")
+        out.append(Signal(values=values[0], fs=fs))
     if not out:
         raise ArtifactFileError(f"{path}: no records found")
     return out
@@ -251,10 +286,27 @@ class _Artifact:
         self.pos += 1
         return line
 
-    def reals(self, tokens: list[str], count: int, what: str) -> list[float]:
-        if len(tokens) != count:
-            self.fail(f"{what}: expected {count} values, got {len(tokens)}")
-        return [self.number(t, float, what) for t in tokens]
+    def rows(self, n: int, line_what: str, width: int, sep: str | None, what: str,
+             value_text=None) -> np.ndarray:
+        """The next n payload lines as an (n, width) array of reals, read
+        by `_real_rows` with `sep` and `what`. `value_text(line)` checks a
+        line (its label, its value count) and returns its value text; by
+        default the whole line is. A fault (a failed check, or a line
+        missing: `line_what`, in which `{}` becomes the row's index) is
+        raised once the lines above it are read, so the first bad line
+        of a file is named."""
+        linenos, texts, error = [], [], None
+        try:
+            for i in range(n):
+                line = self.next(line_what.format(i))
+                texts.append(value_text(line) if value_text else line)
+                linenos.append(self.lineno)
+        except ArtifactFileError as e:
+            error = e
+        values = _real_rows(self.path, linenos, texts, width, sep, what)
+        if error:
+            raise error
+        return values
 
     def finish(self) -> None:
         if self.pos < len(self.lines):
@@ -267,7 +319,7 @@ class _Artifact:
 def save_law(law: LinearLaw, path) -> None:
     write_artifact(path, {"class": law.class_tag, "l": law.width,
                           "lambda": _fmt(law.lam), "rows": law.train_row_count},
-                   [_fmt(v) for v in law.w])
+                   _real_lines(law.w[:, None], ","))
 
 
 def load_law(path) -> LinearLaw:
@@ -275,10 +327,10 @@ def load_law(path) -> LinearLaw:
     width = a.field("l", int, 1)
     lam = a.field("lambda", float)
     rows = a.field("rows", int, 0)
-    w = [a.number(a.next("coefficient"), float, "coefficient") for _ in range(width)]
+    w = a.rows(width, "coefficient", 1, ",", "coefficient")
     a.finish()
     try:
-        return LinearLaw(w=np.array(w), lam=lam, class_tag=a.header["class"],
+        return LinearLaw(w=w.ravel(), lam=lam, class_tag=a.header["class"],
                          train_row_count=rows)
     except ValueError as e:
         raise ArtifactFileError(f"{path}: {e}") from None
@@ -328,9 +380,7 @@ def _field_lines(name: str, typ: str, value) -> list[str]:
             lines += [f"tree {i} {len(nodes)}", *nodes]
         return lines
     arr = np.atleast_2d(value)
-    # the same bytes as `_fmt` per value, from one list of Python floats
-    return [f"matrix {name} {arr.shape[0]} {arr.shape[1]}",
-            *(" ".join(map("{:.17g}".format, row)) for row in arr.tolist())]
+    return [f"matrix {name} {arr.shape[0]} {arr.shape[1]}", *_real_lines(arr, " ")]
 
 
 def _read_tree(a: _Artifact, i: int, sizes: dict) -> dict:
@@ -384,8 +434,14 @@ def _read_field(a: _Artifact, name: str, typ: str, letters: str, sizes: dict):
     if typ == "labels":
         return np.array(values, dtype=int)
     rows, cols = shape
-    arr = np.array([a.reals(a.next(f"row {r} of {name}").split(), cols, name)
-                    for r in range(rows)]).reshape(rows, cols)
+
+    def counted(line: str) -> str:
+        n = len(line.split())
+        if n != cols:
+            a.fail(f"{name}: expected {cols} values, got {n}")
+        return line
+
+    arr = a.rows(rows, "row {} of " + name, cols, None, name, counted)
     return arr.ravel() if typ == "vector" else arr
 
 
@@ -429,8 +485,7 @@ def save_features(path, X: np.ndarray, labels: list[str],
                   layout: list[tuple[str, int]]) -> None:
     write_artifact(path, {"layout": ";".join(f"{tag}:{n}" for tag, n in layout),
                           "rows": len(labels)},
-                   [str(lbl) + "," + ",".join(_fmt(v) for v in row)
-                    for lbl, row in zip(labels, X)])
+                   [str(lbl) + "," + row for lbl, row in zip(labels, _real_lines(X, ","))])
 
 
 def load_features(path) -> tuple[np.ndarray, list[str], list[tuple[str, int]]]:
@@ -443,14 +498,20 @@ def load_features(path) -> tuple[np.ndarray, list[str], list[tuple[str, int]]]:
         layout.append((tag, a.number(n, int, f"layout segment {tag!r}", 1)))
     n_rows = a.field("rows", int, 0)
     width = sum(n for _, n in layout)
-    labels, rows = [], []
-    for i in range(n_rows):
-        label, *values = a.next(f"feature row {i}").split(",")
+    labels = []
+
+    def labelled(line: str) -> str:
+        label, sep, values = line.partition(",")
         try:
             Label.from_token(label)
         except ValueError as e:
             a.fail(f"feature row: {e}")
+        n = values.count(",") + 1 if sep else 0
+        if n != width:
+            a.fail(f"feature row: expected {width} values, got {n}")
         labels.append(label)
-        rows.append(a.reals(values, width, "feature row"))
+        return values
+
+    X = a.rows(n_rows, "feature row {}", width, ",", "feature row", labelled)
     a.finish()
-    return np.array(rows).reshape(n_rows, width), labels, layout
+    return X, labels, layout

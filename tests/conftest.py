@@ -18,6 +18,7 @@ with warnings.catch_warnings():
     except ImportError:
         pass
 
+from llt.classifiers import _MLPWorkspace
 from llt.types import Beat, Label, LinearLaw
 
 
@@ -74,6 +75,14 @@ def tree_predict(node, x):
     while "leaf" not in node:
         node = node["left"] if x[node["feature"]] < node["threshold"] else node["right"]
     return node["leaf"]
+
+
+def mlp_loss_grad(params, X, targets):
+    """Cross-entropy loss and analytic gradients of the tanh network at
+    `params`, from the kernel `classifiers.mlp_fit` runs; `targets` are
+    class indices (0/1)."""
+    ws = _MLPWorkspace(np.asarray(X, dtype=float), np.asarray(targets), params)
+    return ws.loss_grad(), ws.grads
 
 
 def float_rows(path):

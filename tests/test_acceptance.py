@@ -12,14 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from llt.classifiers import heuristic_k, mlp_init, mlp_loss_grad
+from llt.classifiers import heuristic_k, mlp_init
 from llt.cli import main as cli_main
 from llt.evaluation import ConfusionCounts, metrics
 from llt.linear_law import fit_law, law_variance
 from llt.synth import SynthSpec, generate
 from llt.types import Label
 
-from conftest import random_beats, sinusoid_beats
+from conftest import mlp_loss_grad, random_beats, sinusoid_beats
 from test_linear_law import inverse_power_smallest
 
 

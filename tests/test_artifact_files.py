@@ -201,11 +201,21 @@ def edit(name, line, new):
     return with_checksum(name, lines)
 
 
+def feature_rows(*rows):
+    """Golden feature file with its payload rows replaced by `rows`,
+    checksum rewritten."""
+    return with_checksum("features", GOLDEN["features"].splitlines()[:4] + list(rows))
+
+
 DAMAGED = [
     ("law", edit("law", 8, []), r"law:8: payload ends before coefficient"),
     ("law", edit("law", 7, ["0.6zz"]), r"law:7: coefficient: '0.6zz' is not a number"),
     ("law", edit("law", 8, ["nan"]), r"law:8: coefficient: 'nan' is not finite"),
     ("law", edit("law", 8, ["-0.8 0.1"]), r"law:8: coefficient: '-0.8 0.1' is not a number"),
+    ("law", edit("law", 8, ["-0.8,0.1"]), r"law:8: coefficient: '-0.8,0.1' is not a number"),
+    ("law", edit("law", 7, ["0.6,0", "-0.8,0"]), r"law:7: coefficient: '0.6,0' is not a number"),
+    ("law", edit("law", 8, [""]), r"law:8: coefficient: '' is not a number"),
+    ("law", edit("law", 8, ["-0.8\x1f"]), r"law:8: coefficient: '-0.8\\x1f' is not a number"),
     ("law", edit("law", 8, ["-0.8", "0"]), r"law:9: unexpected payload line '0'"),
     ("law", edit("law", 8, ["-0.7"]), r"law: coefficients not unit norm"),
     ("law", edit("law", 3, ["l=zz"]), r"law:3: header field 'l': 'zz' is not an integer"),
@@ -218,6 +228,7 @@ DAMAGED = [
     ("mlp", edit("mlp", 7, ["0.1 zz 0.3"]), r"mlp:7: W1: 'zz' is not a number"),
     ("mlp", edit("mlp", 12, ["inf -1"]), r"mlp:12: W2: 'inf' is not finite"),
     ("mlp", edit("mlp", 8, ["1.5 0"]), r"mlp:8: W1: expected 3 values, got 2"),
+    ("mlp", edit("mlp", 8, [""]), r"mlp:8: W1: expected 3 values, got 0"),
     ("mlp", edit("mlp", 9, ["matrix b1 1 4"]), r"mlp:9: b1: size 4 disagrees with 3"),
     ("mlp", edit("mlp", 9, []), r"mlp:9: expected matrix b1, got '0.01 0.02"),
     ("mlp", GOLDEN["mlp"] + "param x=1\n", r"mlp: checksum mismatch"),
@@ -246,6 +257,19 @@ DAMAGED = [
     ("features", edit("features", 5, ["N,nan,1,2"]), r"features:5: feature row: 'nan' is not finite"),
     ("features", edit("features", 5, ["N,1,2"]), r"features:5: feature row: expected 3 values, got 2"),
     ("features", edit("features", 5, ["N,1,x,2"]), r"features:5: feature row: 'x' is not a number"),
+    ("features", edit("features", 5, ["N"]), r"features:5: feature row: expected 3 values, got 0"),
+    ("features", edit("features", 5, ["N,"]), r"features:5: feature row: expected 3 values, got 1"),
+    ("features", edit("features", 5, ["N,0.5\x1f,-1.25,0.1"]),
+     r"features:5: feature row: '0.5\\x1f' is not a number"),
+    # of two bad rows the first is named, whatever its fault
+    ("features", feature_rows("N,0.5,y,0.1", "Q,2,3,-1e-300"),
+     r"features:5: feature row: 'y' is not a number"),
+    ("features", feature_rows("Q,0.5,-1.25,0.1", "E,2,x,-1e-300"),
+     r"features:5: feature row: unknown label token 'Q'"),
+    ("features", feature_rows("N,0.5,z,0.1", "E,2,3"),
+     r"features:5: feature row: 'z' is not a number"),
+    ("features", feature_rows("N,0.5,-1.25,0.1,7", "E,2,x,-1e-300"),
+     r"features:5: feature row: expected 3 values, got 4"),
     ("features", edit("features", 6, ["Q,2,3,-1e-300"]),
      r"features:6: feature row: unknown label token 'Q'"),
     ("features", edit("features", 2, ["layout=Normal:x"]),

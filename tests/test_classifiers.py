@@ -13,7 +13,6 @@ from llt.classifiers import (
     linear_svm_fit,
     mlp_fit,
     mlp_init,
-    mlp_loss_grad,
     predict_batch,
     rbf_svm_fit,
     rf_fit,
@@ -24,7 +23,7 @@ from llt.features import feature_matrix
 from llt.synth import SynthSpec, generate
 from llt.types import ConvergenceError, Corpus, Label
 
-from conftest import tree_depth, tree_predict
+from conftest import mlp_loss_grad, tree_depth, tree_predict
 
 
 def hard_features():

@@ -396,6 +396,34 @@ def test_train_on_unlabelled_only_exits_1(tmp_path, capsys, features_with_unlabe
     assert not (tmp_path / "m.txt").exists()
 
 
+@pytest.mark.parametrize("model, message", [
+    ("svm-linear", "linear SVM needs exactly 2 classes, got 1"),
+    ("svm-rbf", "RBF SVM needs exactly 2 classes, got 1"),
+    ("mlp", "network expects exactly 2 classes, got 1"),
+])
+def test_one_class_training_file_is_named(tmp_path, capsys, small_data, model, message):
+    """A fit that rejects its labels names the training file: the
+    feature file of `train`, the train.csv of `reproduce`."""
+    data = tmp_path / "normal-only"
+    data.mkdir()
+    lines = (small_data / "train.csv").read_text().splitlines(keepends=True)
+    (data / "train.csv").write_text("".join(line for line in lines if line[0] == "N"))
+    (data / "test.csv").write_bytes((small_data / "test.csv").read_bytes())
+    law, features = tmp_path / "n.law", tmp_path / "features.csv"
+    assert run(["fit-law", "--train", str(data / "train.csv"), "--out", str(law)]) == 0
+    assert run(["transform", "--law", str(law), "--in", str(data / "train.csv"),
+                "--out", str(features)]) == 0
+    capsys.readouterr()
+    assert run(["train", "--model", model, "--features", str(features),
+                "--out", str(tmp_path / "m.txt")]) == 1
+    assert capsys.readouterr().err == f"error: {features}: {message}\n"
+    assert run(["reproduce", "--data", str(data), "--out", str(tmp_path / "run")]) == 1
+    # the linear SVM is the first fit to reject one class
+    assert capsys.readouterr().err == (f"error: {data / 'train.csv'}: linear SVM needs "
+                                       f"exactly 2 classes, got 1\n")
+    assert not (tmp_path / "m.txt").exists() and not (tmp_path / "run").exists()
+
+
 def test_import_leaves_out_scipy_signal():
     """Every subcommand imports llt.cli; only raw-record filtering needs
     scipy.signal, which costs about a second to import."""
@@ -661,7 +689,8 @@ def test_bad_setting_exits_1_before_any_output(capsys, stage_inputs, command, fl
 @pytest.mark.parametrize("flag, value, message", [
     pytest.param("--law-len", "40", "{train}: Normal law at width 40: embedding width 40 "
                  "exceeds series length 30", id="--law-len-40"),
-    ("--knn-k", "100", "knn_k=100 exceeds training size 11"),
+    pytest.param("--knn-k", "100", "{train}: knn_k=100 exceeds training size 11",
+                 id="--knn-k-100-knn_k=100 exceeds training size 11"),
 ])
 def test_reproduce_failure_writes_nothing(capsys, small_data, stage_inputs, flag, value,
                                           message):
@@ -681,7 +710,8 @@ def test_solver_failure_exits_1_without_traceback(tmp_path, capsys, small_data, 
     capsys.readouterr()
     assert run(["reproduce", "--data", str(small_data), "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: SMO did not converge in 1 iterations (KKT gap ")
+    assert err.startswith(f"error: {small_data / 'train.csv'}: SMO did not converge in 1 "
+                          f"iterations (KKT gap ")
     assert "Traceback" not in err
 
 

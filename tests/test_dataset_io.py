@@ -1,3 +1,6 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 from llt import dataset_io
 from llt.classifiers import (
     Hyperparams,
+    TrainedModel,
     knn_fit,
     linear_svm_fit,
     mlp_fit,
@@ -28,7 +32,7 @@ from llt.dataset_io import (
     split_train_validation,
 )
 from llt.linear_law import fit_law
-from llt.types import Beat, Corpus, Label, Role
+from llt.types import Beat, Corpus, Label, LinearLaw, Role
 
 from conftest import float_rows, random_beats
 
@@ -117,9 +121,13 @@ class TestCorpusFormat:
         ("N,1,x,3\nE,4,5\n", "1: column 3: 'x' is not a number"),
         ("Q,1,x,3\nE,4,y,6\n", "1: unknown label token 'Q'"),
         ("N,1,2\nE,4\nE,x,6\n", "2: expected 2 samples, got 1"),
+        # np.loadtxt strips ASCII separators around a value; float() does not
+        ("N,1,2\x1f,3\n", "1: column 3: '2\\x1f' is not a number"),
+        ("N,1,2,3\nE,\x1c4,5,6\n", "2: column 2: '\\x1c4' is not a number"),
     ], ids=["value-less row", "long row", "hash in a cell", "hash after a cell", "nan",
             "overflow", "empty cell", "one sample", "no sample", "value before label",
-            "value before length", "label before value", "length before value"])
+            "value before length", "label before value", "length before value",
+            "unit separator", "file separator"])
     def test_bad_row_message(self, tmp_path, text, message):
         path = tmp_path / "c.csv"
         path.write_text(text, encoding="utf-8")
@@ -142,12 +150,25 @@ class TestCorpusFormat:
 
     def test_well_formed_file_read_in_bulk(self, tmp_path, monkeypatch):
         # the row-by-row read is only a fallback; the bulk read gives the
-        # same bytes on a file it accepts
-        path = tmp_path / "c.csv"
-        path.write_text("# header\nN,0.1,-0,3e-320\n\nE*, 1e308 ,2,-3\n")
-        expected = load_corpus(path).samples.tobytes()
-        monkeypatch.setattr(dataset_io, "_finite_cells", None)
-        assert load_corpus(path).samples.tobytes() == expected
+        # same bytes on a file it accepts: a beat CSV, a feature file and
+        # a KNN model, with padded cells
+        corpus, features, model = tmp_path / "c.csv", tmp_path / "f.csv", tmp_path / "m.txt"
+        corpus.write_text("# header\nN,0.1,-0,3e-320\n\nE*, 1e308 ,2,-3\n")
+        X = np.array([[0.1, -0.0, 3e-320], [1e308, 2.0, -3.0]])
+        save_features(features, X, ["N", "E"], [("Normal", 3)])
+        rewrite_payload(features, lambda line: line.replace(",", ",\t ") + " ")
+        save_model(TrainedModel(kind="knn", feature_dim=3, labels=["E", "N"],
+                                params={"k": 1, "metric": "chebyshev", "X": X,
+                                        "y": np.array([0, 1])}), model)
+        rewrite_payload(model, lambda line: line if line[0].isalpha() else
+                        " " + line.replace(" ", " \t ") + "\t")
+        expected = (load_corpus(corpus).samples, load_features(features)[0],
+                    load_model(model).params["X"])
+        assert all(a.tobytes() == X.tobytes() for a in expected[1:])
+        monkeypatch.setattr(dataset_io, "_float_rows", None)
+        assert load_corpus(corpus).samples.tobytes() == expected[0].tobytes()
+        assert load_features(features)[0].tobytes() == expected[1].tobytes()
+        assert load_model(model).params["X"].tobytes() == expected[2].tobytes()
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -176,6 +197,7 @@ class TestCorpusFormat:
         ("360;nan,2", "column 2: 'nan' is not finite"),
         ("360;1,x", "column 3: 'x' is not a number"),
         ("360;", "column 2: '' is not a number"),
+        ("360;1,2\x1f,3", "column 3: '2\\x1f' is not a number"),
         ("360,1,2", "expected 'fs;v0,v1,...' with a positive finite fs, got '360,1,2'"),
         ("0;1,2", "expected 'fs;v0,v1,...' with a positive finite fs, got '0;1,2'"),
         ("nan;1,2", "expected 'fs;v0,v1,...' with a positive finite fs, got 'nan;1,2'"),
@@ -225,6 +247,79 @@ def test_load_corpus_equals_float_oracle(tmp_path, rows, width, seed, drawn, ext
     assert [(b.label.value, b.artifact) for b in corpus.beats] == [r[:2] for r in oracle]
     assert [(b.label, b.artifact) for b in corpus.beats] == [(b.label, b.artifact)
                                                              for b in beats]
+
+
+def rewrite_payload(path, edit):
+    """Replace each payload line of an artifact file by `edit(line)`,
+    and its checksum by the new payload's."""
+    head, _, rest = path.read_text(encoding="utf-8").partition("\nchecksum=")
+    payload = "".join(edit(line) + "\n" for line in rest.splitlines()[1:])
+    digest = hashlib.sha256(payload.encode()).hexdigest()
+    path.write_text(f"{head}\nchecksum={digest}\n{payload}", encoding="utf-8")
+
+
+def float_cells(path):
+    """Oracle of the loaders on the reals of a law, feature or KNN model
+    file: `float()` of each cell of its payload rows (law lines, feature
+    rows after their label, the rows of `matrix X`)."""
+    payload = path.read_text(encoding="utf-8").partition("\nchecksum=")[2].splitlines()[1:]
+    if payload[0].startswith("param k="):
+        return [[float(c) for c in line.split()] for line in payload[3:-1]]
+    if "," in payload[0]:
+        return [[float(c) for c in line.split(",")[1:]] for line in payload]
+    return [[float(line)] for line in payload]
+
+
+# separators of padded matrix rows, on each of which str.split() and
+# np.loadtxt both split; the first five also pad comma-separated cells,
+# since float() strips them (it rejects \x1f)
+_PADS = [" ", "  ", "\t", " \t ", "\u2003", "\x1f"]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.integers(1, 60), width=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+       drawn=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=10),
+       padded=st.booleans(), underscore=st.booleans())
+def test_artifact_reals_equal_float_oracle(tmp_path, rows, width, seed, drawn, padded,
+                                           underscore):
+    """Feature rows, a KNN model's matrix and a law's coefficients, as
+    their savers write them or with cells padded by spaces and tabs
+    (matrix rows also by extra separators), read back bit for bit as
+    `float()` reads each cell. A `_` between two digits of each row
+    (`1_0`), which only `float()` reads, sends the file to the
+    row-by-row read."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-300, 300, (rows, width))
+    planted = np.array(_EDGE_VALUES + drawn)
+    X.ravel()[rng.integers(0, rows * width, len(planted))] = planted
+    # unit norm, with coefficients too small to change it
+    w = rng.standard_normal(width)
+    w = rng.permutation(np.concatenate([w / np.linalg.norm(w), _EDGE_VALUES[:5]]))
+    law, features, model = tmp_path / "n.law", tmp_path / "f.csv", tmp_path / "m.txt"
+    save_law(LinearLaw(w=w, lam=0.0, class_tag="Normal"), law)
+    save_features(features, X, [("N", "E", "?")[i] for i in rng.integers(0, 3, rows)],
+                  [("Normal", width)])
+    save_model(TrainedModel(kind="knn", feature_dim=width, labels=["E", "N"],
+                            params={"k": 1, "metric": "chebyshev", "X": X,
+                                    "y": rng.integers(0, 2, rows)}), model)
+
+    def pad(pads=_PADS[:5]):
+        return pads[rng.integers(len(pads))] if padded else ""
+
+    def underscored(line):
+        return re.sub(r"(\d)(\d)", r"\1_\2", line, count=1) if underscore else line
+
+    rewrite_payload(law, lambda line: underscored(pad() + line + pad()))
+    rewrite_payload(features, lambda line: underscored(",".join(
+        [c if i == 0 else pad() + c + pad() for i, c in enumerate(line.split(","))])))
+    rewrite_payload(model, lambda line: line if line[0].isalpha() else underscored(
+        pad() + "".join(c + pad(_PADS) for c in line.split()) if padded else line))
+
+    assert load_law(law).w.tobytes() == w.tobytes() == np.array(float_cells(law)).tobytes()
+    for values, path in ((load_features(features)[0], features),
+                         (load_model(model).params["X"], model)):
+        assert values.tobytes() == X.tobytes() == np.array(float_cells(path)).tobytes()
 
 
 class TestSplit:

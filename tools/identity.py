@@ -44,16 +44,23 @@ Why each case is there:
   the validation accuracy) and `evaluate --report`. They reach the
   feature-file, scan and model readers and writers that `reproduce`
   does not call.
-- `hand`: a hand-written beat CSV, `hand.csv`, with comment and blank
-  lines, cells padded with spaces and a tab, `*` artifact rows, a `?`
-  row, `-0`, a subnormal and a `1_0` cell, through `fit-law --law-len 3`
-  and `transform`. `load_corpus` reads a file's values in one
-  `np.loadtxt` call, which rejects `1_0`, and then reads such a file
-  again row by row with `float()`. A base commit may read every file
-  with `float()`, so both sides must write the same bytes: the case
-  checks that the fallback and its line handling match. `hand-bulk.csv`
-  is the same file with `10` for `1_0`, which the bulk read accepts,
-  padding included.
+- `hand`: a hand-written beat CSV, feature file and KNN model. Each has
+  cells padded with spaces and tabs, `-0`, a subnormal and a `1_0`
+  cell. The loaders read a file's values in one `np.loadtxt` call,
+  which rejects `1_0`, and then read such a file again row by row with
+  `float()`. A base commit may read every file with `float()`, so both
+  sides must write the same bytes: the case checks that the fallback
+  and its line handling match. Each file has a `-bulk` twin with `10`
+  for `1_0`, which the bulk read accepts, padding included.
+  - `hand.csv`, a beat CSV with comment and blank lines, `*` artifact
+    rows and a `?` row, through `fit-law --law-len 3` and `transform`;
+  - `hand_features.csv`, a feature file with a `?` row, through
+    `train --model knn`, whose model keeps the rows it read;
+  - `hand_knn.txt`, a KNN model whose matrix rows have extra spaces and
+    tabs between and around their values, through `evaluate` with the
+    law of `hand.csv` on `hand.csv`.
+  The feature files' and the models' checksums are computed here with
+  `hashlib`, not by `llt`.
 - the three benchmark workloads (`perfbench/workloads.py`) on seeds
   1-10: the inputs each one generates, the files a pass writes, and
   the pass's `fingerprint()`, which `perfbench/run.py` requires to be
@@ -67,6 +74,7 @@ bytes on purpose adds it, with its entries.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import os
 import shutil
@@ -103,6 +111,10 @@ CASES = (
     ("llt", "fit-law --law-len 3 --train hand.csv --out stages/hand.law"),
     *(("llt", f"transform --law stages/hand.law --in {f}.csv --out stages/{f}_features.csv")
       for f in ("hand", "hand-bulk")),
+    *(("llt", f"train --model knn --features hand_features{s}.csv "
+              f"--out stages/hand_features{s}_knn.txt") for s in ("", "-bulk")),
+    *(("llt", f"evaluate --law stages/hand.law --model hand_knn{s}.txt --test hand.csv "
+              f"--report stages/hand_knn{s}_evaluate.csv") for s in ("", "-bulk")),
     ("llt", "fit-law --train data-1/train.csv --out stages/normal.law"),
     ("llt", "scan-law-length --seed 1 --train data-1/train.csv --out stages/scan.csv"),
     ("llt", "transform --law stages/normal.law --in data-1/train.csv "
@@ -166,10 +178,47 @@ E,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8e-1
 """
 
 
+# the payloads of the `hand` case's feature file and KNN model, on the
+# six features of a width-3 law on hand.csv; `{ten}` as in HAND_CSV
+HAND_FEATURES = """\
+N,0.5,{ten},-0.25, 0.75 ,1.5,-1
+E, -0 ,0.3,\t0.9,-0.6,5e-324,0.2
+?,1,2,3,4,5,6
+N,1.25,-0.5,0.0625,0.7,-1.3,0.4
+E,0.1,0.2,0.3,0.4,0.5,0.6e-1
+N,0.3,-0.3,0.6,-0.6,0.9,-0.9
+"""
+HAND_KNN = """\
+param k=3
+param metric=chebyshev
+matrix X 5 6
+0.5  {ten}\t-0.25 0.75 1.5 -1
+ -0 0.3 0.9\t\t-0.6 5e-324 0.2\t
+1.25 -0.5 0.0625 0.7 -1.3 0.4
+0.1 0.2 0.3  0.4 0.5 0.6e-1
+0.3 -0.3 0.6 -0.6 0.9 -0.9
+ivector y 0 1 1 0 1
+"""
+
+
+def _envelope(header: str, payload: str) -> str:
+    """An artifact file: the version, the `key=value` lines of `header`,
+    the sha256 of `payload`, then `payload`."""
+    digest = hashlib.sha256(payload.encode()).hexdigest()
+    return f"version=1\n{header}checksum={digest}\n{payload}"
+
+
 def _hand() -> None:
-    """hand.csv and hand-bulk.csv: the `hand` case's beat CSVs."""
-    for path, ten in (("hand.csv", "1_0"), ("hand-bulk.csv", "10")):
-        Path(path).write_text(HAND_CSV.format(ten=ten), encoding="utf-8")
+    """The `hand` case's beat CSVs, feature files and KNN models, each
+    with `1_0` and, in its `-bulk` twin, `10`."""
+    for suffix, ten in (("", "1_0"), ("-bulk", "10")):
+        for path, text in (
+                (f"hand{suffix}.csv", HAND_CSV.format(ten=ten)),
+                (f"hand_features{suffix}.csv", _envelope(
+                    "layout=Normal:6\nrows=6\n", HAND_FEATURES.format(ten=ten))),
+                (f"hand_knn{suffix}.txt", _envelope(
+                    "kind=knn\nfeature_dim=6\nlabels=E,N\n", HAND_KNN.format(ten=ten)))):
+            Path(path).write_text(text, encoding="utf-8")
 
 
 def _workload(name: str, seed: int) -> None:
