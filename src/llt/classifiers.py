@@ -3,7 +3,10 @@ Chebyshev KNN, linear and RBF soft-margin SVMs, random forest
 (CART/Gini bagging) and a one-hidden-layer network.
 
 Every fit is deterministic given (features, labels, hyperparameters):
-the seed drives all shuffling, bootstrapping and initialization.
+the seed drives all shuffling, bootstrapping and initialization. Every
+fit first checks its training set in `_training_set`: finite 2-D
+features, one label per row and exactly 2 classes, the two that a
+model file holds; it indexes the classes in sorted order.
 
 Both SVMs solve the same dual with one SMO solver (second-order working
 set selection, as in LIBSVM) on their kernel matrix, X Xᵀ or the RBF
@@ -103,21 +106,20 @@ def _check_finite(X: np.ndarray) -> None:
         raise ValueError(f"feature row {i} is not finite: {X[i, j]} in column {j}")
 
 
-def _check_xy(X, y):
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
+def _training_set(X, y, name):
+    """X as a finite 2-D float array, the sorted distinct label tokens of
+    y and each row's index into them. A ValueError unless y gives one
+    label per row from exactly 2 classes, the two a model file holds."""
+    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=str)
     if X.ndim != 2:
         raise ValueError("features must be a 2-D array")
     if len(X) != len(y):
         raise ValueError(f"{len(X)} feature rows vs {len(y)} labels")
     _check_finite(X)
-    return X, y
-
-
-def _label_index(y):
-    """The sorted distinct label tokens of y, and each entry's index into them."""
-    labels, idx = np.unique(np.asarray(y, dtype=str), return_inverse=True)
-    return labels.tolist(), idx
+    labels, idx = np.unique(y, return_inverse=True)
+    if len(labels) != 2:
+        raise ValueError(f"{name} needs exactly 2 classes, got {len(labels)}")
+    return X, labels.tolist(), idx
 
 
 def _check_dim(model: TrainedModel, X: np.ndarray) -> np.ndarray:
@@ -141,8 +143,7 @@ def heuristic_k(n_train: int) -> int:
 # ---------------------------------------------------------------- KNN
 
 def knn_fit(X, y, hp: Hyperparams) -> TrainedModel:
-    X, y = _check_xy(X, y)
-    labels, yi = _label_index(y)
+    X, labels, yi = _training_set(X, y, "KNN")
     if hp.knn_k > len(X):
         raise ValueError(f"knn_k={hp.knn_k} exceeds training size {len(X)}")
     return TrainedModel(
@@ -270,18 +271,11 @@ def _smo(K, ys, C):
     return alpha, rho, gap, history
 
 
-def _svm_labels(X, y, name):
-    X, y = _check_xy(X, y)
-    labels, yi = _label_index(y)
-    if len(labels) != 2:
-        raise ValueError(f"{name} needs exactly 2 classes, got {len(labels)}")
-    return X, labels, np.where(yi == 1, 1.0, -1.0)
-
-
 def linear_svm_fit(X, y, hp: Hyperparams) -> TrainedModel:
     """Soft-margin linear SVM: the SMO dual on the Gram matrix X Xᵀ,
     stored as w = Σ αᵢyᵢxᵢ and b = -rho."""
-    X, labels, ys = _svm_labels(X, y, "linear SVM")
+    X, labels, yi = _training_set(X, y, "linear SVM")
+    ys = np.where(yi == 1, 1.0, -1.0)
     alpha, rho, gap, history = _smo(X @ X.T, ys, hp.svm_c)
     return TrainedModel(
         kind="svm-linear",
@@ -306,7 +300,8 @@ def rbf_gamma_default(X: np.ndarray) -> float:
 def rbf_svm_fit(X, y, hp: Hyperparams) -> TrainedModel:
     """Soft-margin SVM with an RBF kernel: the SMO dual on K(X, X),
     stored as its support vectors (α > 0), αᵢyᵢ and b = -rho."""
-    X, labels, ys = _svm_labels(X, y, "RBF SVM")
+    X, labels, yi = _training_set(X, y, "RBF SVM")
+    ys = np.where(yi == 1, 1.0, -1.0)
     gamma = hp.rbf_gamma or rbf_gamma_default(X)
     alpha, rho, gap, history = _smo(_rbf_kernel(X, X, gamma), ys, hp.svm_c)
     sv = alpha > 0
@@ -385,8 +380,7 @@ def _build_tree(X, y, n_labels, depth_left, rng, n_sub):
 def rf_fit(X, y, hp: Hyperparams) -> TrainedModel:
     """Bagged CART trees: Gini splits, sqrt(d) feature subset per split,
     seeded bootstrap per tree."""
-    X, y = _check_xy(X, y)
-    labels, yi = _label_index(y)
+    X, labels, yi = _training_set(X, y, "random forest")
     n, d = X.shape
     n_sub = max(1, round(np.sqrt(d)))
     trees = []
@@ -500,10 +494,7 @@ class _MLPWorkspace:
 def mlp_fit(X, y, hp: Hyperparams) -> TrainedModel:
     """Full-batch gradient descent on cross-entropy; tanh hidden layer,
     two softmax outputs. Learning rate halves when the loss rises."""
-    X, y = _check_xy(X, y)
-    labels, yi = _label_index(y)
-    if len(labels) != 2:
-        raise ValueError(f"network expects exactly 2 classes, got {len(labels)}")
+    X, labels, yi = _training_set(X, y, "network")
     ws = _MLPWorkspace(X, yi, mlp_init(X.shape[1], hp.mlp_hidden, hp.seed))
     lr = hp.mlp_lr
     prev = np.inf

@@ -5,12 +5,13 @@ train -> evaluate and emits a comparison table.
 `train` and `reproduce` fit the same five classifiers (`_fitters`) on
 labelled rows only (`_labelled`): an unlabelled `?` beat has no truth
 to fit or score against. `reproduce` checks that the validation part
-and the test corpus each hold a labelled beat before any fit, and
+and the test corpus each hold a labelled beat, and that the test and
+training beats have one length, before any fit, and
 `evaluate` checks its test corpus before any prediction
 (`_check_scoreable`). A law fit's errors name the class and width
 (`linear_law.fit_law`), to which `_naming` adds the file; `_naming`
-also adds the training file to a classifier fit's errors (one class
-only, a `knn_k` above the rows, a solver that did not converge).
+also adds the training file to a classifier fit's errors (not exactly
+2 classes, a `knn_k` above the rows, a solver that did not converge).
 
 Each subcommand takes as flags only the settings its handler reads, its
 entry of READS: fields of PreprocessConfig for `preprocess`, of
@@ -301,7 +302,8 @@ def run_reproduce(data_dir, out_dir, cfg: RunConfig) -> int:
     classifier configuration on the labelled training beats, score the
     labelled validation and test beats, emit the comparison table.
     Raises ValueError before any fit if the validation part or the test
-    corpus holds no labelled beat. Audits that no fit consumed Test
+    corpus holds no labelled beat, or if the test beats' length differs
+    from the training beats'. Audits that no fit consumed Test
     data, and exits 2 before anything is scored or written if one did.
     Creates `out_dir` and writes to it only once every fit and score has
     returned."""
@@ -317,6 +319,9 @@ def run_reproduce(data_dir, out_dir, cfg: RunConfig) -> int:
         raise ValueError(f"train_fraction {cfg.train_fraction} leaves no labelled beat "
                          f"of {data / 'train.csv'} to validate on")
     _check_scoreable(test, data / "test.csv")
+    if test.window_len != full_train.window_len:
+        raise ValueError(f"{data / 'test.csv'} has beats of {test.window_len} samples "
+                         f"but {data / 'train.csv'} has beats of {full_train.window_len}")
 
     with _naming(data / "train.csv"):
         law = linear_law.fit_law(train.rows(Label.NORMAL), cfg.law_len, "Normal")

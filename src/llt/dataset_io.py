@@ -459,10 +459,9 @@ def load_model(path) -> TrainedModel:
         a.fail(f"unknown model kind {kind!r}")
     feature_dim = a.field("feature_dim", int, 1)
     labels = a.field("labels").split(",")
-    # a fit indexes its classes in sorted order, and a model file's header
-    # is not under its checksum: a swapped list would invert every label
-    classes = sorted({Label.NORMAL.value, Label.ECTOPIC.value} & set(labels))
-    if labels != classes or (kind.startswith("svm") and len(labels) != 2):
+    # a fit indexes its two classes in sorted order, and a model file's
+    # header is not under its checksum: a swapped list would invert every label
+    if labels != sorted((Label.NORMAL.value, Label.ECTOPIC.value)):
         a.fail(f"bad label list {a.header['labels']!r} for {kind}: expected "
                f"distinct class tokens in sorted order")
     sizes = {"1": 1, "d": feature_dim, "c": len(labels)}

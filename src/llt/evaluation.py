@@ -2,6 +2,9 @@
 sensitivity / positive-predictivity per class, the artifact rule, and
 comparison tables against the published reference numbers.
 
+Normal is always the positive class: `score` tallies with it, and
+`metrics` reads Ectopic's ratios off the same counts.
+
 Only labelled beats are scored: an unlabelled `?` beat has no truth, so
 `evaluate_pipeline` leaves it out, and a corpus with no labelled beat
 is a ValueError.
@@ -53,14 +56,14 @@ def _label_tokens(values, what: str) -> np.ndarray:
     return tokens
 
 
-def score(predictions, truth, positive: Label = Label.NORMAL) -> ConfusionCounts:
-    """Exact confusion tallies with the given positive class."""
+def score(predictions, truth) -> ConfusionCounts:
+    """Exact confusion tallies with Normal as the positive class."""
     if len(predictions) != len(truth):
         raise ValueError(
             f"{len(predictions)} predictions vs {len(truth)} truth labels"
         )
-    pred_pos = _label_tokens(predictions, "predictions") == positive.value
-    true_pos = _label_tokens(truth, "truth labels") == positive.value
+    pred_pos = _label_tokens(predictions, "predictions") == Label.NORMAL.value
+    true_pos = _label_tokens(truth, "truth labels") == Label.NORMAL.value
     count = lambda mask: int(np.count_nonzero(mask))
     return ConfusionCounts(tp=count(pred_pos & true_pos), fn=count(~pred_pos & true_pos),
                            fp=count(pred_pos & ~true_pos), tn=count(~pred_pos & ~true_pos))

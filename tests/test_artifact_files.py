@@ -239,6 +239,8 @@ DAMAGED = [
     ("svm-linear", edit("svm-linear", 4, ["labels=N"]), r"svm-linear:4: bad label list 'N'"),
     ("rf", edit("rf", 4, ["labels=N,E"]), r"rf:4: bad label list 'N,E' for rf"),
     ("knn", edit("knn", 4, ["labels=E,Q"]), r"knn:4: bad label list 'E,Q' for knn"),
+    ("knn", edit("knn", 4, ["labels=N"]), r"knn:4: bad label list 'N' for knn"),
+    ("rf", edit("rf", 4, ["labels=N"]), r"rf:4: bad label list 'N' for rf"),
     ("svm-rbf", edit("svm-rbf", 7, []), r"svm-rbf:7: expected 'param gamma=', got 'matrix coef 1 2'"),
     ("knn", edit("knn", 7, ["param metric=manhattan"]), r"knn:7: unknown metric 'manhattan'"),
     ("knn", edit("knn", 7, ["param metric=euclidean"]), r"knn:7: unknown metric 'euclidean'"),

@@ -16,7 +16,6 @@ from llt.classifiers import (
     predict_batch,
     rbf_svm_fit,
     rf_fit,
-    _label_index,
     _rbf_kernel,
 )
 from llt.features import feature_matrix
@@ -185,9 +184,12 @@ class TestRandomForest:
         assert m1.params["trees"] == m2.params["trees"]
 
     def test_pure_node_is_leaf(self):
-        X = np.zeros((5, 2))
-        model = rf_fit(X, ["N"] * 5, Hyperparams(rf_estimators=2))
-        assert all(t == {"leaf": 0} for t in model.params["trees"])
+        # either feature separates the classes, so a split's children are pure
+        X = np.array([[0.0, 0.0]] * 2 + [[1.0, 1.0]] * 3)
+        model = rf_fit(X, ["E"] * 2 + ["N"] * 3, Hyperparams(rf_estimators=4))
+        split = [t for t in model.params["trees"] if "leaf" not in t]
+        assert split and all((t["left"], t["right"]) == ({"leaf": 0}, {"leaf": 1})
+                             for t in split)
 
     def test_predict_equals_per_row_walk_on_hard_corpus(self):
         X, y, Xt, _ = hard_features()
@@ -533,7 +535,7 @@ def _oracle_build_tree(X, y, n_labels, depth_left, rng, n_sub):
 
 
 def _oracle_forest(X, y, hp):
-    labels, yi = _label_index(y)
+    labels, yi = np.unique(np.asarray(y, dtype=str), return_inverse=True)
     n, d = X.shape
     n_sub = max(1, round(np.sqrt(d)))
     trees = []
@@ -576,14 +578,15 @@ _TIE_VALUES = [0.0, 1.0, 1.0 + 2.0 ** -52, 2.0, 3.0, 4.0]
 
 
 @st.composite
-def _labelled_rows(draw, min_rows=2, max_rows=40):
-    n = draw(st.integers(min_rows, max_rows))
+def _labelled_rows(draw, max_rows=40):
+    """Rows of tie-prone values with labels of exactly two classes, as
+    every fit requires."""
+    n = draw(st.integers(2, max_rows))
     d = draw(st.integers(1, 5))
-    n_labels = draw(st.integers(2, 3))
     X = np.array(draw(st.lists(st.sampled_from(_TIE_VALUES),
                                min_size=n * d, max_size=n * d))).reshape(n, d)
-    y = draw(st.lists(st.sampled_from("abc"[:n_labels]), min_size=n, max_size=n))
-    return X, y
+    y = draw(st.lists(st.sampled_from("ab"), min_size=n - 2, max_size=n - 2))
+    return X, draw(st.permutations(y + ["a", "b"]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -613,7 +616,7 @@ def test_rf_predict_equals_per_row_walk(data, queries, depth, estimators, seed):
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=_labelled_rows(min_rows=1), queries=st.data(), block=st.integers(1, 200))
+@given(data=_labelled_rows(), queries=st.data(), block=st.integers(1, 200))
 @example(data=(np.array([[0.0], [1.0], [3.0], [4.0]]), ["a", "a", "b", "b"]),
          queries=None, block=4)
 def test_knn_predict_equals_per_row_oracle(data, queries, block):
@@ -632,6 +635,18 @@ def test_knn_predict_equals_per_row_oracle(data, queries, block):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(classifiers, "_KNN_BLOCK_ENTRIES", block)
         assert np.array_equal(predict_batch(model, Q), expected)
+
+
+@pytest.mark.parametrize("fit, name", [
+    (knn_fit, "KNN"), (linear_svm_fit, "linear SVM"), (rbf_svm_fit, "RBF SVM"),
+    (rf_fit, "random forest"), (mlp_fit, "network")])
+@pytest.mark.parametrize("y", [list("aaaaaa"), list("abcabc")])
+def test_fit_needs_exactly_two_classes(fit, name, y):
+    """Every fit rejects a training set of one or of three classes: a
+    model file holds two."""
+    X = np.arange(12.0).reshape(6, 2)
+    with pytest.raises(ValueError, match=f"^{name} needs exactly 2 classes, got {len(set(y))}$"):
+        fit(X, y, Hyperparams())
 
 
 @pytest.mark.parametrize("metric", ["chebyshev"])

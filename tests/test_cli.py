@@ -397,9 +397,11 @@ def test_train_on_unlabelled_only_exits_1(tmp_path, capsys, features_with_unlabe
 
 
 @pytest.mark.parametrize("model, message", [
+    ("knn", "KNN needs exactly 2 classes, got 1"),
     ("svm-linear", "linear SVM needs exactly 2 classes, got 1"),
     ("svm-rbf", "RBF SVM needs exactly 2 classes, got 1"),
-    ("mlp", "network expects exactly 2 classes, got 1"),
+    ("rf", "random forest needs exactly 2 classes, got 1"),
+    ("mlp", "network needs exactly 2 classes, got 1"),
 ])
 def test_one_class_training_file_is_named(tmp_path, capsys, small_data, model, message):
     """A fit that rejects its labels names the training file: the
@@ -418,8 +420,8 @@ def test_one_class_training_file_is_named(tmp_path, capsys, small_data, model, m
                 "--out", str(tmp_path / "m.txt")]) == 1
     assert capsys.readouterr().err == f"error: {features}: {message}\n"
     assert run(["reproduce", "--data", str(data), "--out", str(tmp_path / "run")]) == 1
-    # the linear SVM is the first fit to reject one class
-    assert capsys.readouterr().err == (f"error: {data / 'train.csv'}: linear SVM needs "
+    # KNN is the first fit, and every fit rejects one class
+    assert capsys.readouterr().err == (f"error: {data / 'train.csv'}: KNN needs "
                                        f"exactly 2 classes, got 1\n")
     assert not (tmp_path / "m.txt").exists() and not (tmp_path / "run").exists()
 
@@ -790,6 +792,27 @@ def test_reproduce_without_scoreable_beats_exits_1_before_any_fit(
     capsys.readouterr()
     assert run(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_reproduce_with_test_beats_of_another_length_exits_1_before_any_fit(
+        tmp_path, capsys, monkeypatch, small_data):
+    """A test.csv whose beats are shorter than train.csv's would give
+    the models features of another dimension: both files are named."""
+    from llt import linear_law
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a law was fitted")
+
+    short = tmp_path / "short"
+    assert run(["synth", "--beats", "20", "--window-len", "24", "--out-dir", str(short)]) == 0
+    test = small_data / "test.csv"
+    test.write_bytes((short / "test.csv").read_bytes())
+    monkeypatch.setattr(linear_law, "fit_law", no_fit)
+    capsys.readouterr()
+    assert run(["reproduce", "--data", str(small_data), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == (f"error: {test} has beats of 24 samples but "
+                                       f"{small_data / 'train.csv'} has beats of 30\n")
     assert not (tmp_path / "run").exists()
 
 

@@ -39,10 +39,6 @@ class TestScore:
         with pytest.raises(ValueError, match=f"unknown label token {where}"):
             score(preds, truth)
 
-    def test_positive_class_switch(self):
-        c = score(["N", "E"], ["E", "E"], positive=Label.ECTOPIC)
-        assert (c.tp, c.fn) == (1, 1)
-
 
 class TestMetrics:
     def test_hand_computed(self):

@@ -55,7 +55,9 @@ Why each case is there:
   - `hand.csv`, a beat CSV with comment and blank lines, `*` artifact
     rows and a `?` row, through `fit-law --law-len 3` and `transform`;
   - `hand_features.csv`, a feature file with a `?` row, through
-    `train --model knn`, whose model keeps the rows it read;
+    `train --model knn`, whose model keeps the rows it read, and
+    `train --model rf`, whose forest splits on those values and writes
+    its thresholds;
   - `hand_knn.txt`, a KNN model whose matrix rows have extra spaces and
     tabs between and around their values, through `evaluate` with the
     law of `hand.csv` on `hand.csv`.
@@ -111,8 +113,9 @@ CASES = (
     ("llt", "fit-law --law-len 3 --train hand.csv --out stages/hand.law"),
     *(("llt", f"transform --law stages/hand.law --in {f}.csv --out stages/{f}_features.csv")
       for f in ("hand", "hand-bulk")),
-    *(("llt", f"train --model knn --features hand_features{s}.csv "
-              f"--out stages/hand_features{s}_knn.txt") for s in ("", "-bulk")),
+    *(("llt", f"train --model {m} --features hand_features{s}.csv "
+              f"--out stages/hand_features{s}_{m}.txt")
+      for m in ("knn", "rf") for s in ("", "-bulk")),
     *(("llt", f"evaluate --law stages/hand.law --model hand_knn{s}.txt --test hand.csv "
               f"--report stages/hand_knn{s}_evaluate.csv") for s in ("", "-bulk")),
     ("llt", "fit-law --train data-1/train.csv --out stages/normal.law"),
