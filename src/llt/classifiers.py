@@ -27,20 +27,32 @@ a sort of only the entries within it (the same neighbours, in the same
 order, as a stable sort of the whole row), votes for the block at once,
 and the summed-distance tie-break only for tied rows.
 
-The network's descent loop runs on one flat parameter vector and one
-flat gradient vector, with W1, b1, W2 and b2 as reshaped views, so an
-update is two array calls; every intermediate has a preallocated buffer.
-With two outputs, the softmax's row max and row sum are one `maximum`
-and one `add` of the two column views, and the target terms are read at
-precomputed flat indices. The result is bit-identical to the plain
-per-array form: each element sees the same IEEE operations in the same
-order (the max and the sum of two numbers are exact, p - 0.0 == p, and
-the matrix products and axis-0 sums run on arrays of the same shape and
-layout), only with fewer numpy calls and no temporaries.
+The network is fitted by limited-memory BFGS (Liu & Nocedal, Math.
+Programming 45, 1989) to mean cross-entropy plus ½·MLP_L2·‖θ‖²; the
+separable corpora have no minimiser without the penalty. It runs on
+`X / s`, s = X.std() (1 if that is 0), the scalar rule of
+`rbf_gamma_default`, and stores W1 / s, so the model layout and predict
+take raw features. Each step takes the two-loop direction from the last
+_MLP_MEMORY curvature pairs (a pair with sᵀy <= 0 is dropped) and
+backtracks from step 1 until the Armijo condition holds. The fit
+returns only when every gradient entry is at most MLP_TOL, and raises
+ConvergenceError naming the gradient and the iteration otherwise: at
+_MLP_MAX_ITER iterations, a non-finite loss or a step too small to move
+θ. The objective and its gradient come from one flat parameter vector
+and one flat gradient vector, with W1, b1, W2 and b2 as reshaped views;
+every intermediate has a preallocated buffer. With two outputs, the
+softmax's row max and row sum are one `maximum` and one `add` of the
+two column views, and the target terms are read at precomputed flat
+indices. The result is bit-identical to the plain per-array form: each
+element sees the same IEEE operations in the same order (the max and
+the sum of two numbers are exact, p - 0.0 == p, and the matrix products
+and axis-0 sums run on arrays of the same shape and layout), only with
+fewer numpy calls and no temporaries.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass, field
 
@@ -56,6 +68,14 @@ _SMO_MAX_ITER = 1_000_000
 # least curvature Kᵢᵢ + Kⱼⱼ - 2Kᵢⱼ the SMO step divides by (LIBSVM's TAU,
 # here also for tiny positive ones, whose b²/a and step would overflow)
 _SMO_TAU = 1e-12
+# the network's fit stops when every entry of its gradient is at most this
+MLP_TOL = 1e-6
+# weight of the network objective's ½‖θ‖² term, over all of θ
+MLP_L2 = 1e-3
+# L-BFGS iterations after which the network's fit raises ConvergenceError
+_MLP_MAX_ITER = 10_000
+# curvature pairs the L-BFGS direction is built from
+_MLP_MEMORY = 10
 # most distances (query rows x training rows) one KNN predict block holds
 _KNN_BLOCK_ENTRIES = 1 << 20
 
@@ -68,20 +88,16 @@ class Hyperparams:
     svm_c: float = 1.0
     rbf_gamma: float = 0.0  # 0 -> 1 / (dim * var(features))
     mlp_hidden: int = 8
-    mlp_epochs: int = 500
-    mlp_lr: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("knn_k", "rf_estimators", "rf_depth", "mlp_hidden", "mlp_epochs"):
+        for name in ("knn_k", "rf_estimators", "rf_depth", "mlp_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        for name in ("svm_c", "mlp_lr"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be finite and positive, got {v}")
+        if not (math.isfinite(self.svm_c) and self.svm_c > 0):
+            raise ValueError(f"svm_c must be finite and positive, got {self.svm_c}")
         if not (math.isfinite(self.rbf_gamma) and self.rbf_gamma >= 0):
             raise ValueError(f"rbf_gamma must be finite and positive, or 0 for auto, "
                              f"got {self.rbf_gamma}")
@@ -93,7 +109,8 @@ class TrainedModel:
     feature_dim: int
     labels: list[str]  # index -> label token, sorted
     params: dict
-    # SMO iterations, gap and (RBF) objective history; the MLP's final loss
+    # SMO iterations, gap and (RBF) objective history; the network's
+    # L-BFGS iterations, largest gradient entry and objective at its θ
     train_meta: dict = field(default_factory=dict)
 
 
@@ -491,31 +508,77 @@ class _MLPWorkspace:
         return loss
 
 
+def _mlp_objective(ws: _MLPWorkspace) -> float:
+    """Mean cross-entropy plus ½·MLP_L2·‖θ‖² at `ws.theta`; fills
+    `ws.grad` with its gradient."""
+    loss = ws.loss_grad()
+    ws.grad += MLP_L2 * ws.theta
+    return loss + 0.5 * MLP_L2 * float(ws.theta @ ws.theta)
+
+
+def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
+    """-H g, for the L-BFGS inverse-Hessian estimate H of the curvature
+    pairs (s, y, 1 / sᵀy), oldest first: the two-loop recursion from
+    the initial estimate sᵀy / yᵀy · I of the newest pair."""
+    q = -g
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * (s @ q))
+        q -= alphas[-1] * y
+    if pairs:
+        _, y, rho = pairs[-1]
+        q /= rho * (y @ y)
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        q += (a - rho * (y @ q)) * s
+    return q
+
+
 def mlp_fit(X, y, hp: Hyperparams) -> TrainedModel:
-    """Full-batch gradient descent on cross-entropy; tanh hidden layer,
-    two softmax outputs. Learning rate halves when the loss rises."""
+    """tanh hidden layer, two softmax outputs, fitted by L-BFGS on
+    X / X.std() until every gradient entry is at most MLP_TOL (see the
+    module docstring); W1 is stored for raw features."""
     X, labels, yi = _training_set(X, y, "network")
-    ws = _MLPWorkspace(X, yi, mlp_init(X.shape[1], hp.mlp_hidden, hp.seed))
-    lr = hp.mlp_lr
-    prev = np.inf
-    for _ in range(hp.mlp_epochs):
-        loss = ws.loss_grad()
-        if not math.isfinite(loss):
-            raise ConvergenceError("training diverged (non-finite loss); lower mlp_lr")
-        if loss > prev:
-            lr *= 0.5
-            if lr < 1e-6 * hp.mlp_lr:
+    scale = float(X.std()) or 1.0
+    ws = _MLPWorkspace(X / scale, yi, mlp_init(X.shape[1], hp.mlp_hidden, hp.seed))
+    theta, g = ws.theta, ws.grad
+    pairs = collections.deque(maxlen=_MLP_MEMORY)
+    f, it = _mlp_objective(ws), 0
+
+    def stop(why):
+        return ConvergenceError(f"network {why} (gradient {gap:.3e} > {MLP_TOL:g} "
+                                f"after {it} iterations)")
+
+    # `not <=`: a NaN gradient does not end the fit
+    while not (gap := float(np.abs(g).max())) <= MLP_TOL:
+        if it == _MLP_MAX_ITER:
+            raise stop("did not converge")
+        d = _lbfgs_direction(g, pairs)
+        slope = float(g @ d)
+        theta0, f0, g0 = theta.copy(), f, g.copy()
+        step = 1.0
+        while True:  # Armijo backtracking from step 1
+            np.multiply(step, d, out=theta)
+            theta += theta0
+            f = _mlp_objective(ws)
+            if not math.isfinite(f):
+                raise stop("diverged to a non-finite loss")
+            if f <= f0 + 1e-4 * step * slope:
                 break
-        prev = loss
-        # theta - lr*grad, element by element, on every parameter at once
-        np.multiply(lr, ws.grad, out=ws.grad)
-        np.subtract(ws.theta, ws.grad, out=ws.theta)
+            if np.array_equal(theta, theta0):
+                raise stop("line search found no decrease")
+            step *= 0.5
+        s, dy = theta - theta0, g - g0
+        sy = float(s @ dy)
+        if sy > 0:
+            pairs.append((s, dy, 1.0 / sy))
+        it += 1
+    ws.params["W1"] /= scale
     return TrainedModel(
         kind="mlp",
         feature_dim=X.shape[1],
         labels=labels,
         params=ws.params,
-        train_meta={"final_loss": prev},
+        train_meta={"iterations": it, "gradient": gap, "loss": f},
     )
 
 

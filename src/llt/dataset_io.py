@@ -461,9 +461,10 @@ def load_model(path) -> TrainedModel:
     labels = a.field("labels").split(",")
     # a fit indexes its two classes in sorted order, and a model file's
     # header is not under its checksum: a swapped list would invert every label
-    if labels != sorted((Label.NORMAL.value, Label.ECTOPIC.value)):
-        a.fail(f"bad label list {a.header['labels']!r} for {kind}: expected "
-               f"distinct class tokens in sorted order")
+    want = sorted((Label.NORMAL.value, Label.ECTOPIC.value))
+    if labels != want:
+        a.fail(f"bad label list {a.header['labels']!r} for {kind}: "
+               f"expected {','.join(want)!r}")
     sizes = {"1": 1, "d": feature_dim, "c": len(labels)}
     params, at = {}, {}  # at: field -> its last line, a param's only one
     for name, typ, letters in _MODEL_FIELDS[kind]:

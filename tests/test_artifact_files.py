@@ -236,11 +236,11 @@ DAMAGED = [
      r"mlp:17: unexpected payload line 'param x=1'"),
     ("mlp", edit("mlp", 2, ["kind=cnn"]), r"mlp:2: unknown model kind 'cnn'"),
     ("mlp", edit("mlp", 3, ["feature_dim=0"]), r"mlp:3: header field 'feature_dim': '0' is out of range"),
-    ("svm-linear", edit("svm-linear", 4, ["labels=N"]), r"svm-linear:4: bad label list 'N'"),
-    ("rf", edit("rf", 4, ["labels=N,E"]), r"rf:4: bad label list 'N,E' for rf"),
-    ("knn", edit("knn", 4, ["labels=E,Q"]), r"knn:4: bad label list 'E,Q' for knn"),
-    ("knn", edit("knn", 4, ["labels=N"]), r"knn:4: bad label list 'N' for knn"),
-    ("rf", edit("rf", 4, ["labels=N"]), r"rf:4: bad label list 'N' for rf"),
+    ("svm-linear", edit("svm-linear", 4, ["labels=N"]), r"svm-linear:4: bad label list 'N' for svm-linear: expected 'E,N'"),
+    ("rf", edit("rf", 4, ["labels=N,E"]), r"rf:4: bad label list 'N,E' for rf: expected 'E,N'"),
+    ("knn", edit("knn", 4, ["labels=E,Q"]), r"knn:4: bad label list 'E,Q' for knn: expected 'E,N'"),
+    ("knn", edit("knn", 4, ["labels=N"]), r"knn:4: bad label list 'N' for knn: expected 'E,N'"),
+    ("rf", edit("rf", 4, ["labels=N"]), r"rf:4: bad label list 'N' for rf: expected 'E,N'"),
     ("svm-rbf", edit("svm-rbf", 7, []), r"svm-rbf:7: expected 'param gamma=', got 'matrix coef 1 2'"),
     ("knn", edit("knn", 7, ["param metric=manhattan"]), r"knn:7: unknown metric 'manhattan'"),
     ("knn", edit("knn", 7, ["param metric=euclidean"]), r"knn:7: unknown metric 'euclidean'"),

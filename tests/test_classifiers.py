@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from llt import classifiers, dataset_io, linear_law
 from llt.classifiers import (
+    MLP_L2,
+    MLP_TOL,
     SMO_TOL,
     Hyperparams,
     TrainedModel,
@@ -106,10 +108,6 @@ class TestLinearSVM:
         model = linear_svm_fit(XOR_X, XOR_Y, Hyperparams())
         acc = np.mean(predict_batch(model, XOR_X) == np.array(XOR_Y))
         assert acc <= 0.75  # no hyperplane separates XOR
-
-    def test_needs_two_classes(self):
-        with pytest.raises(ValueError, match="2 classes"):
-            linear_svm_fit(np.zeros((3, 2)), ["N", "N", "N"], Hyperparams())
 
     def test_deterministic(self):
         X, y = two_blobs(seed=3)
@@ -250,41 +248,67 @@ class TestMLP:
                     ana = grads[name].ravel()[i]
                     assert abs(num - ana) <= 1e-6 * max(1.0, abs(num))
 
+    def test_objective_gradient_check(self):
+        """Central differences of the objective the fit minimises,
+        cross-entropy plus ½·MLP_L2·‖θ‖², match the gradient it fills in."""
+        rng = np.random.default_rng(1)
+        ws = classifiers._MLPWorkspace(rng.standard_normal((7, 3)), rng.integers(0, 2, 7),
+                                       mlp_init(3, 4, seed=1))
+        ws.theta += rng.standard_normal(ws.theta.size)
+        classifiers._mlp_objective(ws)
+        grad = ws.grad.copy()
+        eps = 1e-6
+        for i in range(ws.theta.size):
+            orig = ws.theta[i]
+            ws.theta[i] = orig + eps
+            fp = classifiers._mlp_objective(ws)
+            ws.theta[i] = orig - eps
+            fm = classifiers._mlp_objective(ws)
+            ws.theta[i] = orig
+            assert abs((fp - fm) / (2 * eps) - grad[i]) <= 1e-6 * max(1.0, abs(grad[i]))
+
     def test_separable_training(self):
         X, y = two_blobs(seed=12)
-        model = mlp_fit(X, y, Hyperparams(mlp_epochs=300))
+        model = mlp_fit(X, y, Hyperparams())
         assert np.mean(predict_batch(model, X) == np.array(y)) == 1.0
         assert model.params["W2"].shape[1] == 2  # two output nodes
 
     def test_xor_learnable(self):
         X = np.repeat(XOR_X, 4, axis=0)
         y = list(np.repeat(XOR_Y, 4))
-        model = mlp_fit(X, y, Hyperparams(mlp_epochs=2000, mlp_lr=1.0, seed=2))
+        model = mlp_fit(X, y, Hyperparams(seed=2))
         assert np.mean(predict_batch(model, XOR_X) == np.array(XOR_Y)) == 1.0
 
     def test_divergence_raises_convergence_error(self, monkeypatch):
         # finite features are checked on entry, so only a pass of the
         # network itself can make the loss non-finite
-        calls = []
+        real, calls = classifiers._MLPWorkspace.loss_grad, []
 
-        def nan_after_two(ws):
+        def nan_on_third(ws):
             calls.append(None)
-            return 0.5 if len(calls) <= 2 else np.nan
+            loss = real(ws)
+            return loss if len(calls) < 3 else np.nan
 
-        monkeypatch.setattr(classifiers._MLPWorkspace, "loss_grad", nan_after_two)
+        monkeypatch.setattr(classifiers._MLPWorkspace, "loss_grad", nan_on_third)
         X, y = two_blobs(seed=12)
-        with pytest.raises(ConvergenceError, match="training diverged"):
+        with pytest.raises(ConvergenceError, match=r"^network diverged to a non-finite "
+                                                   r"loss \(gradient \S+ > 1e-06 after \d+ "
+                                                   r"iterations\)$"):
             mlp_fit(X, y, Hyperparams())
         assert len(calls) == 3
 
-    def test_needs_two_classes(self):
-        with pytest.raises(ValueError, match="2 classes"):
-            mlp_fit(np.zeros((3, 2)), ["N", "N", "N"], Hyperparams())
+    def test_iteration_cap_raises_with_gradient(self, monkeypatch):
+        X, y = two_blobs(seed=4)
+        monkeypatch.setattr(classifiers, "_MLP_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError, match=r"^network did not converge \(gradient "
+                                                   r"\d\.\d{3}e-\d\d > 1e-06 after 1 "
+                                                   r"iterations\)$"):
+            mlp_fit(X, y, Hyperparams())
 
     def test_deterministic(self):
         X, y = two_blobs(seed=13)
-        m1 = mlp_fit(X, y, Hyperparams(mlp_epochs=50, seed=3))
-        m2 = mlp_fit(X, y, Hyperparams(mlp_epochs=50, seed=3))
+        m1 = mlp_fit(X, y, Hyperparams(seed=3))
+        m2 = mlp_fit(X, y, Hyperparams(seed=3))
         for k in m1.params:
             assert np.array_equal(m1.params[k], m2.params[k])
 
@@ -310,22 +334,6 @@ def oracle_mlp_loss_grad(params, X, targets):
     return loss, grads
 
 
-def oracle_mlp_fit(X, targets, hp):
-    """(params, final_loss, epochs run) of the dict-based descent loop."""
-    params = mlp_init(X.shape[1], hp.mlp_hidden, hp.seed)
-    lr, prev = hp.mlp_lr, np.inf
-    for epoch in range(hp.mlp_epochs):
-        loss, grads = oracle_mlp_loss_grad(params, X, targets)
-        if loss > prev:
-            lr *= 0.5
-            if lr < 1e-6 * hp.mlp_lr:
-                return params, prev, epoch
-        prev = loss
-        for k in params:
-            params[k] = params[k] - lr * grads[k]
-    return params, prev, hp.mlp_epochs
-
-
 def mlp_case(n, d, scale, seed):
     """Features with a per-column offset, and 0/1 targets holding both."""
     rng = np.random.default_rng(seed)
@@ -335,25 +343,14 @@ def mlp_case(n, d, scale, seed):
     return X, t
 
 
-# the learning rate halves to its floor and the loop stops before its last epoch
-LR_BREAK_CASE = dict(n=12, d=3, hidden=3, lr=200.0, scale=30.0, epochs=200, seed=3)
-
-
-def test_lr_break_case_stops_early():
-    c = LR_BREAK_CASE
-    X, t = mlp_case(c["n"], c["d"], c["scale"], c["seed"])
-    hp = Hyperparams(mlp_hidden=c["hidden"], mlp_lr=c["lr"], mlp_epochs=c["epochs"],
-                     seed=c["seed"])
-    assert oracle_mlp_fit(X, t, hp)[2] < c["epochs"]
+_MLP_CASES = dict(n=st.integers(2, 60), d=st.integers(1, 8),
+                  hidden=st.sampled_from([1, 2, 3, 8, 19]),
+                  scale=st.sampled_from([1e-3, 1.0, 30.0]), seed=st.integers(0, 2**16))
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(2, 60), d=st.integers(1, 8), hidden=st.sampled_from([1, 2, 3, 8, 19]),
-       lr=st.sampled_from([0.05, 0.5, 5.0, 50.0, 200.0]),
-       scale=st.sampled_from([1e-3, 1.0, 30.0]), epochs=st.integers(1, 200),
-       seed=st.integers(0, 2**16))
-@example(**LR_BREAK_CASE)
-def test_mlp_matches_dict_oracle_bit_for_bit(n, d, hidden, lr, scale, epochs, seed):
+@given(**_MLP_CASES)
+def test_mlp_matches_dict_oracle_bit_for_bit(n, d, hidden, scale, seed):
     X, t = mlp_case(n, d, scale, seed)
     init = mlp_init(d, hidden, seed)
     loss, grads = mlp_loss_grad(init, X, t)
@@ -361,12 +358,26 @@ def test_mlp_matches_dict_oracle_bit_for_bit(n, d, hidden, lr, scale, epochs, se
     assert loss == want_loss
     for k in want_grads:
         assert np.array_equal(grads[k], want_grads[k]), k
-    hp = Hyperparams(mlp_hidden=hidden, mlp_lr=lr, mlp_epochs=epochs, seed=seed)
-    model = mlp_fit(X, np.array(["E", "N"])[t], hp)
-    want, want_final, _ = oracle_mlp_fit(X, t, hp)
-    assert model.train_meta["final_loss"] == want_final
-    for k in want:
-        assert np.array_equal(model.params[k], want[k]), k
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_MLP_CASES)
+def test_mlp_fit_returns_a_stationary_point(n, d, hidden, scale, seed):
+    """The fitted network, on the features X / X.std() it was fitted
+    on, has every entry of its objective's gradient (cross-entropy from
+    the oracle plus the L2 term) at most MLP_TOL, and predict_batch on
+    raw X takes the argmax of that network."""
+    X, t = mlp_case(n, d, scale, seed)
+    model = mlp_fit(X, np.array(["E", "N"])[t], Hyperparams(mlp_hidden=hidden, seed=seed))
+    s = X.std() or 1.0
+    params = dict(model.params, W1=model.params["W1"] * s)
+    _, grads = mlp_loss_grad(params, X / s, t)
+    gap = max(np.abs(grads[k] + MLP_L2 * params[k]).max() for k in params)
+    assert gap <= MLP_TOL
+    assert model.train_meta["gradient"] <= MLP_TOL
+    h = np.tanh(X / s @ params["W1"] + params["b1"])
+    scaled = np.argmax(h @ params["W2"] + params["b2"], axis=1)
+    assert np.array_equal(predict_batch(model, X), np.array(model.labels)[scaled])
 
 
 _FITS = [knn_fit, linear_svm_fit, rbf_svm_fit, rf_fit, mlp_fit]

@@ -409,7 +409,7 @@ class TestModelFile:
                                      rf_fit, mlp_fit])
     def test_round_trip_predictions_identical(self, fit, tmp_path):
         X, y = _training_set()
-        model = fit(X, y, Hyperparams(mlp_epochs=50))
+        model = fit(X, y, Hyperparams())
         path = tmp_path / "m.txt"
         save_model(model, path)
         back = load_model(path)

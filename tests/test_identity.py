@@ -1,5 +1,6 @@
-"""The compare step of tools/identity.py, on small hand-made trees; the
-gate itself runs both commits' pipelines and is not run here."""
+"""The compare step of tools/identity.py and its list of expected
+differences, on small hand-made trees; the gate itself runs both
+commits' pipelines and is not run here."""
 
 import importlib.util
 from pathlib import Path
@@ -54,3 +55,66 @@ def test_every_difference_named_in_order(trees):
     (head / "report.csv").unlink()
     _tree(base, {"a.txt": b"x"})
     assert identity.compare(base, head) == (["a.txt", "data-1/train.csv", "report.csv"], 4)
+
+
+BASE = "0123456789abcdef0123456789abcdef01234567"
+LIST = f"{BASE}\n# the network's model files\nrun-1/deep/model_mlp.txt\n\nreport.csv\n"
+
+
+def test_list_names_its_paths():
+    assert identity.expected_differences(LIST, BASE) == {"run-1/deep/model_mlp.txt",
+                                                         "report.csv"}
+
+
+def test_unlisted_difference_breaks_the_list(trees):
+    base, head = trees
+    (head / "data-1/train.csv").write_bytes(b"E,0.5,1\n")
+    (head / "report.csv").write_bytes(b"method,acc\nknn,101\n")
+    (head / "run-1/deep/model_mlp.txt").write_bytes(b"\x00matrix W1 1 1\n0.5\n")
+    differ, _ = identity.compare(base, head)
+    assert identity.breaches(differ, identity.expected_differences(LIST, BASE)) == [
+        "differs, not listed: data-1/train.csv"]
+
+
+def test_listed_path_that_does_not_differ_breaks_the_list(trees):
+    base, head = trees
+    (head / "report.csv").write_bytes(b"method,acc\nknn,101\n")
+    differ, _ = identity.compare(base, head)
+    assert identity.breaches(differ, identity.expected_differences(LIST, BASE)) == [
+        "listed, identical: run-1/deep/model_mlp.txt"]
+
+
+def test_list_for_another_base_is_ignored(trees):
+    base, head = trees
+    (head / "report.csv").write_bytes(b"method,acc\nknn,101\n")
+    (head / "run-1/deep/model_mlp.txt").write_bytes(b"\x00matrix W1 1 1\n0.5\n")
+    differ, _ = identity.compare(base, head)
+    other = BASE.replace("0", "f")
+    assert identity.expected_differences(LIST, other) == set()
+    assert identity.breaches(differ, identity.expected_differences(LIST, other)) == [
+        "differs, not listed: report.csv", "differs, not listed: run-1/deep/model_mlp.txt"]
+
+
+def test_listed_files_are_still_compared(trees):
+    """A listed path that differs passes, but it is still read and
+    counted, and a file that exists on one side only is not hidden by
+    a listed name."""
+    base, head = trees
+    (head / "report.csv").write_bytes(b"method,acc\nknn,101\n")
+    (head / "run-1/deep/model_mlp.txt").write_bytes(b"\x00matrix W1 1 1\n0.5\n")
+    expected = identity.expected_differences(LIST, BASE)
+    differ, n = identity.compare(base, head)
+    assert (differ, n) == (["report.csv", "run-1/deep/model_mlp.txt"], 3)
+    assert identity.breaches(differ, expected) == []
+    _tree(head, {"run-1/deep/model_mlp.txt.bak": b""})
+    differ, n = identity.compare(base, head)
+    assert n == 4
+    assert identity.breaches(differ, expected) == [
+        "differs, not listed: run-1/deep/model_mlp.txt.bak"]
+
+
+def test_checked_in_list_names_a_full_sha():
+    first, *paths = identity.EXPECTED.read_text(encoding="utf-8").splitlines()
+    assert len(first) == 40 and int(first, 16) >= 0
+    paths = [p for p in paths if p and not p.startswith("#")]
+    assert len(paths) == len(set(paths))

@@ -9,11 +9,19 @@ CASES in its own interpreter, started with `-B` in an empty tree
 directory, with only that side's `src`, this checkout's `perfbench`
 (whose `workloads.py` both sides import, and which nothing writes to)
 and `tools` on the path. Every path a case writes is relative to the
-tree. The two trees are then compared byte for byte. The script prints
-the relative path of each file that differs or exists on one side only,
-names the directory that keeps both trees on stderr, and exits 1. If no
-path differs it prints the number of files compared and exits 0. A case
-that fails on either side also exits 1.
+tree. The two trees are then compared byte for byte, every file of
+both.
+
+A change that alters bytes on purpose lists the paths it expects to
+differ in `tools/identity_expected.txt`: the first line is the full SHA
+of the base commit the list applies to, and each further line that is
+neither blank nor a `#` comment is one relative path. Against any other
+base the list is ignored, so it never carries over to the next change.
+The script prints each path that differs or exists on one side only but
+is not listed, and each listed path that does not differ, names the
+directory that keeps both trees on stderr, and exits 1. Otherwise it
+prints the number of files compared and of listed paths that differ,
+and exits 0. A case that fails on either side also exits 1.
 
 Why each case is there:
 
@@ -68,9 +76,6 @@ Why each case is there:
   the pass's `fingerprint()`, which `perfbench/run.py` requires to be
   equal across a run's passes. They cover the sizes the benchmark
   times, and `scan_law_length` and the record path on their own.
-
-There is no list of expected differences: the first change that alters
-bytes on purpose adds it, with its entries.
 """
 
 from __future__ import annotations
@@ -87,6 +92,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+EXPECTED = ROOT / "tools" / "identity_expected.txt"
 
 SEEDS = (1, 2, 3, 7, 9)
 MODELS = ("knn", "svm-linear", "svm-rbf", "rf", "mlp")
@@ -263,11 +269,32 @@ def compare(a: Path, b: Path) -> tuple[list[str], int]:
     return sorted(differ), len(in_a | in_b)
 
 
+def expected_differences(text: str, base: str) -> set[str]:
+    """The paths of the expected-differences list `text` if its first
+    line is `base`, the full SHA of the base commit; none otherwise."""
+    lines = [line.strip() for line in text.splitlines()]
+    if not lines or lines[0] != base:
+        return set()
+    return {line for line in lines[1:] if line and not line.startswith("#")}
+
+
+def breaches(differ: list[str], expected: set[str]) -> list[str]:
+    """A line for each path of `differ` that `expected` does not list,
+    then one for each listed path that is not in `differ`."""
+    return ([f"differs, not listed: {p}" for p in differ if p not in expected]
+            + [f"listed, identical: {p}" for p in sorted(expected.difference(differ))])
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         sys.stderr.write("usage: tools/identity.py BASE_SHA\n")
         return 2
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", argv[0], "src"],
+    base = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify",
+                           argv[0] + "^{commit}"], stdout=subprocess.PIPE, text=True)
+    if base.returncode:
+        return 1
+    sha = base.stdout.strip()
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", sha, "src"],
                              stdout=subprocess.PIPE)
     if archive.returncode:
         return 1
@@ -284,12 +311,14 @@ def main(argv: list[str]) -> int:
             sys.stderr.write(f"the {side} side failed; its tree is in {tree}\n")
             return 1
     differ, n = compare(work / "base", work / "head")
-    if differ:
-        print("\n".join(differ))
-        sys.stderr.write(f"{len(differ)} of {n} files differ; both trees are in {work}\n")
+    wrong = breaches(differ, expected_differences(EXPECTED.read_text(encoding="utf-8"), sha))
+    if wrong:
+        print("\n".join(wrong))
+        sys.stderr.write(f"{len(wrong)} paths break {EXPECTED.name} ({len(differ)} of {n} "
+                         f"files differ); both trees are in {work}\n")
         return 1
     shutil.rmtree(work)
-    print(f"{n} files identical")
+    print(f"{n} files compared: {n - len(differ)} identical, {len(differ)} differ as listed")
     return 0
 
 
