@@ -11,7 +11,8 @@ model file holds; it indexes the classes in sorted order.
 Both SVMs solve the same dual with one SMO solver (second-order working
 set selection, as in LIBSVM) on their kernel matrix, X Xᵀ or the RBF
 kernel; it returns only when the maximal-violating-pair gap is at most
-SMO_TOL and otherwise raises ConvergenceError naming the gap. The linear
+SMO_TOL and otherwise raises ConvergenceError naming the gap: at once
+if the gap is not finite, else after _SMO_MAX_ITER iterations. The linear
 model stores w = Σ αᵢyᵢxᵢ, so both model layouts keep their fields.
 
 The forest's split search sorts each candidate feature once per node
@@ -30,11 +31,12 @@ and the summed-distance tie-break only for tied rows.
 The network is fitted by limited-memory BFGS (Liu & Nocedal, Math.
 Programming 45, 1989) to mean cross-entropy plus ½·MLP_L2·‖θ‖²; the
 separable corpora have no minimiser without the penalty. It runs on
-`X / s`, s = X.std() (1 if that is 0), the scalar rule of
-`rbf_gamma_default`, and stores W1 / s, so the model layout and predict
-take raw features. Each step takes the two-loop direction from the last
-_MLP_MEMORY curvature pairs (a pair with sᵀy <= 0 is dropped) and
-backtracks from step 1 until the Armijo condition holds. The fit
+`X / s`, s = X.std() (1 if that is 0) as `_std` computes it without
+overflow, the scalar rule of `rbf_gamma_default`, and stores W1 / s, so
+the model layout and predict take raw features. Each step takes the
+two-loop direction from the last _MLP_MEMORY curvature pairs (a pair
+with sᵀy <= 0 is dropped) and backtracks from step 1 until the Armijo
+condition holds. The fit
 returns only when every gradient entry is at most MLP_TOL, and raises
 ConvergenceError naming the gradient and the iteration otherwise: at
 _MLP_MAX_ITER iterations, a non-finite loss or a step too small to move
@@ -219,7 +221,8 @@ def _smo(K, ys, C):
     Σ αᵢyᵢK(xᵢ, x) - rho, gap is the final maximal-violating-pair gap
     m(α) - M(α) <= SMO_TOL, and history holds the dual objective
     ½(Σα - αᵀG) at the start and after every iteration. Raises
-    ConvergenceError with the gap after _SMO_MAX_ITER iterations.
+    ConvergenceError with the gap after _SMO_MAX_ITER iterations, or in
+    the first iteration whose gap is not finite.
     """
     diag = K.diagonal().copy()
     alpha = np.zeros(len(ys))
@@ -235,6 +238,9 @@ def _smo(K, ys, C):
         gap = float(m - M)
         if gap <= SMO_TOL:
             break
+        if not math.isfinite(gap):  # a NaN or inf kernel entry reached v
+            raise ConvergenceError(f"SMO stopped in iteration {it}: KKT gap {gap} "
+                                   f"is not finite")
         if it == _SMO_MAX_ITER:
             raise ConvergenceError(
                 f"SMO did not converge in {_SMO_MAX_ITER} iterations "
@@ -533,12 +539,26 @@ def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
     return q
 
 
+def _std(X: np.ndarray) -> float:
+    """X.std() as m · (X / m).std(), m the power of two at or below
+    max|X|. Scaling by a power of two is exact, and commutes with every
+    correctly rounded operation of the std, so this is X.std() bit for
+    bit wherever that neither overflows nor underflows; and the scaled
+    values lie in (-2, 2), so it is finite for every finite X (X.std()
+    is inf above about 1e154)."""
+    top = float(np.abs(X).max(initial=0.0))
+    if top == 0.0:
+        return 0.0
+    m = math.ldexp(1.0, math.frexp(top)[1] - 1)
+    return m * float((X / m).std())
+
+
 def mlp_fit(X, y, hp: Hyperparams) -> TrainedModel:
     """tanh hidden layer, two softmax outputs, fitted by L-BFGS on
     X / X.std() until every gradient entry is at most MLP_TOL (see the
     module docstring); W1 is stored for raw features."""
     X, labels, yi = _training_set(X, y, "network")
-    scale = float(X.std()) or 1.0
+    scale = _std(X) or 1.0
     ws = _MLPWorkspace(X / scale, yi, mlp_init(X.shape[1], hp.mlp_hidden, hp.seed))
     theta, g = ws.theta, ws.grad
     pairs = collections.deque(maxlen=_MLP_MEMORY)

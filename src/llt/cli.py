@@ -146,8 +146,9 @@ def cmd_synth(args, cfg: RunConfig) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # train.csv carries train + validation beats; `reproduce` re-splits it
-    merged = Corpus(beats=train.beats + val.beats, window_len=spec.window_len,
-                    role=Role.TRAIN)
+    merged = Corpus.from_arrays(np.concatenate([train.samples, val.samples]),
+                                np.concatenate([train.labels, val.labels]),
+                                np.concatenate([train.artifact, val.artifact]), Role.TRAIN)
     dataset_io.save_corpus(merged, out / "train.csv")
     dataset_io.save_corpus(test, out / "test.csv")
     print(f"wrote {len(merged)} train and {len(test)} test beats to {out}")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifiers import TrainedModel
-from .types import Beat, Corpus, Label, LinearLaw, Role, Signal
+from .types import Corpus, Label, LinearLaw, Role, Signal
 
 FORMAT_VERSION = "1"
 # follows the label token of an artifact beat in a beat CSV
@@ -122,21 +122,26 @@ def load_corpus(path, role: Role = Role.TRAIN) -> Corpus:
     path:line; of several, the first in the file.
 
     One pass over the lines checks each row's label and length and keeps
-    its value text; `_real_rows` then reads all the values at once."""
-    linenos, kinds, texts = [], [], []
-    parsed = {}  # label field -> (label, artifact flag), parsed once per file
+    its value text; `_real_rows` then reads all the values at once, and
+    its array becomes the corpus's `samples`, with no object per row."""
+    linenos, codes, texts = [], [], []
+    # label field -> its index into `tokens` and `flags`, parsed once per
+    # distinct field of the file
+    parsed, tokens, flags = {}, [], []
     window_len = error = None
     for lineno, line in data_lines(path):
         field, sep, values = line.partition(",")
-        kind = parsed.get(field)
-        if kind is None:
+        code = parsed.get(field)
+        if code is None:
             token = field.strip()
             try:
-                kind = parsed[field] = (Label.from_token(token.removesuffix(_ARTIFACT_MARK)),
-                                        token.endswith(_ARTIFACT_MARK))
+                label = Label.from_token(token.removesuffix(_ARTIFACT_MARK))
             except ValueError as e:
                 error = f"{path}:{lineno}: {e}"
                 break
+            code = parsed[field] = len(tokens)
+            tokens.append(label.value)
+            flags.append(token.endswith(_ARTIFACT_MARK))
         n = values.count(",") + 1 if sep else 0
         if window_len is None:
             window_len = n
@@ -145,7 +150,7 @@ def load_corpus(path, role: Role = Role.TRAIN) -> Corpus:
                      f"{path}:{lineno}: expected {window_len} samples, got {n}")
             break
         linenos.append(lineno)
-        kinds.append(kind)
+        codes.append(code)
         texts.append(values)
     # a bad value in a row above a bad label or length is named first
     samples = _real_rows(path, linenos, texts, window_len, ",", "column {}") if texts else None
@@ -153,9 +158,9 @@ def load_corpus(path, role: Role = Role.TRAIN) -> Corpus:
         raise ArtifactFileError(error)
     if samples is None:
         raise ArtifactFileError(f"{path}: no beats found")
-    return Corpus(beats=[Beat(samples=row, label=label, artifact=artifact)
-                         for row, (label, artifact) in zip(samples, kinds)],
-                  window_len=window_len, role=role)
+    at = np.array(codes)
+    return Corpus.from_arrays(samples, np.array(tokens, dtype=str)[at],
+                              np.array(flags, dtype=bool)[at], role)
 
 
 def save_corpus(corpus: Corpus, path) -> None:
@@ -206,15 +211,18 @@ class SplitSpec:
 
 def split_train_validation(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus]:
     """Seeded uniform shuffle; the first floor(fraction * N) beats form
-    the training part, the rest the validation part."""
+    the training part, the rest the validation part. Each part holds the
+    rows of `corpus`'s arrays at its indices, in shuffled order."""
     if corpus.role != Role.TRAIN:
         raise ValueError(f"can only split a train corpus, got role {corpus.role.value}")
-    perm = np.random.default_rng(spec.seed).permutation(len(corpus.beats))
-    cut = math.floor(spec.train_fraction * len(corpus.beats))
-    mk = lambda idx, role: Corpus(
-        beats=[corpus.beats[i] for i in idx], window_len=corpus.window_len, role=role
-    )
-    return mk(perm[:cut], Role.TRAIN), mk(perm[cut:], Role.VALIDATION)
+    perm = np.random.default_rng(spec.seed).permutation(len(corpus))
+    cut = math.floor(spec.train_fraction * len(corpus))
+
+    def part(idx, role):
+        return Corpus.from_arrays(corpus.samples[idx], corpus.labels[idx],
+                                  corpus.artifact[idx], role)
+
+    return part(perm[:cut], Role.TRAIN), part(perm[cut:], Role.VALIDATION)
 
 
 # -------------------------------------------------- artifact envelope

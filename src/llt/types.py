@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -26,8 +26,10 @@ class Label(str, Enum):
             raise ValueError(f"unknown label token {token!r}") from None
 
 
-# Label -> token; a dict lookup is cheaper than the Enum `value` property
+# Label -> token and back; a dict lookup is cheaper than the Enum
+# `value` property and than `Label(token)`
 _TOKEN = {label: label.value for label in Label}
+_LABEL = {token: label for label, token in _TOKEN.items()}
 
 
 class Role(str, Enum):
@@ -76,42 +78,67 @@ class Beat:
             raise ValueError("beat contains non-finite samples")
 
 
-@dataclass
 class Corpus:
-    """Beats of one window length, stacked once into arrays.
+    """Beats of one window length, held as arrays.
 
-    ``samples`` is the read-only (N, window_len) sample array, row i
-    being ``beats[i].samples``; ``labels`` holds each beat's label token,
-    ``artifact`` its artifact flag and ``clean`` its negation. The arrays
-    are built at construction, so ``beats`` must not be changed
-    afterwards.
+    ``samples`` is the read-only (N, window_len) sample array, one beat
+    per row; ``labels`` holds each row's label token, ``artifact`` its
+    artifact flag and ``clean`` the flag's negation. `from_arrays` builds
+    a corpus from these arrays. ``Corpus(beats, window_len, role)``
+    stacks a list of beats once into them, and ``beats`` gives a Beat
+    view of each row when it is read; neither is stored.
     """
 
-    beats: list[Beat]
-    window_len: int
-    role: Role = Role.TRAIN
-    samples: np.ndarray = field(init=False, repr=False, compare=False)
-    labels: np.ndarray = field(init=False, repr=False, compare=False)
-    artifact: np.ndarray = field(init=False, repr=False, compare=False)
-    clean: np.ndarray = field(init=False, repr=False, compare=False)
+    __slots__ = ("samples", "labels", "artifact", "clean", "role")
 
-    def __post_init__(self):
-        for i, b in enumerate(self.beats):
-            if len(b.samples) != self.window_len:
+    def __init__(self, beats: list[Beat], window_len: int, role: Role = Role.TRAIN):
+        for i, b in enumerate(beats):
+            if len(b.samples) != window_len:
                 raise ValueError(
-                    f"beat {i}: length {len(b.samples)} != corpus length {self.window_len}"
+                    f"beat {i}: length {len(b.samples)} != corpus length {window_len}"
                 )
         # the rows have equal lengths, so np.array stacks them as np.stack
         # would, at half the cost; the reshape covers a corpus of no beats
-        self.samples = np.array([b.samples for b in self.beats], dtype=float).reshape(
-            len(self.beats), self.window_len)
+        self._hold(np.array([b.samples for b in beats], dtype=float).reshape(
+                       len(beats), window_len),
+                   np.array([_TOKEN[b.label] for b in beats], dtype=str),
+                   np.array([b.artifact for b in beats], dtype=bool), role)
+
+    @classmethod
+    def from_arrays(cls, samples: np.ndarray, labels: np.ndarray, artifact: np.ndarray,
+                    role: Role = Role.TRAIN) -> "Corpus":
+        """A corpus of the (N, L) `samples`, their N label tokens and N
+        artifact flags, checked by the caller; it keeps a read-only view
+        of `samples`, and `labels` and `artifact` as given."""
+        corpus = cls.__new__(cls)
+        corpus._hold(samples, labels, artifact, role)
+        return corpus
+
+    def _hold(self, samples, labels, artifact, role) -> None:
+        if samples.ndim != 2 or not labels.shape == artifact.shape == (len(samples),):
+            raise ValueError(f"corpus arrays of shapes {samples.shape}, {labels.shape} "
+                             f"and {artifact.shape} do not match")
+        self.samples = samples.view()
         self.samples.flags.writeable = False
-        self.labels = np.array([_TOKEN[b.label] for b in self.beats], dtype=str)
-        self.artifact = np.array([b.artifact for b in self.beats], dtype=bool)
-        self.clean = ~self.artifact
+        self.labels = labels
+        self.artifact = artifact
+        self.clean = ~artifact
+        self.role = role
+
+    @property
+    def window_len(self) -> int:
+        return self.samples.shape[1]
+
+    @property
+    def beats(self) -> list[Beat]:
+        """A Beat of each row, built on each read; its samples are a
+        read-only view of the row."""
+        return [Beat(samples=row, label=_LABEL[token], artifact=flag)
+                for row, token, flag in zip(self.samples, self.labels.tolist(),
+                                            self.artifact.tolist())]
 
     def __len__(self) -> int:
-        return len(self.beats)
+        return len(self.samples)
 
     def with_label(self, label: Label) -> list[Beat]:
         return [b for b in self.beats if b.label == label]

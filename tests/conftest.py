@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -100,6 +101,22 @@ def float_rows(path):
                 rows.append((token.removesuffix("*"), token.endswith("*"),
                              [float(c) for c in cells]))
     return rows
+
+
+def beat_rows(path):
+    """Oracle of `dataset_io.load_corpus` as one Beat per row: a Beat of
+    each row of `float_rows`, in file order."""
+    return [Beat(samples=np.array(cells), label=Label(token), artifact=artifact)
+            for token, artifact, cells in float_rows(path)]
+
+
+def beat_split(beats, spec):
+    """Oracle of `dataset_io.split_train_validation` on a list of beats:
+    the same seeded permutation, cut at floor(fraction * N), as two
+    lists of the beats themselves."""
+    perm = np.random.default_rng(spec.seed).permutation(len(beats))
+    cut = math.floor(spec.train_fraction * len(beats))
+    return [beats[i] for i in perm[:cut]], [beats[i] for i in perm[cut:]]
 
 
 @pytest.fixture

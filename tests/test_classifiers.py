@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -305,6 +307,17 @@ class TestMLP:
                                                    r"iterations\)$"):
             mlp_fit(X, y, Hyperparams())
 
+    def test_scale_of_huge_features(self):
+        """The fit on 2^600·X, whose X.std() overflows, predicts on its
+        input what the fit on X predicts on X, with no warning."""
+        X, y = two_blobs(seed=12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = mlp_fit(2.0 ** 600 * X, y, Hyperparams())
+            want = predict_batch(mlp_fit(X, y, Hyperparams()), X)
+            assert np.array_equal(predict_batch(big, 2.0 ** 600 * X), want)
+        assert np.mean(want == np.array(y)) == 1.0
+
     def test_deterministic(self):
         X, y = two_blobs(seed=13)
         m1 = mlp_fit(X, y, Hyperparams(seed=3))
@@ -445,6 +458,14 @@ class TestSMO:
         with pytest.raises(ConvergenceError,
                            match=r"did not converge in 1 iterations \(KKT gap "):
             fit(X, y, Hyperparams())
+
+    def test_non_finite_gap_raises_at_once(self):
+        # NaN entries off the diagonal reach v in the first step; a NaN
+        # gap is not <= SMO_TOL, which alone would run to _SMO_MAX_ITER
+        K = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        with pytest.raises(ConvergenceError,
+                           match=r"^SMO stopped in iteration 1: KKT gap nan is not finite$"):
+            classifiers._smo(K, np.array([1.0, -1.0]), 1.0)
 
     def test_hard_corpus(self):
         # an RBF SVM stopped before its KKT gap closes scores far below
@@ -657,6 +678,17 @@ def test_fit_needs_exactly_two_classes(fit, name, y):
     model file holds two."""
     X = np.arange(12.0).reshape(6, 2)
     with pytest.raises(ValueError, match=f"^{name} needs exactly 2 classes, got {len(set(y))}$"):
+        fit(X, y, Hyperparams())
+
+
+@pytest.mark.parametrize("fit", _FITS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("X, y, message", [
+    (np.arange(4.0), list("NENE"), "features must be a 2-D array"),
+    (np.arange(12.0).reshape(2, 2, 3), list("NE"), "features must be a 2-D array"),
+    (np.arange(12.0).reshape(6, 2), list("NENE"), "6 feature rows vs 4 labels"),
+])
+def test_fit_needs_one_label_per_feature_row(fit, X, y, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         fit(X, y, Hyperparams())
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import llt
-from llt import cli, dataset_io
+from llt import cli, dataset_io, types
 from llt.classifiers import Hyperparams, rbf_gamma_default, rbf_svm_fit
 from llt.cli import RunConfig, build_parser, load_config, main
 from llt.dataset_io import load_corpus, load_features, load_law, load_model
@@ -300,6 +300,15 @@ class TestPipelineCommands:
             assert f"model_{name}.txt" in {p.name for p in out.iterdir()}
             assert f"{name},test" in report
         assert (out / "law_normal.law").exists()
+
+    def test_reproduce_builds_no_beat(self, data_dir, tmp_path, monkeypatch):
+        """`llt reproduce` loads, splits, fits and scores on the corpus
+        arrays: no Beat is made on its path."""
+        def no_beat(beat):
+            raise AssertionError("a Beat was made")
+
+        monkeypatch.setattr(types.Beat, "__post_init__", no_beat)
+        assert run(["reproduce", "--data", str(data_dir), "--out", str(tmp_path / "run")]) == 0
 
     def test_reproduce_names_knn_after_its_k(self, data_dir, tmp_path, capsys):
         out = tmp_path / "run"

@@ -1,6 +1,8 @@
 """The corpus sample arrays, and a property that the law, feature, scan
 and scoring paths give the same bits on `Corpus` rows as on beat lists."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,6 +53,29 @@ class TestCorpusArrays:
         beats = random_beats(2, 6, seed=2) + random_beats(1, 5, seed=3)
         with pytest.raises(ValueError, match=r"^beat 2: length 5 != corpus length 6$"):
             Corpus(beats=beats, window_len=6)
+
+    def test_from_arrays_keeps_a_read_only_view(self):
+        samples = np.arange(6.0).reshape(3, 2)
+        corpus = Corpus.from_arrays(samples, np.array(["N", "E", "?"]),
+                                    np.array([False, True, False]), Role.TEST)
+        assert np.shares_memory(corpus.samples, samples) and samples.flags.writeable
+        assert not corpus.samples.flags.writeable
+        assert (len(corpus), corpus.window_len, corpus.role) == (3, 2, Role.TEST)
+        assert corpus.clean.tolist() == [True, False, True]
+        beats = corpus.beats
+        assert [(b.label, b.artifact) for b in beats] == [
+            (Label.NORMAL, False), (Label.ECTOPIC, True), (Label.UNLABELED, False)]
+        assert all(np.shares_memory(b.samples, samples) for b in beats)
+        assert [b.artifact for b in corpus.with_label(Label.ECTOPIC)] == [True]
+
+    @pytest.mark.parametrize("shapes", [((3,), (3,), (3,)), ((3, 2), (2,), (3,)),
+                                        ((3, 2), (3,), (4,)), ((3, 2), (3, 1), (3, 1))])
+    def test_from_arrays_rejects_mismatched_shapes(self, shapes):
+        samples, labels, artifact = shapes
+        with pytest.raises(ValueError, match=rf"^corpus arrays of shapes "
+                                             rf"{re.escape(str(samples))}, .* do not match$"):
+            Corpus.from_arrays(np.zeros(samples), np.full(labels, "N"),
+                               np.zeros(artifact, dtype=bool))
 
     def test_embed_class_rejects_non_matrix(self):
         with pytest.raises(ValueError, match=r"\(N, L\) array"):

@@ -34,7 +34,7 @@ from llt.dataset_io import (
 from llt.linear_law import fit_law
 from llt.types import Beat, Corpus, Label, LinearLaw, Role
 
-from conftest import float_rows, random_beats
+from conftest import beat_rows, beat_split, float_rows, random_beats
 
 
 class TestCorpusFormat:
@@ -249,6 +249,53 @@ def test_load_corpus_equals_float_oracle(tmp_path, rows, width, seed, drawn, ext
                                                              for b in beats]
 
 
+def _assert_holds(corpus, beats):
+    """`corpus` holds `beats`' samples bit for bit, their labels and
+    artifact flags, in order, in a read-only sample array."""
+    assert corpus.samples.shape == (len(beats), corpus.window_len)
+    assert corpus.samples.tobytes() == b"".join(b.samples.tobytes() for b in beats)
+    assert corpus.labels.tolist() == [b.label.value for b in beats]
+    assert corpus.artifact.tolist() == [b.artifact for b in beats]
+    assert not corpus.samples.flags.writeable
+
+
+# a beat-CSV cell: a finite double, written in one of three ways
+_CELLS = st.builds(str.format, st.sampled_from(["{!r}", "{:.17g}", " {!r}\t"]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), width=st.integers(2, 8),
+       rows=st.lists(st.tuples(st.sampled_from(["N", "E", "?"]), st.booleans()),
+                     min_size=1, max_size=30),
+       extra=st.lists(st.tuples(st.integers(0, 30),
+                                st.sampled_from(["", "  ", "# note", "#N,1,2", "\t# x"])),
+                      max_size=6),
+       fraction=st.floats(0.01, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_corpus_and_split_equal_beat_oracle(tmp_path, data, width, rows, extra, fraction,
+                                            seed):
+    """On a beat CSV of N/E/? rows, `*` artifact rows, comment and blank
+    lines, `load_corpus` holds what one Beat per row holds, and each
+    part of `split_train_validation` what the beat-list split of those
+    beats holds, bit for bit and in order; every sample array is
+    read-only."""
+    lines = [f"{token}{'*' if artifact else ''}," + ",".join(
+                 data.draw(st.lists(_CELLS, min_size=width, max_size=width)))
+             for token, artifact in rows]
+    for at, text in extra:
+        lines.insert(min(at, len(lines)), text)
+    path = tmp_path / "beats.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    corpus = load_corpus(path)
+    beats = beat_rows(path)
+    _assert_holds(corpus, beats)
+    spec = SplitSpec(train_fraction=fraction, seed=seed)
+    for part, oracle in zip(split_train_validation(corpus, spec), beat_split(beats, spec)):
+        _assert_holds(part, oracle)
+
+
 def rewrite_payload(path, edit):
     """Replace each payload line of an artifact file by `edit(line)`,
     and its checksum by the new payload's."""
@@ -322,14 +369,23 @@ def test_artifact_reals_equal_float_oracle(tmp_path, rows, width, seed, drawn, p
         assert values.tobytes() == X.tobytes() == np.array(float_cells(path)).tobytes()
 
 
+def _row_indices(corpus, part):
+    """The index in `corpus` of each row of `part`; the rows of `corpus`
+    must be distinct."""
+    index = {row.tobytes(): i for i, row in enumerate(corpus.samples)}
+    assert len(index) == len(corpus)
+    return [index[row.tobytes()] for row in part.samples]
+
+
 class TestSplit:
     def test_sizes_and_disjoint(self):
         corpus = Corpus(beats=random_beats(100, 6, seed=2), window_len=6)
         train, val = split_train_validation(corpus, SplitSpec(seed=3))
         assert len(train) == 40 and len(val) == 60
         assert train.role is Role.TRAIN and val.role is Role.VALIDATION
-        ids = {id(b) for b in train.beats} | {id(b) for b in val.beats}
-        assert len(ids) == 100  # no beat in both parts
+        # the parts cover the corpus, and no row is in both
+        rows = _row_indices(corpus, train) + _row_indices(corpus, val)
+        assert sorted(rows) == list(range(100))
 
     def test_clinical_sizes(self):
         # 8520 beats at a 40% fraction -> 3408 train, 5112 validation
@@ -342,9 +398,10 @@ class TestSplit:
         corpus = Corpus(beats=random_beats(50, 5, seed=5), window_len=5)
         t1, v1 = split_train_validation(corpus, SplitSpec(seed=9))
         t2, v2 = split_train_validation(corpus, SplitSpec(seed=9))
-        assert [id(b) for b in t1.beats] == [id(b) for b in t2.beats]
+        assert _row_indices(corpus, t1) == _row_indices(corpus, t2)
+        assert _row_indices(corpus, v1) == _row_indices(corpus, v2)
         t3, _ = split_train_validation(corpus, SplitSpec(seed=10))
-        assert [id(b) for b in t1.beats] != [id(b) for b in t3.beats]
+        assert _row_indices(corpus, t1) != _row_indices(corpus, t3)
 
     def test_cannot_split_test_corpus(self):
         corpus = Corpus(beats=random_beats(10, 5, seed=8), window_len=5,

@@ -1,8 +1,12 @@
-"""The compare step of tools/identity.py and its list of expected
-differences, on small hand-made trees; the gate itself runs both
-commits' pipelines and is not run here."""
+"""The compare step of tools/identity.py, its list of expected
+differences and the path of each side, on small hand-made trees and a
+small git repository; the gate itself runs both commits' pipelines and
+is not run here."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -118,3 +122,33 @@ def test_checked_in_list_names_a_full_sha():
     assert len(first) == 40 and int(first, 16) >= 0
     paths = [p for p in paths if p and not p.startswith("#")]
     assert len(paths) == len(set(paths))
+
+
+def test_each_side_imports_its_own_workloads(tmp_path):
+    """The base side's path leads to the base commit's `workloads.py`
+    and `src`, the head side's to the checkout's, though they differ."""
+    repo = tmp_path / "repo"
+    files = {"src/llt/__init__.py": b"", "perfbench/workloads.py": b"SIDE = 'base'\n"}
+    _tree(repo, files)
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "base"]):
+        subprocess.run(git + args, check=True)
+    sha = subprocess.run(git + ["rev-parse", "HEAD"], check=True, stdout=subprocess.PIPE,
+                         text=True).stdout.strip()
+    (repo / "perfbench/workloads.py").write_text("SIDE = 'head'\n")
+
+    assert identity.unpack(repo, sha, tmp_path / "base")
+    code = "import llt, workloads; print(workloads.SIDE, workloads.__file__, llt.__file__)"
+    for root, side in ((tmp_path / "base", "base"), (repo, "head")):
+        out = subprocess.run([sys.executable, "-B", "-c", code], check=True, text=True,
+                             stdout=subprocess.PIPE, cwd=tmp_path,
+                             env=dict(os.environ, PYTHONPATH=identity.side_path(root)))
+        name, workloads, llt = out.stdout.split()
+        assert name == side
+        assert Path(workloads) == root / "perfbench/workloads.py"
+        assert Path(llt) == root / "src/llt/__init__.py"
+
+
+def test_unpack_fails_on_an_unknown_commit(tmp_path):
+    subprocess.run(["git", "init", "-q", str(tmp_path / "repo")], check=True)
+    assert not identity.unpack(tmp_path / "repo", "0" * 40, tmp_path / "base")

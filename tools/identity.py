@@ -3,14 +3,16 @@ must keep its bytes (acceptance criterion 9 across commits).
 
     python3 tools/identity.py BASE_SHA
 
-The base side is the base commit's `src`, unpacked with `git archive`;
-the head side is this checkout's `src`. Each side runs every case of
-CASES in its own interpreter, started with `-B` in an empty tree
-directory, with only that side's `src`, this checkout's `perfbench`
-(whose `workloads.py` both sides import, and which nothing writes to)
-and `tools` on the path. Every path a case writes is relative to the
-tree. The two trees are then compared byte for byte, every file of
-both.
+The base side is the base commit's `src` and `perfbench`, unpacked
+with `git archive`; the head side is this checkout's. Each side runs
+every case of CASES in its own interpreter, started with `-B` in an
+empty tree directory, with only that side's `src` and `perfbench`
+(whose `workloads.py` the workload cases import, and which nothing
+writes to) and this checkout's `tools` on the path. So a change to the
+workloads is compared against the base's workloads on the base's
+`src`, and a workload may call a name that the base lacks. Every path
+a case writes is relative to the tree. The two trees are then compared
+byte for byte, every file of both.
 
 A change that alters bytes on purpose lists the paths it expects to
 differ in `tools/identity_expected.txt`: the first line is the full SHA
@@ -285,6 +287,24 @@ def breaches(differ: list[str], expected: set[str]) -> list[str]:
             + [f"listed, identical: {p}" for p in sorted(expected.difference(differ))])
 
 
+def unpack(repo: Path, sha: str, dest: Path) -> bool:
+    """The `src` and `perfbench` of commit `sha` of the git checkout
+    `repo`, unpacked under `dest`; False if `git archive` fails."""
+    archive = subprocess.run(["git", "-C", str(repo), "archive", sha, "src", "perfbench"],
+                             stdout=subprocess.PIPE)
+    if archive.returncode:
+        return False
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+    return True
+
+
+def side_path(root: Path) -> str:
+    """The PYTHONPATH of the side whose `src` and `perfbench` are under
+    `root`, with this checkout's `tools`."""
+    return os.pathsep.join(str(p) for p in (root / "src", root / "perfbench", ROOT / "tools"))
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         sys.stderr.write("usage: tools/identity.py BASE_SHA\n")
@@ -294,20 +314,16 @@ def main(argv: list[str]) -> int:
     if base.returncode:
         return 1
     sha = base.stdout.strip()
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", sha, "src"],
-                             stdout=subprocess.PIPE)
-    if archive.returncode:
-        return 1
     work = Path(tempfile.mkdtemp(prefix="identity-"))
-    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-        tar.extractall(work / "base-src", filter="data")
-    for side, src in (("base", work / "base-src" / "src"), ("head", ROOT / "src")):
+    if not unpack(ROOT, sha, work / "base-commit"):
+        shutil.rmtree(work)
+        return 1
+    for side, root in (("base", work / "base-commit"), ("head", ROOT)):
         tree = work / side
         tree.mkdir()
-        path = os.pathsep.join(str(p) for p in (src, ROOT / "perfbench", ROOT / "tools"))
-        code = f"import identity; identity.write_tree({str(src)!r})"
+        code = f"import identity; identity.write_tree({str(root / 'src')!r})"
         if subprocess.run([sys.executable, "-B", "-c", code], cwd=tree,
-                          env=dict(os.environ, PYTHONPATH=path)).returncode:
+                          env=dict(os.environ, PYTHONPATH=side_path(root))).returncode:
             sys.stderr.write(f"the {side} side failed; its tree is in {tree}\n")
             return 1
     differ, n = compare(work / "base", work / "head")
