@@ -40,16 +40,17 @@ condition holds. The fit
 returns only when every gradient entry is at most MLP_TOL, and raises
 ConvergenceError naming the gradient and the iteration otherwise: at
 _MLP_MAX_ITER iterations, a non-finite loss or a step too small to move
-θ. The objective and its gradient come from one flat parameter vector
-and one flat gradient vector, with W1, b1, W2 and b2 as reshaped views;
-every intermediate has a preallocated buffer. With two outputs, the
+θ. `_mlp_loss_grad` reads one flat parameter vector and writes one flat
+gradient vector, with W1, b1, W2 and b2 as their reshaped views
+(`_unpack`). Its cost is its count of numpy calls, and three choices
+lower that count and keep every bit of the plain per-array form: the
 softmax's row max and row sum are one `maximum` and one `add` of the
-two column views, and the target terms are read at precomputed flat
-indices. The result is bit-identical to the plain per-array form: each
-element sees the same IEEE operations in the same order (the max and
-the sum of two numbers are exact, p - 0.0 == p, and the matrix products
-and axis-0 sums run on arrays of the same shape and layout), only with
-fewer numpy calls and no temporaries.
+two column views (a max or a sum of two numbers is exact), the target
+terms are one `take` at precomputed flat indices (and p - onehot leaves
+the other entries as they are, p - 0.0 == p), and the mean and the
+bias gradients are `np.add.reduce`, the reduction that `mean` and
+`sum` run behind their Python wrappers. The matrix products and axis-0
+sums run on arrays of the same shape and layout as in that form.
 """
 
 from __future__ import annotations
@@ -359,9 +360,11 @@ def _best_split(X, y, counts, feats):
         vals = col[np.concatenate(([True], col[1:] != col[:-1]))]
         if len(vals) < 2:
             continue
-        thr = (vals[:-1] + vals[1:]) / 2.0
+        # (a + b) / 2 overflows above about 9e307; the sum of the halves
+        # equals it wherever it is finite, unless a half is subnormal
+        thr = vals[:-1] / 2.0 + vals[1:] / 2.0
         # nl = #(X[:, f] < thr), left counts from label prefix sums; a
-        # midpoint that rounds onto vals[0] (or overflows) empties a side
+        # midpoint that rounds onto vals[0] empties a side
         nl = np.searchsorted(col, thr, "left")
         keep = (nl > 0) & (nl < n)
         thr, nl = thr[keep], nl[keep]
@@ -450,76 +453,32 @@ def mlp_init(feature_dim: int, hidden: int, seed: int) -> dict:
     }
 
 
-class _MLPWorkspace:
-    """A d-hidden-2 tanh network on a full batch X, starting from a copy
-    of `params`: the parameters W1, b1, W2, b2 and their gradients are
-    reshaped views into one flat vector each (`theta`, `grad`), and every
-    intermediate of a pass has its own preallocated buffer."""
-
-    def __init__(self, X: np.ndarray, targets: np.ndarray, params: dict):
-        n, d = X.shape
-        hidden = len(params["b1"])
-        shapes = {"W1": (d, hidden), "b1": (hidden,), "W2": (hidden, 2), "b2": (2,)}
-        size = sum(math.prod(s) for s in shapes.values())
-        self.theta, self.grad = np.empty(size), np.empty(size)
-        self.params, self.grads = {}, {}
-        at = 0
-        for k, s in shapes.items():
-            end = at + math.prod(s)
-            self.params[k] = self.theta[at:end].reshape(s)
-            self.grads[k] = self.grad[at:end].reshape(s)
-            self.params[k][...] = params[k]
-            at = end
-        self.X, self.XT, self.n = X, X.T, n
-        self.W2T = self.params["W2"].T
-        # dz = p - onehot is p with 1 taken off each target entry, and
-        # p.ravel()[pick] the target entries themselves
-        self.onehot = np.zeros((n, 2))
-        self.onehot[np.arange(n), targets] = 1.0
-        self.pick = 2 * np.arange(n) + targets
-        self.h, self.dh, self.gate = (np.empty((n, hidden)) for _ in range(3))
-        self.hT = self.h.T
-        self.z, self.p, self.dz = (np.empty((n, 2)) for _ in range(3))
-        self.zmax, self.esum, self.pt = np.empty(n), np.empty(n), np.empty(n)
-
-    def loss_grad(self) -> float:
-        """Mean cross-entropy at `theta`; fills `grad` with its gradient."""
-        P, G = self.params, self.grads
-        h, z, p, dz, dh = self.h, self.z, self.p, self.dz, self.dh
-        np.matmul(self.X, P["W1"], out=h)
-        np.add(h, P["b1"], out=h)
-        np.tanh(h, out=h)
-        np.matmul(h, P["W2"], out=z)
-        np.add(z, P["b2"], out=z)
-        # softmax over the two columns; a max or sum of two is exact
-        np.maximum(z[:, 0], z[:, 1], out=self.zmax)
-        np.subtract(z, self.zmax[:, None], out=z)
-        np.exp(z, out=z)
-        np.add(z[:, 0], z[:, 1], out=self.esum)
-        np.divide(z, self.esum[:, None], out=p)
-        pt = np.take(p, self.pick, out=self.pt)
-        np.add(pt, 1e-300, out=pt)
-        np.log(pt, out=pt)
-        loss = -float(np.add.reduce(pt) / self.n)
-        np.subtract(p, self.onehot, out=dz)
-        np.divide(dz, self.n, out=dz)
-        np.matmul(self.hT, dz, out=G["W2"])
-        np.add.reduce(dz, axis=0, out=G["b2"])
-        np.matmul(dz, self.W2T, out=dh)
-        np.multiply(h, h, out=self.gate)
-        np.subtract(1.0, self.gate, out=self.gate)
-        np.multiply(dh, self.gate, out=dh)
-        np.matmul(self.XT, dh, out=G["W1"])
-        np.add.reduce(dh, axis=0, out=G["b1"])
-        return loss
+def _unpack(vec: np.ndarray, d: int, hidden: int):
+    """W1, b1, W2 and b2 of the d-hidden-2 network as reshaped views of
+    `vec`, a flat parameter vector or its gradient."""
+    a, b, c = d * hidden, (d + 1) * hidden, (d + 3) * hidden
+    return vec[:a].reshape(d, hidden), vec[a:b], vec[b:c].reshape(hidden, 2), vec[c:]
 
 
-def _mlp_objective(ws: _MLPWorkspace) -> float:
-    """Mean cross-entropy plus ½·MLP_L2·‖θ‖² at `ws.theta`; fills
-    `ws.grad` with its gradient."""
-    loss = ws.loss_grad()
-    ws.grad += MLP_L2 * ws.theta
-    return loss + 0.5 * MLP_L2 * float(ws.theta @ ws.theta)
+def _mlp_loss_grad(theta, grad, X, onehot, pick, hidden) -> float:
+    """Mean cross-entropy of the tanh network with parameters `theta` on
+    the rows of X, whose targets are the rows of `onehot` and the flat
+    indices `pick` of their ones; writes its gradient into `grad`."""
+    W1, b1, W2, b2 = _unpack(theta, X.shape[1], hidden)
+    gW1, gb1, gW2, gb2 = _unpack(grad, X.shape[1], hidden)
+    h = np.tanh(X @ W1 + b1)
+    z = h @ W2 + b2
+    # softmax over the two columns; a max or sum of two is exact
+    e = np.exp(z - np.maximum(z[:, 0], z[:, 1])[:, None])
+    p = e / np.add(e[:, 0], e[:, 1])[:, None]
+    loss = -float(np.add.reduce(np.log(p.take(pick) + 1e-300)) / len(X))
+    dz = (p - onehot) / len(X)
+    np.matmul(h.T, dz, out=gW2)
+    np.add.reduce(dz, axis=0, out=gb2)
+    dh = (dz @ W2.T) * (1.0 - h * h)
+    np.matmul(X.T, dh, out=gW1)
+    np.add.reduce(dh, axis=0, out=gb1)
+    return loss
 
 
 def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
@@ -559,10 +518,20 @@ def mlp_fit(X, y, hp: Hyperparams) -> TrainedModel:
     module docstring); W1 is stored for raw features."""
     X, labels, yi = _training_set(X, y, "network")
     scale = _std(X) or 1.0
-    ws = _MLPWorkspace(X / scale, yi, mlp_init(X.shape[1], hp.mlp_hidden, hp.seed))
-    theta, g = ws.theta, ws.grad
+    Xs, dim, hidden = X / scale, X.shape[1], hp.mlp_hidden
+    theta = np.concatenate([a.ravel() for a in mlp_init(dim, hidden, hp.seed).values()])
+    g = np.empty_like(theta)
+    onehot, pick = np.eye(2)[yi], 2 * np.arange(len(yi)) + yi
+
+    def objective():
+        """Mean cross-entropy plus ½·MLP_L2·‖θ‖² at theta; fills g with
+        its gradient."""
+        f = _mlp_loss_grad(theta, g, Xs, onehot, pick, hidden)
+        np.add(g, MLP_L2 * theta, out=g)
+        return f + 0.5 * MLP_L2 * float(theta @ theta)
+
     pairs = collections.deque(maxlen=_MLP_MEMORY)
-    f, it = _mlp_objective(ws), 0
+    f, it = objective(), 0
 
     def stop(why):
         return ConvergenceError(f"network {why} (gradient {gap:.3e} > {MLP_TOL:g} "
@@ -579,7 +548,7 @@ def mlp_fit(X, y, hp: Hyperparams) -> TrainedModel:
         while True:  # Armijo backtracking from step 1
             np.multiply(step, d, out=theta)
             theta += theta0
-            f = _mlp_objective(ws)
+            f = objective()
             if not math.isfinite(f):
                 raise stop("diverged to a non-finite loss")
             if f <= f0 + 1e-4 * step * slope:
@@ -592,12 +561,13 @@ def mlp_fit(X, y, hp: Hyperparams) -> TrainedModel:
         if sy > 0:
             pairs.append((s, dy, 1.0 / sy))
         it += 1
-    ws.params["W1"] /= scale
+    W1, b1, W2, b2 = _unpack(theta, dim, hidden)
+    W1 /= scale
     return TrainedModel(
         kind="mlp",
-        feature_dim=X.shape[1],
+        feature_dim=dim,
         labels=labels,
-        params=ws.params,
+        params={"W1": W1, "b1": b1, "W2": W2, "b2": b2},
         train_meta={"iterations": it, "gradient": gap, "loss": f},
     )
 

@@ -19,7 +19,7 @@ with warnings.catch_warnings():
     except ImportError:
         pass
 
-from llt.classifiers import _MLPWorkspace
+from llt import classifiers
 from llt.types import Beat, Label, LinearLaw
 
 
@@ -80,10 +80,15 @@ def tree_predict(node, x):
 
 def mlp_loss_grad(params, X, targets):
     """Cross-entropy loss and analytic gradients of the tanh network at
-    `params`, from the kernel `classifiers.mlp_fit` runs; `targets` are
-    class indices (0/1)."""
-    ws = _MLPWorkspace(np.asarray(X, dtype=float), np.asarray(targets), params)
-    return ws.loss_grad(), ws.grads
+    `params`, from the function `classifiers.mlp_fit` minimises, which
+    leaves out the fit's L2 term; `targets` are class indices (0/1)."""
+    X, targets = np.asarray(X, dtype=float), np.asarray(targets)
+    names, hidden = ("W1", "b1", "W2", "b2"), len(params["b1"])
+    theta = np.concatenate([params[k].ravel() for k in names])
+    grad = np.empty_like(theta)
+    loss = classifiers._mlp_loss_grad(theta, grad, X, np.eye(2)[targets],
+                                      2 * np.arange(len(X)) + targets, hidden)
+    return loss, dict(zip(names, classifiers._unpack(grad, X.shape[1], hidden)))
 
 
 def float_rows(path):

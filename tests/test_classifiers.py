@@ -191,6 +191,16 @@ class TestRandomForest:
         assert split and all((t["left"], t["right"]) == ({"leaf": 0}, {"leaf": 1})
                              for t in split)
 
+    def test_features_near_the_largest_double(self):
+        """A midpoint between values above 9e307 is found without an
+        overflow, and the forest separates the classes."""
+        X = np.array([[1e308], [1.5e308], [-1e308], [-1.5e308]])
+        y = ["N", "N", "E", "E"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = rf_fit(X, y, Hyperparams(rf_estimators=5))
+            assert np.array_equal(predict_batch(model, X), y)
+
     def test_predict_equals_per_row_walk_on_hard_corpus(self):
         X, y, Xt, _ = hard_features()
         model = rf_fit(X, y, Hyperparams(rf_estimators=10))
@@ -250,24 +260,34 @@ class TestMLP:
                     ana = grads[name].ravel()[i]
                     assert abs(num - ana) <= 1e-6 * max(1.0, abs(num))
 
-    def test_objective_gradient_check(self):
-        """Central differences of the objective the fit minimises,
-        cross-entropy plus ½·MLP_L2·‖θ‖², match the gradient it fills in."""
-        rng = np.random.default_rng(1)
-        ws = classifiers._MLPWorkspace(rng.standard_normal((7, 3)), rng.integers(0, 2, 7),
-                                       mlp_init(3, 4, seed=1))
-        ws.theta += rng.standard_normal(ws.theta.size)
-        classifiers._mlp_objective(ws)
-        grad = ws.grad.copy()
+    def test_objective_gradient_check(self, monkeypatch):
+        """The fit minimises cross-entropy plus ½·MLP_L2·‖θ‖²: central
+        differences of that sum at an evaluated θ match the gradient the
+        fit holds when it evaluates the next θ, and the loss it reports
+        is that sum at the last θ it evaluated."""
+        real, calls = classifiers._mlp_loss_grad, []
+
+        def spy(theta, grad, *args):
+            calls.append((theta.copy(), grad.copy(), args))
+            return real(theta, grad, *args)
+
+        monkeypatch.setattr(classifiers, "_mlp_loss_grad", spy)
+        X, t = mlp_case(7, 3, 1.0, seed=1)
+        model = mlp_fit(X, np.array(["E", "N"])[t], Hyperparams(mlp_hidden=4, seed=1))
+
+        def objective(theta):
+            return real(theta, np.empty_like(theta), *args) + 0.5 * MLP_L2 * float(theta @ theta)
+
+        theta, _, args = calls[-1]
+        assert model.train_meta["loss"] == objective(theta)
         eps = 1e-6
-        for i in range(ws.theta.size):
-            orig = ws.theta[i]
-            ws.theta[i] = orig + eps
-            fp = classifiers._mlp_objective(ws)
-            ws.theta[i] = orig - eps
-            fm = classifiers._mlp_objective(ws)
-            ws.theta[i] = orig
-            assert abs((fp - fm) / (2 * eps) - grad[i]) <= 1e-6 * max(1.0, abs(grad[i]))
+        for k in (1, len(calls) - 1):
+            theta, grad = calls[k - 1][0], calls[k][1]
+            for i in range(theta.size):
+                step = np.zeros_like(theta)
+                step[i] = eps
+                num = (objective(theta + step) - objective(theta - step)) / (2 * eps)
+                assert abs(num - grad[i]) <= 1e-6 * max(1.0, abs(grad[i]))
 
     def test_separable_training(self):
         X, y = two_blobs(seed=12)
@@ -284,20 +304,40 @@ class TestMLP:
     def test_divergence_raises_convergence_error(self, monkeypatch):
         # finite features are checked on entry, so only a pass of the
         # network itself can make the loss non-finite
-        real, calls = classifiers._MLPWorkspace.loss_grad, []
+        real, calls = classifiers._mlp_loss_grad, []
 
-        def nan_on_third(ws):
+        def nan_on_third(*args):
             calls.append(None)
-            loss = real(ws)
+            loss = real(*args)
             return loss if len(calls) < 3 else np.nan
 
-        monkeypatch.setattr(classifiers._MLPWorkspace, "loss_grad", nan_on_third)
+        monkeypatch.setattr(classifiers, "_mlp_loss_grad", nan_on_third)
         X, y = two_blobs(seed=12)
         with pytest.raises(ConvergenceError, match=r"^network diverged to a non-finite "
                                                    r"loss \(gradient \S+ > 1e-06 after \d+ "
                                                    r"iterations\)$"):
             mlp_fit(X, y, Hyperparams())
         assert len(calls) == 3
+
+    def test_line_search_without_decrease_raises(self, monkeypatch):
+        """A loss that grows by one at each evaluation, wherever θ is,
+        has no step that decreases it: the fit halves its first step
+        until θ no longer moves, then raises. A fit still evaluating
+        after 5,000 calls would halve forever."""
+        real, calls = classifiers._mlp_loss_grad, []
+
+        def growing(*args):
+            calls.append(None)
+            if len(calls) > 5000:
+                pytest.fail("the line search is still running after 5,000 evaluations")
+            return real(*args) + len(calls)
+
+        monkeypatch.setattr(classifiers, "_mlp_loss_grad", growing)
+        X, y = two_blobs(seed=12)
+        with pytest.raises(ConvergenceError, match=r"^network line search found no decrease "
+                                                   r"\(gradient \S+ > 1e-06 after 0 "
+                                                   r"iterations\)$"):
+            mlp_fit(X, y, Hyperparams())
 
     def test_iteration_cap_raises_with_gradient(self, monkeypatch):
         X, y = two_blobs(seed=4)

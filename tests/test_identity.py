@@ -1,10 +1,11 @@
 """The compare step of tools/identity.py, its list of expected
-differences and the path of each side, on small hand-made trees and a
-small git repository; the gate itself runs both commits' pipelines and
-is not run here."""
+differences, the path of each side and its one-thread rerun, on small
+hand-made trees, a small git repository and a small corpus; the gate
+itself runs both commits' pipelines and is not run here."""
 
 import importlib.util
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -152,3 +153,28 @@ def test_each_side_imports_its_own_workloads(tmp_path):
 def test_unpack_fails_on_an_unknown_commit(tmp_path):
     subprocess.run(["git", "init", "-q", str(tmp_path / "repo")], check=True)
     assert not identity.unpack(tmp_path / "repo", "0" * 40, tmp_path / "base")
+
+
+def test_python_runs_with_one_blas_thread(tmp_path):
+    code = ("import os, sys; sys.exit([os.environ[v] for v in ('OPENBLAS_NUM_THREADS', "
+            "'OMP_NUM_THREADS', 'MKL_NUM_THREADS')] != ['1'] * 3)")
+    assert identity.run_python(code, tmp_path, identity.ROOT, **identity.BLAS_ONE_THREAD) == 0
+
+
+def test_one_thread_rerun_names_each_differing_file(tmp_path, monkeypatch):
+    """The rerun at one BLAS thread writes, beside the head tree, the
+    files of the head tree's clinical-size case, here on a small corpus;
+    the one file changed on the head side is named, and a failed rerun
+    is reported."""
+    head = tmp_path / "head"
+    head.mkdir()
+    monkeypatch.chdir(head)
+    identity._llt("synth --beats 40 --out-dir data-clinical")
+    identity._llt("reproduce --data data-clinical --out run-clinical")
+    (head / "run-clinical/report.csv").write_text("method,acc\n", encoding="utf-8")
+    assert identity.one_thread_differences(tmp_path) == [
+        "differs at one BLAS thread: run-clinical/report.csv"]
+    assert (tmp_path / "one-thread/run-clinical/model_mlp.txt").is_file()
+    shutil.rmtree(tmp_path / "one-thread")
+    (head / "data-clinical/train.csv").unlink()
+    assert identity.one_thread_differences(tmp_path) is None

@@ -12,7 +12,10 @@ writes to) and this checkout's `tools` on the path. So a change to the
 workloads is compared against the base's workloads on the base's
 `src`, and a workload may call a name that the base lacks. Every path
 a case writes is relative to the tree. The two trees are then compared
-byte for byte, every file of both.
+byte for byte, every file of both. The head side also reruns its
+clinical-size `reproduce` in a fresh interpreter with one BLAS thread,
+into a third directory, and that output is compared with the head
+tree's.
 
 A change that alters bytes on purpose lists the paths it expects to
 differ in `tools/identity_expected.txt`: the first line is the full SHA
@@ -20,10 +23,11 @@ of the base commit the list applies to, and each further line that is
 neither blank nor a `#` comment is one relative path. Against any other
 base the list is ignored, so it never carries over to the next change.
 The script prints each path that differs or exists on one side only but
-is not listed, and each listed path that does not differ, names the
-directory that keeps both trees on stderr, and exits 1. Otherwise it
-prints the number of files compared and of listed paths that differ,
-and exits 0. A case that fails on either side also exits 1.
+is not listed, each listed path that does not differ and each file of
+the one-thread rerun that differs, names the directory that keeps the
+trees on stderr, and exits 1. Otherwise it prints the number of files
+compared and of listed paths that differ, and exits 0. A case that
+fails on either side, or in the rerun, also exits 1.
 
 Why each case is there:
 
@@ -36,6 +40,12 @@ Why each case is there:
   test beats.
 - clinical size (`--beats 6086`, 3,408 fitting rows): BLAS may take
   other kernel paths than on the small corpora.
+- clinical size again, on the head side only, in a fresh interpreter
+  with one BLAS thread (`OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS` and
+  `MKL_NUM_THREADS` set to 1): a product whose bits depend on how many
+  threads share it makes a file differ from the default run's. Both
+  sides of the base comparison run at the same thread count, so that
+  comparison cannot show it.
 - all flags (`--omega-a 0.5 --window-len 24 --noise 0 --beats 50
   --seed 7`): every `llt synth` flag. Noiseless sinusoids have a unique
   law only at width 3, hence `--law-len 3`.
@@ -141,6 +151,12 @@ CASES = (
     *(("workload", w, s) for w in ("reproduce", "law-scan", "score-records")
       for s in range(1, 11)),
 )
+
+
+# the head side's clinical-size case, rerun in a sibling of its tree
+ONE_THREAD = "reproduce --data ../head/data-clinical --out run-clinical"
+BLAS_ONE_THREAD = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                    "MKL_NUM_THREADS")}
 
 
 def _llt(argv: str, stdout: str | None = None) -> None:
@@ -305,6 +321,28 @@ def side_path(root: Path) -> str:
     return os.pathsep.join(str(p) for p in (root / "src", root / "perfbench", ROOT / "tools"))
 
 
+def run_python(code: str, cwd: Path, root: Path, **env: str) -> int:
+    """The exit status of `code` in a fresh interpreter started with `-B`
+    in `cwd`, on the path of the side under `root`, with `env` added to
+    this process's environment."""
+    return subprocess.run([sys.executable, "-B", "-c", code], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=side_path(root), **env)).returncode
+
+
+def one_thread_differences(work: Path) -> list[str] | None:
+    """Rerun the clinical-size `reproduce` of the head tree `work/head`
+    in `work/one-thread`, at one BLAS thread: a line for each file of its
+    `run-clinical` that differs from the head tree's, or None if the
+    rerun fails."""
+    one = work / "one-thread"
+    one.mkdir()
+    if run_python(f"import identity; identity._llt({ONE_THREAD!r})", one, ROOT,
+              **BLAS_ONE_THREAD):
+        return None
+    differ, _ = compare(one / "run-clinical", work / "head" / "run-clinical")
+    return [f"differs at one BLAS thread: run-clinical/{p}" for p in differ]
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         sys.stderr.write("usage: tools/identity.py BASE_SHA\n")
@@ -321,20 +359,24 @@ def main(argv: list[str]) -> int:
     for side, root in (("base", work / "base-commit"), ("head", ROOT)):
         tree = work / side
         tree.mkdir()
-        code = f"import identity; identity.write_tree({str(root / 'src')!r})"
-        if subprocess.run([sys.executable, "-B", "-c", code], cwd=tree,
-                          env=dict(os.environ, PYTHONPATH=side_path(root))).returncode:
+        if run_python(f"import identity; identity.write_tree({str(root / 'src')!r})", tree, root):
             sys.stderr.write(f"the {side} side failed; its tree is in {tree}\n")
             return 1
+    threads = one_thread_differences(work)
+    if threads is None:
+        sys.stderr.write(f"the one-thread rerun failed; its tree is in {work / 'one-thread'}\n")
+        return 1
     differ, n = compare(work / "base", work / "head")
     wrong = breaches(differ, expected_differences(EXPECTED.read_text(encoding="utf-8"), sha))
-    if wrong:
-        print("\n".join(wrong))
+    if wrong or threads:
+        print("\n".join(wrong + threads))
         sys.stderr.write(f"{len(wrong)} paths break {EXPECTED.name} ({len(differ)} of {n} "
-                         f"files differ); both trees are in {work}\n")
+                         f"files differ) and {len(threads)} differ at one BLAS thread; "
+                         f"the trees are in {work}\n")
         return 1
     shutil.rmtree(work)
-    print(f"{n} files compared: {n - len(differ)} identical, {len(differ)} differ as listed")
+    print(f"{n} files compared: {n - len(differ)} identical, {len(differ)} differ as listed; "
+          f"the clinical-size run is identical at one BLAS thread")
     return 0
 
 
