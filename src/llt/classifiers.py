@@ -14,6 +14,9 @@ kernel; it returns only when the maximal-violating-pair gap is at most
 SMO_TOL and otherwise raises ConvergenceError naming the gap: at once
 if the gap is not finite, else after _SMO_MAX_ITER iterations. The linear
 model stores w = Σ αᵢyᵢxᵢ, so both model layouts keep their fields.
+Where the RBF kernel's squared distances or its default γ's variance
+overflow, in fit or predict, a ValueError names the largest feature
+magnitude.
 
 The forest's split search sorts each candidate feature once per node
 and reads the left-hand label counts of every midpoint threshold off
@@ -310,14 +313,34 @@ def linear_svm_fit(X, y, hp: Hyperparams) -> TrainedModel:
     )
 
 
+def _rbf_overflow(*arrays) -> ValueError:
+    top = max(float(np.abs(a).max(initial=0.0)) for a in arrays)
+    return ValueError(f"RBF kernel overflows on features of magnitude up to {top:.6g}")
+
+
 def _rbf_kernel(A, B, gamma):
-    aa = np.sum(A * A, axis=1)[:, None]
-    bb = np.sum(B * B, axis=1)[None, :]
-    return np.exp(-gamma * np.maximum(aa + bb - 2.0 * (A @ B.T), 0.0))
+    """exp(-γ‖a - b‖²) for each row a of A and b of B; a ValueError
+    naming the largest feature magnitude if a squared distance is not
+    finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        aa = np.sum(A * A, axis=1)[:, None]
+        bb = np.sum(B * B, axis=1)[None, :]
+        d2 = aa + bb - 2.0 * (A @ B.T)
+    if not np.isfinite(d2.max(initial=0.0)):
+        raise _rbf_overflow(A, B)
+    # in place: a fresh n × m array per step costs more than its arithmetic
+    np.maximum(d2, 0.0, out=d2)
+    d2 *= -gamma
+    return np.exp(d2, out=d2)
 
 
 def rbf_gamma_default(X: np.ndarray) -> float:
-    v = X.var()
+    """1 / (features · X.var()), or 1 if X is constant; a ValueError
+    naming the largest feature magnitude if the variance overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = X.var()
+    if not np.isfinite(v):
+        raise _rbf_overflow(X)
     return 1.0 / (X.shape[1] * v) if v > 0 else 1.0
 
 

@@ -442,8 +442,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, overrides, args.settings)
         return args.func(args, cfg)
-    except SystemExit:
-        raise
     except (ValueError, OSError, ConvergenceError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 1

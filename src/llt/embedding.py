@@ -20,7 +20,6 @@ class EmbeddedMatrix:
     """
 
     data: np.ndarray
-    width: int
 
     @property
     def rows(self) -> int:
@@ -44,4 +43,4 @@ def embed_class(beats: np.ndarray | list[Beat], width: int) -> EmbeddedMatrix:
         raise ValueError(f"embedding width {width} exceeds series length {samples.shape[1]}")
     windows = sliding_window_view(samples, width, axis=1)[:, :, ::-1]
     data = np.ascontiguousarray(windows.reshape(-1, width))
-    return EmbeddedMatrix(data=data, width=width)
+    return EmbeddedMatrix(data=data)

@@ -5,8 +5,10 @@ Each record holds one beat, cut by preprocess_record. A record whose
 beat cannot be produced cleanly (zero or several peaks, window overrun,
 constant window) yields one beat with artifact=True; downstream
 classification labels it ectopic by rule instead of running the model.
-Every rate-dependent setting (the filter designs, the refractory gap
-between peaks) follows the record's own sampling rate ``fs``.
+`bandpass` returns the filtered samples as a plain array, checked
+finite once, and `detect_peaks` reads samples and a rate: every
+rate-dependent setting (the filter designs, the refractory gap between
+peaks) follows the record's own sampling rate ``fs``.
 
 The band-pass is scipy's sosfiltfilt, bit for bit, with the parts that
 depend only on the filter design (the sections, sosfilt_zi and the pad
@@ -108,13 +110,14 @@ def _filtfilt(design: _Design, x: np.ndarray) -> np.ndarray:
     return y[::-1][n:-n]
 
 
-def bandpass(sig: Signal, cfg: PreprocessConfig) -> Signal:
-    """Butterworth high-pass then low-pass, each run forward-backward
-    for zero phase so the QRS center is not shifted. Each design, its
-    sosfilt_zi and its pad length are cached per (cutoff, type, rate),
-    so a record costs two kernel passes per filter. scipy.signal is
-    imported in the helpers, not at module load: it costs about a second
-    and only raw-record preprocessing needs it."""
+def bandpass(sig: Signal, cfg: PreprocessConfig) -> np.ndarray:
+    """The record's samples through a Butterworth high-pass then
+    low-pass, each run forward-backward for zero phase so the QRS center
+    is not shifted. Each design, its sosfilt_zi and its pad length are
+    cached per (cutoff, type, rate), so a record costs two kernel passes
+    per filter. scipy.signal is imported in the helpers, not at module
+    load: it costs about a second and only raw-record preprocessing
+    needs it. The output is checked: a finite record can overflow."""
     nyq = sig.fs / 2.0
     if cfg.lowpass >= nyq:
         raise ValueError(f"lowpass cutoff {cfg.lowpass} Hz >= Nyquist {nyq} Hz")
@@ -122,15 +125,17 @@ def bandpass(sig: Signal, cfg: PreprocessConfig) -> Signal:
         raise ValueError(f"signal too short to filter ({len(sig.values)} samples)")
     hp = _butter_sos(cfg.highpass, "highpass", sig.fs)
     lp = _butter_sos(cfg.lowpass, "lowpass", sig.fs)
-    return Signal(values=_filtfilt(lp, _filtfilt(hp, sig.values)), fs=sig.fs)
+    y = _filtfilt(lp, _filtfilt(hp, sig.values))
+    if not np.isfinite(y).all():
+        raise ValueError("band-pass output is not finite: the record overflows the filter")
+    return y
 
 
-def detect_peaks(sig: Signal, cfg: PreprocessConfig) -> list[int]:
-    """Local maxima above peak_threshold * global max, at least
-    refractory_ms apart at the record's rate (rounded to whole samples,
-    at least one). Conflicts keep the taller peak."""
-    gap = max(1, round(cfg.refractory_ms / 1000.0 * sig.fs))
-    v = sig.values
+def detect_peaks(v: np.ndarray, fs: float, cfg: PreprocessConfig) -> list[int]:
+    """Local maxima of the samples `v` above peak_threshold * their max,
+    at least refractory_ms apart at the rate `fs` (rounded to whole
+    samples, at least one). Conflicts keep the taller peak."""
+    gap = max(1, round(cfg.refractory_ms / 1000.0 * fs))
     if len(v) < 3 or v.max() <= 0:
         return []
     thr = cfg.peak_threshold * v.max()
@@ -153,10 +158,10 @@ def preprocess_record(sig: Signal, cfg: PreprocessConfig,
     exactly one: an artifact beat when the record has zero or several
     peaks, or when the window overruns it or is constant."""
     filtered = bandpass(sig, cfg)
-    peaks = detect_peaks(filtered, cfg)
+    peaks = detect_peaks(filtered, sig.fs, cfg)
     n = cfg.window_len
     start = peaks[0] - n // 2 if len(peaks) == 1 else -1  # -1: no single peak
-    window = filtered.values[start : start + n] if start >= 0 else filtered.values[:0]
+    window = filtered[start : start + n] if start >= 0 else filtered[:0]
     if len(window) < n or window.max() == window.min():
         return [Beat(samples=np.zeros(n), label=label, artifact=True, source_id=source_id)]
     centered = window - window.mean()

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import Beat, Corpus, Label, Role
+from .types import Corpus, Label, Role
 
 # sinusoid phases are drawn from [0, PHASE_SPAN); an arc shorter than pi
 # keeps the residual clusters linearly separable (a full circle of
@@ -48,32 +48,25 @@ class SynthSpec:
 
 def generate(spec: SynthSpec) -> tuple[Corpus, Corpus, Corpus]:
     """Seeded corpus generation, 40/30/30 across train/validation/test.
-    Class A is labeled Normal (the reference class), class B Ectopic."""
+    Class A is labeled Normal (the reference class), class B Ectopic.
+    Each beat draws its phase, its amplitude and then its noise, class A's
+    beats first, into row (class, beat) of one sample array."""
     rng = np.random.default_rng(spec.seed)
-    k = np.arange(spec.window_len)
-    beats_by_class = {}
-    for label, omega in ((Label.NORMAL, spec.omega_a), (Label.ECTOPIC, spec.omega_b)):
-        beats = []
-        for _ in range(spec.beats):
+    n, k = spec.beats, np.arange(spec.window_len)
+    samples = np.empty((2, n, spec.window_len))
+    for rows, omega in zip(samples, (spec.omega_a, spec.omega_b)):
+        for row in rows:
             phase = rng.uniform(0.0, PHASE_SPAN)
             amp = rng.uniform(0.5, 1.5)
-            y = amp * np.cos(omega * k + phase)
+            row[:] = amp * np.cos(omega * k + phase)
             if spec.noise > 0:
-                y = y + spec.noise * rng.standard_normal(spec.window_len)
-            beats.append(Beat(samples=y, label=label, source_id="synth"))
-        beats_by_class[label] = beats
+                row += spec.noise * rng.standard_normal(spec.window_len)
 
-    n = spec.beats
-    n_train = round(0.4 * n)
-    n_val = round(0.3 * n)
-    parts = {Role.TRAIN: [], Role.VALIDATION: [], Role.TEST: []}
-    for label in (Label.NORMAL, Label.ECTOPIC):
-        beats = beats_by_class[label]
-        parts[Role.TRAIN] += beats[:n_train]
-        parts[Role.VALIDATION] += beats[n_train : n_train + n_val]
-        parts[Role.TEST] += beats[n_train + n_val :]
+    n_train, n_val = round(0.4 * n), round(0.3 * n)
+    cuts = (0, n_train, n_train + n_val, n)
     return tuple(
-        Corpus(beats=parts[r], window_len=spec.window_len, role=r)
-        for r in (Role.TRAIN, Role.VALIDATION, Role.TEST)
+        Corpus.from_arrays(samples[:, a:b].reshape(-1, spec.window_len),
+                           np.repeat([Label.NORMAL.value, Label.ECTOPIC.value], b - a),
+                           np.zeros(2 * (b - a), dtype=bool), role)
+        for a, b, role in zip(cuts, cuts[1:], (Role.TRAIN, Role.VALIDATION, Role.TEST))
     )
-

@@ -20,7 +20,8 @@ with warnings.catch_warnings():
         pass
 
 from llt import classifiers
-from llt.types import Beat, Label, LinearLaw
+from llt.synth import PHASE_SPAN
+from llt.types import Beat, Label, LinearLaw, Role
 
 
 def sinusoid_beats(omega, n_beats, length=30, noise=0.0, seed=0,
@@ -35,6 +36,33 @@ def sinusoid_beats(omega, n_beats, length=30, noise=0.0, seed=0,
             y = y + noise * rng.standard_normal(length)
         beats.append(Beat(samples=y, label=label))
     return beats
+
+
+def synth_parts(spec):
+    """Oracle of `synth.generate`: one Beat per synthetic beat, drawn in
+    a loop (class A's beats, then class B's; each its phase, its
+    amplitude, then its noise), and each class's beats cut 40/30/30
+    into the train, validation and test lists, class A's first."""
+    rng = np.random.default_rng(spec.seed)
+    k = np.arange(spec.window_len)
+    beats_by_class = {}
+    for label, omega in ((Label.NORMAL, spec.omega_a), (Label.ECTOPIC, spec.omega_b)):
+        beats = []
+        for _ in range(spec.beats):
+            phase = rng.uniform(0.0, PHASE_SPAN)
+            amp = rng.uniform(0.5, 1.5)
+            y = amp * np.cos(omega * k + phase)
+            if spec.noise > 0:
+                y = y + spec.noise * rng.standard_normal(spec.window_len)
+            beats.append(Beat(samples=y, label=label, source_id="synth"))
+        beats_by_class[label] = beats
+    n_train, n_val = round(0.4 * spec.beats), round(0.3 * spec.beats)
+    parts = {Role.TRAIN: [], Role.VALIDATION: [], Role.TEST: []}
+    for beats in beats_by_class.values():
+        parts[Role.TRAIN] += beats[:n_train]
+        parts[Role.VALIDATION] += beats[n_train : n_train + n_val]
+        parts[Role.TEST] += beats[n_train + n_val :]
+    return parts
 
 
 def random_beats(n_beats, length, seed=0, label=Label.NORMAL):

@@ -150,6 +150,22 @@ class TestRbfSVM:
         labels = np.array(model.labels)
         assert np.array_equal(labels[(dec >= 0).astype(int)], np.array(y))
 
+    @pytest.mark.parametrize("gamma", [0.0, 1.0], ids=["default-gamma", "given-gamma"])
+    def test_overflowing_features_raise_without_a_warning(self, gamma):
+        """Features whose variance and squared norms overflow fail in the
+        kernel (or the default gamma) with their magnitude, in the fit
+        and in predict, before any RuntimeWarning."""
+        X = np.array([[1e308], [2e307], [-1e308], [-2e307]])
+        model = rbf_svm_fit(X / 1e307, ["N", "N", "E", "E"], Hyperparams(rbf_gamma=gamma))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^RBF kernel overflows on features of "
+                                                 r"magnitude up to 1e\+308$"):
+                rbf_svm_fit(X, ["N", "N", "E", "E"], Hyperparams(rbf_gamma=gamma))
+            with pytest.raises(ValueError, match=r"^RBF kernel overflows on features of "
+                                                 r"magnitude up to 1e\+200$"):
+                predict_batch(model, np.array([[1e200]]))
+
     def test_dual_objective_helper(self):
         ys = np.array([1.0, -1.0])
         K = np.eye(2)

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -437,10 +438,28 @@ def test_one_class_training_file_is_named(tmp_path, capsys, small_data, model, m
     assert not (tmp_path / "m.txt").exists() and not (tmp_path / "run").exists()
 
 
-def test_import_leaves_out_scipy_signal():
+def test_rbf_training_file_that_overflows_is_named(tmp_path, capsys):
+    """Features whose squares overflow fail the RBF fit with their
+    magnitude, naming the feature file, with no traceback."""
+    features = tmp_path / "features.csv"
+    dataset_io.save_features(features, np.array([[1e308], [2e307], [-1e308], [-2e307]]),
+                             ["N", "N", "E", "E"], [("Normal", 1)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["train", "--model", "svm-rbf", "--features", str(features),
+                    "--out", str(tmp_path / "m.txt")]) == 1
+    assert capsys.readouterr().err == (f"error: {features}: RBF kernel overflows on "
+                                       f"features of magnitude up to 1e+308\n")
+    assert not (tmp_path / "m.txt").exists()
+
+
+@pytest.mark.parametrize("module", ["scipy.signal", "scipy"])
+def test_import_leaves_out_scipy_signal(module):
     """Every subcommand imports llt.cli; only raw-record filtering needs
-    scipy.signal, which costs about a second to import."""
-    code = "import sys, llt.cli; print('scipy.signal' in sys.modules)"
+    scipy.signal, which costs about a second to import, and only KNN
+    predict scipy.spatial: the import loads no scipy module at all."""
+    code = ("import sys, llt.cli; print(any(m == {0!r} or m.startswith({0!r} + '.') "
+            "for m in sys.modules))".format(module))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={"PYTHONPATH": str(Path(llt.__file__).parents[1])},
                           check=True)
@@ -503,6 +522,19 @@ def test_preprocess_names_the_line_of_a_rejected_record(tmp_path, capsys, record
     out = tmp_path / "beats.csv"
     assert run(["preprocess", "--in", str(raw), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {raw}:4: {message}\n"
+    assert not out.exists()
+
+
+def test_preprocess_names_a_record_that_overflows_the_filter(tmp_path, capsys):
+    """A finite record whose filtered samples overflow fails in the
+    band-pass, on its own line, with no traceback."""
+    raw = tmp_path / "raw.csv"
+    good = "360;" + ",".join(["0"] * 100 + ["1"] + ["0"] * 100)
+    raw.write_text(f"{good}\n360;" + ",".join(["0"] * 100 + ["1e308"] + ["0"] * 100) + "\n")
+    out = tmp_path / "beats.csv"
+    assert run(["preprocess", "--in", str(raw), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: {raw}:2: band-pass output is not finite: "
+                                       f"the record overflows the filter\n")
     assert not out.exists()
 
 

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from llt.embedding import embed_class
 from llt.features import feature_matrix
 from llt.linear_law import correlation, fit_law, law_variance
 from llt.synth import SynthSpec, generate
-from llt.types import Label, Role
+from llt.types import Beat, Label, Role
 
-from conftest import exact_law
+from conftest import exact_law, synth_parts
 
 
 class TestRecurrenceSpec:
@@ -48,6 +50,33 @@ class TestGenerate:
                     y = beat.samples
                     resid = y[2:] - 2.0 * np.cos(omega) * y[1:-1] + y[:-2]
                     assert np.max(np.abs(resid)) < 1e-12
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), beats=st.integers(4, 60),
+           window_len=st.integers(4, 40),
+           noise=st.one_of(st.just(0.0), st.floats(1e-6, 1.0)))
+    @example(seed=2, beats=4, window_len=30, noise=0.01)
+    @example(seed=0, beats=5, window_len=4, noise=0.0)
+    def test_equals_per_beat_loop(self, seed, beats, window_len, noise):
+        # the same draws in the same order as one Beat per beat, bit for bit
+        spec = SynthSpec(seed=seed, beats=beats, window_len=window_len, noise=noise)
+        parts = synth_parts(spec)
+        for corpus, role in zip(generate(spec), (Role.TRAIN, Role.VALIDATION, Role.TEST)):
+            beats = parts[role]
+            assert corpus.role is role
+            assert corpus.samples.shape == (len(beats), window_len)
+            assert corpus.samples.tobytes() == b"".join(b.samples.tobytes() for b in beats)
+            assert corpus.labels.tolist() == [b.label.value for b in beats]
+            assert corpus.artifact.tolist() == [b.artifact for b in beats]
+
+    def test_builds_no_beat(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("generate built a Beat")
+
+        monkeypatch.setattr(Beat, "__post_init__", refuse)
+        train, val, test = generate(SynthSpec(beats=10))
+        assert (len(train), len(val), len(test)) == (8, 6, 6)
 
 
 class TestExactLaw:

@@ -49,6 +49,9 @@ Why each case is there:
 - all flags (`--omega-a 0.5 --window-len 24 --noise 0 --beats 50
   --seed 7`): every `llt synth` flag. Noiseless sinusoids have a unique
   law only at width 3, hence `--law-len 3`.
+- `synth --beats 4`, the fewest beats `llt synth` accepts: its train,
+  validation and test parts hold 2, 1 and 1 beats per class, the
+  narrowest cuts of the generator's per-class sample array.
 - `records` and `preprocess`: the score-records workload's 300 seed-1
   raw records written at 360 Hz and at 250 Hz (the refractory gap and
   the filter designs follow each record's rate), and the same records
@@ -121,6 +124,7 @@ CASES = (
     ("llt", "synth --omega-a 0.5 --window-len 24 --noise 0 --beats 50 --seed 7 "
             "--out-dir data-flags"),
     ("llt", "reproduce --law-len 3 --data data-flags --out run-flags"),
+    ("llt", "synth --beats 4 --seed 2 --out-dir data-min"),
     ("records",),
     ("llt", "preprocess --in raw.csv --out beats.csv"),
     ("llt", "preprocess --in raw250.csv --out beats250.csv"),
