@@ -14,22 +14,25 @@ kernel; it returns only when the maximal-violating-pair gap is at most
 SMO_TOL and otherwise raises ConvergenceError naming the gap: at once
 if the gap is not finite, else after _SMO_MAX_ITER iterations. The linear
 model stores w = Σ αᵢyᵢxᵢ, so both model layouts keep their fields.
-Where the RBF kernel's squared distances or its default γ's variance
-overflow, in fit or predict, a ValueError names the largest feature
-magnitude.
+Where the RBF kernel's squared distances, its default γ's variance or
+that γ overflow (γ does where the variance underflows), in fit or
+predict, a ValueError names the largest feature magnitude.
 
-The forest's split search sorts each candidate feature once per node
-and reads the left-hand label counts of every midpoint threshold off
-cumulative one-hot counts (`searchsorted(..., "left")` counts exactly
-the rows `x < thr`), then scores all thresholds' Gini impurities in one
-array expression and picks the best in one Python pass over them. The
-forest predicts node by node: each node splits the indices of the rows
-that reach it, and the votes of all trees add up in one array. KNN
-predicts a whole batch: distances in row blocks of at most
+KNN and the forest count votes for label 1 of the two; label 1 wins
+with more than half of them. The forest's split search sorts each
+candidate feature once per node and reads the left-hand label-1 count
+of every midpoint threshold off one prefix sum of the sorted labels
+(`searchsorted(..., "left")` counts exactly the rows `x < thr`), then
+scores all thresholds' Gini impurities in one array expression and
+picks the best in one Python pass over them. The forest predicts node
+by node: each node splits the indices of the rows that reach it, and a
+leaf of label 1 adds one vote to each of its rows; a tie goes to label
+0. KNN predicts a whole batch: distances in row blocks of at most
 _KNN_BLOCK_ENTRIES entries, the k-th distance per row by partition and
 a sort of only the entries within it (the same neighbours, in the same
-order, as a stable sort of the whole row), votes for the block at once,
-and the summed-distance tie-break only for tied rows.
+order, as a stable sort of the whole row), the block's label-1 counts
+at once, and for a tie, only in tied rows, label 1 exactly when its
+neighbours' summed distance is smaller.
 
 The network is fitted by limited-memory BFGS (Liu & Nocedal, Math.
 Programming 45, 1989) to mean cross-entropy plus ½·MLP_L2·‖θ‖²; the
@@ -180,12 +183,12 @@ def knn_fit(X, y, hp: Hyperparams) -> TrainedModel:
 def _knn_predict(p, Q):
     """Label indices for the query rows Q, in row blocks of at most
     _KNN_BLOCK_ENTRIES Chebyshev distances. Neighbours are the first k of
-    a stable distance sort, found by partition; a vote tie goes to the
-    smallest summed distance, then to label order."""
+    a stable distance sort, found by partition; label 1 wins with more
+    than k / 2 of their votes, and a tie goes to label 1 only if its
+    summed distance is smaller."""
     from scipy.spatial.distance import cdist
 
     X, y, k = p["X"], p["y"], p["k"]
-    n_labels = int(y.max()) + 1
     out = np.empty(len(Q), dtype=int)
     rows = max(1, _KNN_BLOCK_ENTRIES // len(X))
     for start in range(0, len(Q), rows):
@@ -199,14 +202,11 @@ def _knn_predict(p, Q):
         first = np.searchsorted(r, np.arange(len(B)))  # r is ascending
         order = c[first[:, None] + np.arange(k)]
         near = y[order]
-        votes = (near[:, :, None] == np.arange(n_labels)).sum(axis=1)
-        winners = votes == votes.max(axis=1, keepdims=True)
-        pred = np.argmax(votes, axis=1)
-        for r in np.flatnonzero(winners.sum(axis=1) > 1):
+        ones = near.sum(axis=1)
+        pred = 2 * ones > k
+        for r in np.flatnonzero(2 * ones == k):
             d = D[r][order[r]]
-            best = np.flatnonzero(winners[r])
-            sums = [d[near[r] == lbl].sum() for lbl in best]
-            pred[r] = best[int(np.argmin(sums))]
+            pred[r] = d[near[r] == 1].sum() < d[near[r] == 0].sum()
         out[start:start + len(B)] = pred
     return out
 
@@ -335,13 +335,18 @@ def _rbf_kernel(A, B, gamma):
 
 
 def rbf_gamma_default(X: np.ndarray) -> float:
-    """1 / (features · X.var()), or 1 if X is constant; a ValueError
-    naming the largest feature magnitude if the variance overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    """1 / (features · X.var()), or 1 if X is constant (`_std`, which
+    does not underflow, is 0); a ValueError naming the largest feature
+    magnitude where that reciprocal is not finite and positive: the
+    variance overflows, or on nonconstant X it is 0 or too small."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         v = X.var()
-    if not np.isfinite(v):
+        gamma = 1.0 / (X.shape[1] * v)
+    if v == 0 and _std(X) == 0:
+        return 1.0
+    if not 0 < gamma < math.inf:
         raise _rbf_overflow(X)
-    return 1.0 / (X.shape[1] * v) if v > 0 else 1.0
+    return gamma
 
 
 def rbf_svm_fit(X, y, hp: Hyperparams) -> TrainedModel:
@@ -369,13 +374,12 @@ def rbf_svm_fit(X, y, hp: Hyperparams) -> TrainedModel:
 
 # ------------------------------------------------------- random forest
 
-def _best_split(X, y, counts, feats):
+def _best_split(X, y, feats):
     """Lowest weighted Gini over every feature in feats (ascending) and
     every midpoint between its distinct values, as (impurity, feature,
     threshold), or None. A later candidate replaces the best only when it
     is lower by more than 1e-15, so ties keep the first in scan order."""
-    n = len(y)
-    onehot = np.eye(len(counts), dtype=counts.dtype)[y]
+    n, ones = len(y), y.sum()
     best = None
     for f in np.sort(feats):
         order = np.argsort(X[:, f], kind="stable")
@@ -386,20 +390,17 @@ def _best_split(X, y, counts, feats):
         # (a + b) / 2 overflows above about 9e307; the sum of the halves
         # equals it wherever it is finite, unless a half is subnormal
         thr = vals[:-1] / 2.0 + vals[1:] / 2.0
-        # nl = #(X[:, f] < thr), left counts from label prefix sums; a
+        # nl = #(X[:, f] < thr), its label-1 count off the prefix sum; a
         # midpoint that rounds onto vals[0] empties a side
         nl = np.searchsorted(col, thr, "left")
         keep = (nl > 0) & (nl < n)
         thr, nl = thr[keep], nl[keep]
-        cum = np.zeros((n + 1, len(counts)), dtype=counts.dtype)
-        np.cumsum(onehot[order], axis=0, out=cum[1:])
-        lc = cum[nl]
-        rc = counts - lc
-        nr = n - nl
-        pl = lc / nl[:, None]
-        pr = rc / nr[:, None]
-        gl = 1.0 - np.sum(pl * pl, axis=1)
-        gr = 1.0 - np.sum(pr * pr, axis=1)
+        l1 = np.cumsum(y[order])[nl - 1]
+        nr, r1 = n - nl, ones - l1
+        p0, p1 = (nl - l1) / nl, l1 / nl
+        q0, q1 = (nr - r1) / nr, r1 / nr
+        gl = 1.0 - (p0 * p0 + p1 * p1)
+        gr = 1.0 - (q0 * q0 + q1 * q1)
         imp = (nl * gl + nr * gr) / n
         for j, v in enumerate(imp.tolist()):
             if best is None or v < best[0] - 1e-15:
@@ -407,22 +408,21 @@ def _best_split(X, y, counts, feats):
     return best
 
 
-def _build_tree(X, y, n_labels, depth_left, rng, n_sub):
-    counts = np.bincount(y, minlength=n_labels)
-    majority = int(np.argmax(counts))
-    if depth_left == 0 or counts.max() == len(y):
-        return {"leaf": majority}
-    feats = rng.permutation(X.shape[1])[:n_sub]
-    best = _best_split(X, y, counts, feats)
+def _build_tree(X, y, depth_left, rng, n_sub):
+    ones = y.sum()
+    leaf = {"leaf": int(2 * ones > len(y))}  # a tie goes to label 0
+    if depth_left == 0 or ones in (0, len(y)):
+        return leaf
+    best = _best_split(X, y, rng.permutation(X.shape[1])[:n_sub])
     if best is None:
-        return {"leaf": majority}
+        return leaf
     _, f, thr = best
     mask = X[:, f] < thr
     return {
         "feature": int(f),
         "threshold": thr,
-        "left": _build_tree(X[mask], y[mask], n_labels, depth_left - 1, rng, n_sub),
-        "right": _build_tree(X[~mask], y[~mask], n_labels, depth_left - 1, rng, n_sub),
+        "left": _build_tree(X[mask], y[mask], depth_left - 1, rng, n_sub),
+        "right": _build_tree(X[~mask], y[~mask], depth_left - 1, rng, n_sub),
     }
 
 
@@ -436,7 +436,7 @@ def rf_fit(X, y, hp: Hyperparams) -> TrainedModel:
     for t in range(hp.rf_estimators):
         rng = np.random.default_rng([hp.seed, t])
         boot = rng.integers(0, n, n)
-        trees.append(_build_tree(X[boot], yi[boot], len(labels), hp.rf_depth, rng, n_sub))
+        trees.append(_build_tree(X[boot], yi[boot], hp.rf_depth, rng, n_sub))
     return TrainedModel(
         kind="rf",
         feature_dim=d,
@@ -445,11 +445,11 @@ def rf_fit(X, y, hp: Hyperparams) -> TrainedModel:
     )
 
 
-def _forest_votes(trees, X, n_labels) -> np.ndarray:
-    """(rows, n_labels) counts of the trees' leaf labels for the rows of
-    X. Each tree splits the row indices at every node it reaches by the
-    node's test `x[feature] < threshold`, so all rows pass a node at once."""
-    votes = np.zeros((len(X), n_labels), dtype=int)
+def _forest_votes(trees, X) -> np.ndarray:
+    """The number of trees whose leaf label is 1, for each row of X. Each
+    tree splits the row indices at every node it reaches by the node's
+    test `x[feature] < threshold`, so all rows pass a node at once."""
+    votes = np.zeros(len(X), dtype=int)
     for tree in trees:
         stack = [(tree, np.arange(len(X)))]
         while stack:
@@ -457,7 +457,7 @@ def _forest_votes(trees, X, n_labels) -> np.ndarray:
             if not len(rows):
                 continue
             if "leaf" in node:
-                votes[rows, node["leaf"]] += 1
+                votes[rows] += node["leaf"]
             else:
                 left = X[rows, node["feature"]] < node["threshold"]
                 stack += [(node["left"], rows[left]), (node["right"], rows[~left])]
@@ -609,8 +609,8 @@ def predict_batch(model: TrainedModel, X) -> np.ndarray:
         dec = _rbf_kernel(X, p["support_vectors"], p["gamma"]) @ p["coef"] + p["b"]
         idx = (dec >= 0).astype(int)
     elif model.kind == "rf":
-        # argmax breaks a tied vote toward the first label
-        idx = np.argmax(_forest_votes(p["trees"], X, len(model.labels)), axis=1)
+        # label 1 needs more than half of the votes: a tie goes to label 0
+        idx = (2 * _forest_votes(p["trees"], X) > len(p["trees"])).astype(int)
     elif model.kind == "mlp":
         h = np.tanh(X @ p["W1"] + p["b1"])
         idx = np.argmax(h @ p["W2"] + p["b2"], axis=1)

@@ -392,27 +392,44 @@ def _field_lines(name: str, typ: str, value) -> list[str]:
 
 
 def _read_tree(a: _Artifact, i: int, sizes: dict) -> dict:
-    """Tree i; nodes are numbered root first, so children have larger ids."""
+    """Tree i, whose nodes must be numbered in the preorder that
+    `_tree_lines` writes: split node j's left child is j + 1, its right
+    child the first id after its left subtree, and every node is reached
+    from node 0. Read in one pass without recursion, as the file sets
+    the depth: each node fills the open child slot on top of a stack."""
     t = a.next(f"tree {i}").split()
     if t[:2] != ["tree", str(i)] or len(t) != 3:
         a.fail(f"expected 'tree {i} NODES', got {' '.join(t)!r}")
     n = a.number(t[2], int, "node count", 1)
-    nodes = []
+    top = {}
+    slots = [(top, "root", 0, a.lineno)]  # (parent, key, child id in the file, its line)
+
+    def fill(j: int, node) -> None:
+        parent, key, want, line = slots.pop()
+        if want != j:
+            a.fail(f"right child {want} must be {j}, the id after the left subtree", line)
+        parent[key] = node
+
     for j in range(n):
         t = a.next(f"node {j} of tree {i}").split()
+        if not slots:
+            a.fail(f"node {j} of tree {i} is not reached from node 0")
         if t[:3] == ["node", str(j), "leaf"] and len(t) == 4:
-            nodes.append({"leaf": a.number(t[3], int, "leaf label", 0, sizes["c"])})
+            fill(j, {"leaf": a.number(t[3], int, "leaf label", 0, sizes["c"])})
         elif t[:3] == ["node", str(j), "split"] and len(t) == 7:
-            nodes.append({"feature": a.number(t[3], int, "split feature", 0, sizes["d"]),
-                          "threshold": a.number(t[4], float, "split threshold"),
-                          "left": a.number(t[5], int, "left child", j + 1, n),
-                          "right": a.number(t[6], int, "right child", j + 1, n)})
+            node = {"feature": a.number(t[3], int, "split feature", 0, sizes["d"]),
+                    "threshold": a.number(t[4], float, "split threshold")}
+            left = a.number(t[5], int, "left child", j + 1, n)
+            if left != j + 1:
+                a.fail(f"left child {left} must be {j + 1}")
+            right = a.number(t[6], int, "right child", 0, n)
+            fill(j, node)
+            slots += [(node, "right", right, a.lineno), (node, "left", j + 1, a.lineno)]
         else:
             a.fail(f"expected node {j} of {n}, got {' '.join(t)!r}")
-    for node in nodes:
-        if "leaf" not in node:
-            node["left"], node["right"] = nodes[node["left"]], nodes[node["right"]]
-    return nodes[0]
+    if slots:  # a right child past the last node
+        fill(n, None)
+    return top["root"]
 
 
 def _read_field(a: _Artifact, name: str, typ: str, letters: str, sizes: dict):

@@ -8,6 +8,7 @@ import contextlib
 import hashlib
 import io
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from llt.dataset_io import (
     save_model,
 )
 from llt.types import LinearLaw
+
+from conftest import tree_predict
 
 LAW = LinearLaw(w=np.array([0.6, -0.8]), lam=0.1, class_tag="Normal",
                 train_row_count=7)
@@ -207,6 +210,13 @@ def feature_rows(*rows):
     return with_checksum("features", GOLDEN["features"].splitlines()[:4] + list(rows))
 
 
+def forest_tree_1(*nodes):
+    """Golden forest file with tree 1 replaced by `nodes`, checksum
+    rewritten."""
+    return with_checksum("rf", GOLDEN["rf"].splitlines()[:12]
+                         + [f"tree 1 {len(nodes)}", *nodes])
+
+
 DAMAGED = [
     ("law", edit("law", 8, []), r"law:8: payload ends before coefficient"),
     ("law", edit("law", 7, ["0.6zz"]), r"law:7: coefficient: '0.6zz' is not a number"),
@@ -255,6 +265,16 @@ DAMAGED = [
     ("rf", edit("rf", 8, ["node 0 split 1 0.3 0 2"]), r"rf:8: left child: '0' is out of range"),
     ("rf", edit("rf", 8, ["node 0 split 2 0.3 1 2"]), r"rf:8: split feature: '2' is out of range"),
     ("rf", edit("rf", 6, ["param trees=3"]), r"rf:15: payload ends before tree 2"),
+    # trees that `save_model` never writes: swapped children, one node as
+    # both children, a node that no link reaches
+    ("rf", forest_tree_1("node 0 split 0 0.5 2 1", "node 1 leaf 0", "node 2 leaf 1"),
+     r"rf:14: left child 2 must be 1"),
+    ("rf", forest_tree_1("node 0 split 0 0.5 1 1", "node 1 leaf 0"),
+     r"rf:14: right child 1 must be 2, the id after the left subtree"),
+    ("rf", forest_tree_1("node 0 split 0 0.5 1 2", "node 1 leaf 0", "node 2 leaf 1",
+                         "node 3 leaf 0"), r"rf:17: node 3 of tree 1 is not reached from node 0"),
+    ("rf", edit("rf", 10, ["node 2 split 0 -2.5 3 3"]),
+     r"rf:10: right child 3 must be 4, the id after the left subtree"),
     ("features", edit("features", 6, []), r"features:6: payload ends before feature row 1"),
     ("features", edit("features", 5, ["N,nan,1,2"]), r"features:5: feature row: 'nan' is not finite"),
     ("features", edit("features", 5, ["N,1,2"]), r"features:5: feature row: expected 3 values, got 2"),
@@ -292,6 +312,36 @@ def test_damaged_file_rejected(name, text, message, tmp_path, capsys):
     assert cli_on(name, path, tmp_path) == 1
     err = capsys.readouterr().err
     assert re.search(message, err) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("label", [0, 1])
+def test_knn_file_of_one_label_predicts_it(label, tmp_path):
+    """No fit writes a KNN model of one class, but a file may hold one:
+    every vote, and so every prediction, is that label."""
+    path = tmp_path / "knn"
+    path.write_text(edit("knn", 12, [f"ivector y {label} {label} {label}"]))
+    model = load_model(path)
+    Q = np.random.default_rng(0).normal(0, 2, (20, 2))
+    for k in (1, 2, 3):
+        model.params["k"] = k
+        assert list(predict_batch(model, Q)) == [model.labels[label]] * len(Q)
+
+
+def test_tree_deeper_than_the_recursion_limit_loads(tmp_path):
+    """A left chain of `depth` splits, each right child a leaf: the
+    reader keeps its open slots on a stack, not on Python's."""
+    depth = 2 * sys.getrecursionlimit()
+    nodes = [f"node {j} split 0 {-j} {j + 1} {2 * depth - j}" for j in range(depth)]
+    nodes += [f"node {j} leaf {j % 2}" for j in range(depth, 2 * depth + 1)]
+    header = GOLDEN["rf"].replace("feature_dim=2", "feature_dim=1").splitlines()[:5]
+    path = tmp_path / "deep"
+    path.write_text(with_checksum("rf", header + ["param trees=1",
+                                                  f"tree 0 {len(nodes)}", *nodes]))
+    model = load_model(path)
+    Q = np.arange(-depth - 1.5, 1.0)[:, None]
+    expected = [model.labels[tree_predict(model.params["trees"][0], q)] for q in Q]
+    assert len(set(expected)) == 2
+    assert list(predict_batch(model, Q)) == expected
 
 
 def cli_on(name, path, tmp_path):

@@ -166,6 +166,19 @@ class TestRbfSVM:
                                                  r"magnitude up to 1e\+200$"):
                 predict_batch(model, np.array([[1e200]]))
 
+    @pytest.mark.parametrize("scale", [1e-155, 1e-160, 1e-200])
+    def test_underflowing_variance_raises_without_a_warning(self, scale):
+        """Features whose variance is subnormal or underflows to 0 give a
+        default gamma that overflows: the fit names their magnitude,
+        before any RuntimeWarning, and does not fall back to gamma 1."""
+        X, y = np.array([[1.0], [2.0], [-1.0], [-2.0]]), ["N", "N", "E", "E"]
+        assert list(predict_batch(rbf_svm_fit(X, y, Hyperparams()), X)) == y
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^RBF kernel overflows on features of "
+                                                 rf"magnitude up to {2 * scale:g}$"):
+                rbf_svm_fit(X * scale, y, Hyperparams())
+
     def test_dual_objective_helper(self):
         ys = np.array([1.0, -1.0])
         K = np.eye(2)
@@ -246,11 +259,10 @@ class TestRandomForest:
         y = np.array([0, 0, 1, 1, 1, 1, 1, 1])
         X = np.array([[1, 0], [1, 1], [0, 0], [0, 1], [1, 1], [1, 1], [1, 1], [1, 1]],
                      dtype=float)
-        counts = np.bincount(y)
-        first = classifiers._best_split(X[:, :1], y, counts, np.array([0]))
-        later = classifiers._best_split(X[:, 1:], y, counts, np.array([0]))
+        first = classifiers._best_split(X[:, :1], y, np.array([0]))
+        later = classifiers._best_split(X[:, 1:], y, np.array([0]))
         assert 0 < first[0] - later[0] < 1e-15
-        assert classifiers._best_split(X, y, counts, np.array([1, 0])) == (first[0], 0, 0.5)
+        assert classifiers._best_split(X, y, np.array([1, 0])) == (first[0], 0, 0.5)
 
 
 class TestMLP:

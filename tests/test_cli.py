@@ -438,18 +438,21 @@ def test_one_class_training_file_is_named(tmp_path, capsys, small_data, model, m
     assert not (tmp_path / "m.txt").exists() and not (tmp_path / "run").exists()
 
 
-def test_rbf_training_file_that_overflows_is_named(tmp_path, capsys):
-    """Features whose squares overflow fail the RBF fit with their
+@pytest.mark.parametrize("rows, top", [([1e308, 2e307, -1e308, -2e307], "1e+308"),
+                                       ([1e-200, 2e-200, -1e-200, -2e-200], "2e-200")])
+def test_rbf_training_file_that_overflows_is_named(rows, top, tmp_path, capsys):
+    """Features whose squares overflow, or whose variance underflows so
+    that the default gamma overflows, fail the RBF fit with their
     magnitude, naming the feature file, with no traceback."""
     features = tmp_path / "features.csv"
-    dataset_io.save_features(features, np.array([[1e308], [2e307], [-1e308], [-2e307]]),
-                             ["N", "N", "E", "E"], [("Normal", 1)])
+    dataset_io.save_features(features, np.array(rows)[:, None], ["N", "N", "E", "E"],
+                             [("Normal", 1)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(["train", "--model", "svm-rbf", "--features", str(features),
                     "--out", str(tmp_path / "m.txt")]) == 1
     assert capsys.readouterr().err == (f"error: {features}: RBF kernel overflows on "
-                                       f"features of magnitude up to 1e+308\n")
+                                       f"features of magnitude up to {top}\n")
     assert not (tmp_path / "m.txt").exists()
 
 

@@ -83,7 +83,13 @@ Why each case is there:
     its thresholds;
   - `hand_knn.txt`, a KNN model whose matrix rows have extra spaces and
     tabs between and around their values, through `evaluate` with the
-    law of `hand.csv` on `hand.csv`.
+    law of `hand.csv` on `hand.csv`;
+  - `hand_rf.txt`, a forest of two trees on the same six features whose
+    node lines have extra spaces and tabs and whose thresholds include
+    `-0`, the smallest subnormals and `1_0`, through the same `evaluate`.
+    The forest reader reads each token with `int()` or `float()`, so
+    this compares it on a file that `save_model` did not write. The two
+    trees tie on some rows, whose vote goes to `E`.
   The feature files' and the models' checksums are computed here with
   `hashlib`, not by `llt`.
 - the three benchmark workloads (`perfbench/workloads.py`) on seeds
@@ -138,8 +144,9 @@ CASES = (
     *(("llt", f"train --model {m} --features hand_features{s}.csv "
               f"--out stages/hand_features{s}_{m}.txt")
       for m in ("knn", "rf") for s in ("", "-bulk")),
-    *(("llt", f"evaluate --law stages/hand.law --model hand_knn{s}.txt --test hand.csv "
-              f"--report stages/hand_knn{s}_evaluate.csv") for s in ("", "-bulk")),
+    *(("llt", f"evaluate --law stages/hand.law --model hand_{m}{s}.txt --test hand.csv "
+              f"--report stages/hand_{m}{s}_evaluate.csv")
+      for m in ("knn", "rf") for s in ("", "-bulk")),
     ("llt", "fit-law --train data-1/train.csv --out stages/normal.law"),
     ("llt", "scan-law-length --seed 1 --train data-1/train.csv --out stages/scan.csv"),
     ("llt", "transform --law stages/normal.law --in data-1/train.csv "
@@ -209,8 +216,8 @@ E,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8e-1
 """
 
 
-# the payloads of the `hand` case's feature file and KNN model, on the
-# six features of a width-3 law on hand.csv; `{ten}` as in HAND_CSV
+# the payloads of the `hand` case's feature file, KNN model and forest,
+# on the six features of a width-3 law on hand.csv; `{ten}` as in HAND_CSV
 HAND_FEATURES = """\
 N,0.5,{ten},-0.25, 0.75 ,1.5,-1
 E, -0 ,0.3,\t0.9,-0.6,5e-324,0.2
@@ -230,6 +237,21 @@ matrix X 5 6
 0.3 -0.3 0.6 -0.6 0.9 -0.9
 ivector y 0 1 1 0 1
 """
+HAND_RF = """\
+param trees=2
+tree 0 7
+node 0 split 2  -0 1 4
+\tnode 1 split 0 5e-324\t2 3
+node 2 leaf  1
+node  3 leaf\t0
+node 4 split 5 {ten} 5 6
+node 5 leaf 1
+node 6 leaf 0\t
+tree 1\t3
+node 0 split  3 -4.9406564584124654e-324 1 2
+ node 1 leaf 0
+node 2 leaf 1
+"""
 
 
 def _envelope(header: str, payload: str) -> str:
@@ -240,15 +262,17 @@ def _envelope(header: str, payload: str) -> str:
 
 
 def _hand() -> None:
-    """The `hand` case's beat CSVs, feature files and KNN models, each
-    with `1_0` and, in its `-bulk` twin, `10`."""
+    """The `hand` case's beat CSVs, feature files, KNN models and
+    forests, each with `1_0` and, in its `-bulk` twin, `10`."""
     for suffix, ten in (("", "1_0"), ("-bulk", "10")):
         for path, text in (
                 (f"hand{suffix}.csv", HAND_CSV.format(ten=ten)),
                 (f"hand_features{suffix}.csv", _envelope(
                     "layout=Normal:6\nrows=6\n", HAND_FEATURES.format(ten=ten))),
                 (f"hand_knn{suffix}.txt", _envelope(
-                    "kind=knn\nfeature_dim=6\nlabels=E,N\n", HAND_KNN.format(ten=ten)))):
+                    "kind=knn\nfeature_dim=6\nlabels=E,N\n", HAND_KNN.format(ten=ten))),
+                (f"hand_rf{suffix}.txt", _envelope(
+                    "kind=rf\nfeature_dim=6\nlabels=E,N\n", HAND_RF.format(ten=ten)))):
             Path(path).write_text(text, encoding="utf-8")
 
 
