@@ -300,10 +300,17 @@ def _smo(K, ys, C):
 
 def linear_svm_fit(X, y, hp: Hyperparams) -> TrainedModel:
     """Soft-margin linear SVM: the SMO dual on the Gram matrix X Xᵀ,
-    stored as w = Σ αᵢyᵢxᵢ and b = -rho."""
+    stored as w = Σ αᵢyᵢxᵢ and b = -rho; a ValueError naming the largest
+    feature magnitude if a nonzero row's squared norm underflows to 0,
+    as the dual then does not see that row."""
     X, labels, yi = _training_set(X, y, "linear SVM")
     ys = np.where(yi == 1, 1.0, -1.0)
-    alpha, rho, gap, history = _smo(X @ X.T, ys, hp.svm_c)
+    K = X @ X.T
+    if (X.any(axis=1) & (K.diagonal() == 0)).any():
+        top = float(np.abs(X).max())
+        raise ValueError(f"linear SVM Gram matrix underflows on features of magnitude "
+                         f"up to {top:.6g}")
+    alpha, rho, gap, history = _smo(K, ys, hp.svm_c)
     return TrainedModel(
         kind="svm-linear",
         feature_dim=X.shape[1],

@@ -175,9 +175,14 @@ def save_corpus(corpus: Corpus, path) -> None:
 
 def load_raw_signals(path) -> list[Signal]:
     """Raw signal CSV: one record per line, "fs;v0,v1,...". A bad row is
-    an ArtifactFileError naming path:line; a file without a record is
-    one naming the path."""
-    out = []
+    an ArtifactFileError naming path:line; of several, the first in the
+    file. A file without a record is one naming the path.
+
+    One pass over the lines checks each rate and keeps the value text;
+    `_real_rows` then reads the records of each length at once."""
+    linenos, rates, texts = [], [], []
+    by_width: dict[int, list[int]] = {}  # record length -> indices of its records
+    error = None
     for lineno, line in data_lines(path):
         fs_part, sep, vals_part = line.partition(";")
         try:
@@ -185,14 +190,31 @@ def load_raw_signals(path) -> list[Signal]:
         except ValueError:
             fs = math.nan
         if not sep or not 0.0 < fs < math.inf:
-            raise ArtifactFileError(f"{path}:{lineno}: expected 'fs;v0,v1,...' with a "
-                                    f"positive finite fs, got {line[:40]!r}")
-        width = vals_part.count(",") + 1
-        values = _real_rows(path, [lineno], [vals_part], width, ",", "column {}")
-        out.append(Signal(values=values[0], fs=fs))
-    if not out:
+            error = (f"{path}:{lineno}: expected 'fs;v0,v1,...' with a positive finite "
+                     f"fs, got {line[:40]!r}")
+            break
+        by_width.setdefault(vals_part.count(",") + 1, []).append(len(texts))
+        linenos.append(lineno)
+        rates.append(fs)
+        texts.append(vals_part)
+    values = [None] * len(texts)
+    try:
+        for width, at in by_width.items():
+            rows = _real_rows(path, [linenos[i] for i in at], [texts[i] for i in at],
+                              width, ",", "column {}")
+            for i, row in zip(at, rows):
+                values[i] = row
+    except ArtifactFileError:
+        # that names the first bad record of its length; name the file's
+        for lineno, text in zip(linenos, texts):
+            _float_rows(path, [lineno], [text], text.count(",") + 1, ",", "column {}")
+        raise
+    # a bad value in a record above a bad rate is named first
+    if error:
+        raise ArtifactFileError(error)
+    if not texts:
         raise ArtifactFileError(f"{path}: no records found")
-    return out
+    return [Signal(values=v, fs=fs) for v, fs in zip(values, rates)]
 
 
 # -------------------------------------------------------------- split
@@ -364,14 +386,25 @@ _MODEL_FIELDS = {
 }
 
 
-def _tree_lines(node: dict, first: int = 0) -> list[str]:
-    """A CART (sub)tree as numbered node lines, its root `first` first."""
-    if "leaf" in node:
-        return [f"node {first} leaf {node['leaf']}"]
-    left = _tree_lines(node["left"], first + 1)
-    right = first + 1 + len(left)
-    return [f"node {first} split {node['feature']} {_fmt(node['threshold'])} "
-            f"{first + 1} {right}", *left, *_tree_lines(node["right"], right)]
+def _tree_lines(root: dict) -> list[str]:
+    """A CART tree as node lines numbered in preorder: a split's left
+    child follows it and its right child follows the left subtree. Kept
+    on an explicit stack, as a tree may be deeper than the recursion
+    limit: a split's line gets its right child's id when that child is
+    reached."""
+    lines: list[str] = []
+    stack = [(root, None)]  # (node, index of the split line it is the right child of)
+    while stack:
+        node, parent = stack.pop()
+        j = len(lines)
+        if parent is not None:
+            lines[parent] += f" {j}"
+        if "leaf" in node:
+            lines.append(f"node {j} leaf {node['leaf']}")
+        else:
+            lines.append(f"node {j} split {node['feature']} {_fmt(node['threshold'])} {j + 1}")
+            stack += [(node["right"], j), (node["left"], None)]
+    return lines
 
 
 def _field_lines(name: str, typ: str, value) -> list[str]:

@@ -11,24 +11,33 @@ rate-dependent setting (the filter designs, the refractory gap between
 peaks) follows the record's own sampling rate ``fs``.
 
 The band-pass is scipy's sosfiltfilt, bit for bit, with the parts that
-depend only on the filter design (the sections, sosfilt_zi and the pad
-length) computed once per design instead of once per record. Its passes
+depend only on the filter design (the sections, sosfilt_zi in the
+kernel's state shape, the pad length, and the kernel bound to the
+sections) made once per design instead of once per record. Its passes
 call scipy's compiled kernel ``scipy.signal._sosfilt._sosfilt``, the
 routine under the public sosfilt and sosfiltfilt, so a record skips
 sosfilt's per-call checks, axis moves and copies, which cost several
-times the filtering itself. The entry point is private; it is safe
-because ``TestBandpass::test_equals_fresh_sosfiltfilt`` compares
-bandpass with the public sosfiltfilt bit for bit over lengths 25-4,000
-at five rates, so a scipy that moves or changes it fails there. Peak
-candidates come from one vectorised local-maximum mask.
+times the filtering itself; what is left per filter is its odd
+extension written into one buffer, a state product per pass and one
+reversed copy. The entry point is private; it is safe because
+``TestBandpass::test_equals_fresh_sosfiltfilt`` compares bandpass with
+the public sosfiltfilt bit for bit over lengths 25-4,000 at five rates,
+so a scipy that moves or changes it fails there.
+
+Peak candidates come from one vectorised local-maximum mask, read
+against one max of the samples. The window is centred with its sum over
+its length, which is np.mean's own arithmetic, and scaled by the max of
+its absolute values. ``test_record_equals_public_chain`` compares
+preprocess_record, bit for bit, with the same chain built from the
+public sosfiltfilt, np.flatnonzero, np.mean and np.max.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -66,28 +75,35 @@ class PreprocessConfig:
 
 
 class _Design(NamedTuple):
-    """One FILTER_ORDER Butterworth design and the constants that
-    scipy.signal.sosfiltfilt would derive from it on every call."""
+    """One FILTER_ORDER Butterworth design, the constants that
+    scipy.signal.sosfiltfilt would derive from it on every call, and
+    scipy's compiled sosfilt kernel bound to its sections."""
 
-    sos: np.ndarray  # second-order sections, read-only
-    zi: np.ndarray   # sosfilt_zi(sos), read-only
-    pad: int         # sosfiltfilt's default odd-extension length
+    sos: np.ndarray   # second-order sections, a read-only view of the array run reads
+    zi: np.ndarray    # sosfilt_zi(sos) in the kernel's (1, n_sections, 2) shape, read-only
+    pad: int          # sosfiltfilt's default odd-extension length
+    run: Callable[[np.ndarray, np.ndarray], None]  # run(x, zi) filters (1, n) x in place
 
 
 @lru_cache(maxsize=64)
 def _butter_sos(cutoff: float, btype: str, fs: float) -> _Design:
     """The design for (cutoff, btype, fs), made once per key: the
-    sections, their steady-state initial conditions and the pad length
-    3 * (2*n_sections + 1 - min(#zero b2, #zero a2)). The arrays are
-    read-only, because every caller shares them."""
+    sections, their steady-state initial conditions, the pad length
+    3 * (2*n_sections + 1 - min(#zero b2, #zero a2)) and the kernel
+    ``scipy.signal._sosfilt._sosfilt`` with the sections bound. The
+    kernel rejects read-only sections but only reads them, so it gets
+    the writable array and every other caller a read-only view of it."""
     from scipy.signal import butter, sosfilt_zi
+    from scipy.signal._sosfilt import _sosfilt
 
-    sos = butter(FILTER_ORDER, cutoff, btype, fs=fs, output="sos")
-    zi = sosfilt_zi(sos)
-    ntaps = 2 * len(sos) + 1 - min((sos[:, 2] == 0).sum(), (sos[:, 5] == 0).sum())
+    sections = butter(FILTER_ORDER, cutoff, btype, fs=fs, output="sos")
+    zi = sosfilt_zi(sections)[None]
+    ntaps = 2 * len(sections) + 1 - min((sections[:, 2] == 0).sum(),
+                                        (sections[:, 5] == 0).sum())
+    sos = sections.view()
     sos.setflags(write=False)
     zi.setflags(write=False)
-    return _Design(sos=sos, zi=zi, pad=3 * int(ntaps))
+    return _Design(sos=sos, zi=zi, pad=3 * int(ntaps), run=partial(_sosfilt, sections))
 
 
 def _filtfilt(design: _Design, x: np.ndarray) -> np.ndarray:
@@ -96,18 +112,20 @@ def _filtfilt(design: _Design, x: np.ndarray) -> np.ndarray:
     zi * ext[0], a backward one from zi * y[-1], reverse and trim) with
     the same arithmetic in the same order, run by the compiled kernel
     that sosfilt itself calls. The kernel filters a C-contiguous (1, n)
-    array and its (1, n_sections, 2) state in place, so each pass gets
-    its own contiguous copy, and it rejects read-only sections, hence
-    the copy of the shared design.sos. The private entry point is pinned
-    by TestBandpass::test_equals_fresh_sosfiltfilt."""
-    from scipy.signal._sosfilt import _sosfilt
-
-    sos, n = design.sos.copy(), design.pad
-    y = np.concatenate((2 * x[0] - x[n:0:-1], x, 2 * x[-1] - x[-2:-(n + 2):-1]))
-    _sosfilt(sos, y[None], (design.zi * y[0])[None])
-    y = y[::-1].copy()
-    _sosfilt(sos, y[None], (design.zi * y[0])[None])
-    return y[::-1][n:-n]
+    array and its state in place, so the extension is written into one
+    new buffer, the backward pass gets a reversed copy, and each pass a
+    fresh state. The private entry point is pinned by
+    TestBandpass::test_equals_fresh_sosfiltfilt."""
+    n = design.pad
+    y = np.empty((1, len(x) + 2 * n))
+    ext = y[0]
+    np.subtract(2 * x[0], x[n:0:-1], ext[:n])
+    ext[n:-n] = x
+    np.subtract(2 * x[-1], x[-2:-(n + 2):-1], ext[-n:])
+    design.run(y, design.zi * ext[0])
+    y = y[:, ::-1].copy()
+    design.run(y, design.zi * y[0, 0])
+    return y[0, -n - 1 : n - 1 : -1]  # reversed back, without the pads
 
 
 def bandpass(sig: Signal, cfg: PreprocessConfig) -> np.ndarray:
@@ -136,11 +154,11 @@ def detect_peaks(v: np.ndarray, fs: float, cfg: PreprocessConfig) -> list[int]:
     at least refractory_ms apart at the rate `fs` (rounded to whole
     samples, at least one). Conflicts keep the taller peak."""
     gap = max(1, round(cfg.refractory_ms / 1000.0 * fs))
-    if len(v) < 3 or v.max() <= 0:
+    if len(v) < 3 or (top := v.max()) <= 0:
         return []
-    thr = cfg.peak_threshold * v.max()
     m = v[1:-1]
-    cand = (np.flatnonzero((m >= v[:-2]) & (m > v[2:]) & (m > thr)) + 1).tolist()
+    mask = (m >= v[:-2]) & (m > v[2:]) & (m > cfg.peak_threshold * top)
+    cand = [i + 1 for i in mask.nonzero()[0].tolist()]  # indices into v
     # accept in descending amplitude (index breaks ties) under the gap rule
     accepted: list[int] = []
     for i in sorted(cand, key=lambda i: (-v[i], i)):
@@ -162,8 +180,10 @@ def preprocess_record(sig: Signal, cfg: PreprocessConfig,
     n = cfg.window_len
     start = peaks[0] - n // 2 if len(peaks) == 1 else -1  # -1: no single peak
     window = filtered[start : start + n] if start >= 0 else filtered[:0]
-    if len(window) < n or window.max() == window.min():
+    # detect_peaks puts the peak strictly above its right neighbour, so
+    # only a window of 2, which ends at the peak, can be constant
+    if len(window) < n or (n == 2 and window[0] == window[1]):
         return [Beat(samples=np.zeros(n), label=label, artifact=True, source_id=source_id)]
-    centered = window - window.mean()
-    return [Beat(samples=centered / np.max(np.abs(centered)), label=label,
-                 source_id=source_id)]
+    centered = window - window.sum() / n  # np.mean's own arithmetic
+    centered /= np.abs(centered).max()
+    return [Beat(samples=centered, label=label, source_id=source_id)]

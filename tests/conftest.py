@@ -20,6 +20,7 @@ with warnings.catch_warnings():
         pass
 
 from llt import classifiers
+from llt.preprocess import FILTER_ORDER
 from llt.synth import PHASE_SPAN
 from llt.types import Beat, Label, LinearLaw, Role
 
@@ -119,6 +120,56 @@ def mlp_loss_grad(params, X, targets):
     return loss, dict(zip(names, classifiers._unpack(grad, X.shape[1], hidden)))
 
 
+def record_chain_peaks(v, fs, config):
+    """Oracle of `preprocess.detect_peaks`, as the chain was first
+    written: candidates from `np.flatnonzero` of the local-maximum mask
+    over the threshold, accepted tallest first (index breaks ties)
+    under the refractory gap."""
+    gap = max(1, round(config.refractory_ms / 1000.0 * fs))
+    if len(v) < 3 or v.max() <= 0:
+        return []
+    thr = config.peak_threshold * v.max()
+    m = v[1:-1]
+    cand = (np.flatnonzero((m >= v[:-2]) & (m > v[2:]) & (m > thr)) + 1).tolist()
+    accepted = []
+    for i in sorted(cand, key=lambda i: (-v[i], i)):
+        if all(abs(i - j) >= gap for j in accepted):
+            accepted.append(i)
+    return sorted(accepted)
+
+
+def record_chain_cut(filtered, fs, config, label=Label.UNLABELED, source_id=""):
+    """Oracle of `preprocess.preprocess_record` after the band-pass: the
+    one beat of the `filtered` samples, the window_len samples around a
+    single peak at window_len // 2, minus `np.mean`, over
+    `np.max(np.abs(...))`; a zero artifact beat when there is not one
+    peak, the window overruns or it is constant."""
+    n = config.window_len
+    peaks = record_chain_peaks(filtered, fs, config)
+    start = peaks[0] - n // 2 if len(peaks) == 1 else -1
+    window = filtered[start : start + n] if start >= 0 else filtered[:0]
+    if len(window) < n or window.max() == window.min():
+        return Beat(samples=np.zeros(n), label=label, artifact=True, source_id=source_id)
+    centered = window - np.mean(window)
+    return Beat(samples=centered / np.max(np.abs(centered)), label=label,
+                source_id=source_id)
+
+
+def record_chain(sig, config, label=Label.UNLABELED, source_id=""):
+    """Oracle of `preprocess.preprocess_record`: the public
+    `scipy.signal.sosfiltfilt` with a fresh Butterworth high-pass, then
+    low-pass, then `record_chain_cut`."""
+    from scipy import signal  # about a second to import; only this oracle needs it
+
+    def zero_phase(cutoff, btype, x):
+        return signal.sosfiltfilt(
+            signal.butter(FILTER_ORDER, cutoff, btype, fs=sig.fs, output="sos"), x)
+
+    filtered = zero_phase(config.lowpass, "lowpass",
+                          zero_phase(config.highpass, "highpass", sig.values))
+    return record_chain_cut(filtered, sig.fs, config, label, source_id)
+
+
 def float_rows(path):
     """Oracle of `dataset_io.load_corpus` on a well-formed beat CSV: per
     line that is neither blank nor a `#` comment, its label token, its
@@ -134,6 +185,29 @@ def float_rows(path):
                 rows.append((token.removesuffix("*"), token.endswith("*"),
                              [float(c) for c in cells]))
     return rows
+
+
+def raw_records(path):
+    """Oracle of `dataset_io.load_raw_signals`, one line at a time: per
+    line that is neither blank nor a `#` comment, its rate and `float()`
+    of each of its value cells, in file order; or, if a line's rate is
+    not a positive finite number after a `;` or one of its cells is not
+    a finite number, the number of the first such line."""
+    records = []
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            fs, sep, cells = line.partition(";")
+            try:
+                fs, values = float(fs), [float(c) for c in cells.split(",")]
+            except ValueError:
+                return lineno
+            if not (sep and 0.0 < fs < math.inf and all(map(math.isfinite, values))):
+                return lineno
+            records.append((fs, values))
+    return records
 
 
 def beat_rows(path):

@@ -327,21 +327,36 @@ def test_knn_file_of_one_label_predicts_it(label, tmp_path):
         assert list(predict_batch(model, Q)) == [model.labels[label]] * len(Q)
 
 
-def test_tree_deeper_than_the_recursion_limit_loads(tmp_path):
-    """A left chain of `depth` splits, each right child a leaf: the
-    reader keeps its open slots on a stack, not on Python's."""
+def deep_tree_file(path):
+    """A forest file whose one tree is a left chain of twice the
+    recursion limit of splits, each right child a leaf; its depth."""
     depth = 2 * sys.getrecursionlimit()
     nodes = [f"node {j} split 0 {-j} {j + 1} {2 * depth - j}" for j in range(depth)]
     nodes += [f"node {j} leaf {j % 2}" for j in range(depth, 2 * depth + 1)]
     header = GOLDEN["rf"].replace("feature_dim=2", "feature_dim=1").splitlines()[:5]
-    path = tmp_path / "deep"
     path.write_text(with_checksum("rf", header + ["param trees=1",
                                                   f"tree 0 {len(nodes)}", *nodes]))
+    return depth
+
+
+def test_tree_deeper_than_the_recursion_limit_loads(tmp_path):
+    """The reader keeps its open slots on a stack, not on Python's."""
+    path = tmp_path / "deep"
+    depth = deep_tree_file(path)
     model = load_model(path)
     Q = np.arange(-depth - 1.5, 1.0)[:, None]
     expected = [model.labels[tree_predict(model.params["trees"][0], q)] for q in Q]
     assert len(set(expected)) == 2
     assert list(predict_batch(model, Q)) == expected
+
+
+def test_tree_deeper_than_the_recursion_limit_saves(tmp_path):
+    """The writer numbers the nodes from an explicit stack too: the
+    deep tree saves back to the bytes it was read from."""
+    path, again = tmp_path / "deep", tmp_path / "again"
+    deep_tree_file(path)
+    save_model(load_model(path), again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def cli_on(name, path, tmp_path):

@@ -118,6 +118,27 @@ class TestLinearSVM:
         assert np.array_equal(m1.params["w"], m2.params["w"])
         assert m1.params["b"] == m2.params["b"]
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e-160])
+    def test_tiny_features_fit(self, scale):
+        """Squared norms down to the subnormal 1e-320 still fit."""
+        X, y = np.array([[1.0], [2.0], [-1.0], [-2.0]]) * scale, ["N", "N", "E", "E"]
+        assert list(predict_batch(linear_svm_fit(X, y, Hyperparams()), X)) == y
+
+    @pytest.mark.parametrize("scale", [1e-162, 1e-200])
+    def test_underflowing_gram_diagonal_raises(self, scale):
+        """A nonzero row whose squared norm underflows to 0 is not in the
+        dual, which then fits a model that predicts one label for all:
+        the fit names the features' magnitude instead, without a
+        warning. A zero row is not an underflow."""
+        X, y = np.array([[1.0], [2.0], [-1.0], [-2.0]]) * scale, ["N", "N", "E", "E"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^linear SVM Gram matrix underflows on "
+                                                 rf"features of magnitude up to {2 * scale:g}$"):
+                linear_svm_fit(X, y, Hyperparams())
+        zero = linear_svm_fit(np.array([[0.0], [2.0], [-1.0], [-2.0]]), y, Hyperparams())
+        assert list(predict_batch(zero, np.array([[2.0], [-2.0]]))) == ["N", "E"]
+
 
 class TestRbfSVM:
     def test_xor_learnable(self):

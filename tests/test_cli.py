@@ -456,6 +456,20 @@ def test_rbf_training_file_that_overflows_is_named(rows, top, tmp_path, capsys):
     assert not (tmp_path / "m.txt").exists()
 
 
+def test_linear_training_file_that_underflows_is_named(tmp_path, capsys):
+    """Features whose squared norms underflow to 0 fail the linear SVM
+    fit with their magnitude, naming the feature file, with no
+    traceback."""
+    features = tmp_path / "features.csv"
+    dataset_io.save_features(features, np.array([[1e-200], [2e-200], [-1e-200], [-2e-200]]),
+                             ["N", "N", "E", "E"], [("Normal", 1)])
+    assert run(["train", "--model", "svm-linear", "--features", str(features),
+                "--out", str(tmp_path / "m.txt")]) == 1
+    assert capsys.readouterr().err == (f"error: {features}: linear SVM Gram matrix underflows "
+                                       f"on features of magnitude up to 2e-200\n")
+    assert not (tmp_path / "m.txt").exists()
+
+
 @pytest.mark.parametrize("module", ["scipy.signal", "scipy"])
 def test_import_leaves_out_scipy_signal(module):
     """Every subcommand imports llt.cli; only raw-record filtering needs

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from llt import dataset_io
@@ -34,7 +34,7 @@ from llt.dataset_io import (
 from llt.linear_law import fit_law
 from llt.types import Beat, Corpus, Label, LinearLaw, Role
 
-from conftest import beat_rows, beat_split, float_rows, random_beats
+from conftest import beat_rows, beat_split, float_rows, random_beats, raw_records
 
 
 class TestCorpusFormat:
@@ -208,6 +208,62 @@ class TestCorpusFormat:
         with pytest.raises(ArtifactFileError) as e:
             load_raw_signals(path)
         assert str(e.value) == f"{path}:3: {message}"
+
+
+# a raw-record rate or value cell that is well formed, and one that is not
+_RATES = st.sampled_from(["360", "250.0", " 1e3", "125"])
+_GOOD_CELLS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                        st.sampled_from(["1_0", " 2\t", "-0", "5e-324"]))
+_BAD_RATES = st.sampled_from(["0", "-360", "nan", "inf", "x", ""])
+_BAD_CELLS = st.sampled_from(["x", "inf", "-inf", "nan", "", "1e999", "1,"])
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(records=st.lists(st.tuples(_RATES, st.lists(_GOOD_CELLS, min_size=1, max_size=3)),
+                        max_size=12),
+       faults=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 5),
+                                 st.one_of(_BAD_RATES.map(lambda t: ("rate", t)),
+                                           _BAD_CELLS.map(lambda t: ("cell", t)),
+                                           st.just(("no ;", "")))),
+                       max_size=3),
+       extra=st.lists(st.tuples(st.integers(0, 12), st.sampled_from(["", "  ", "# a;1,2"])),
+                      max_size=4))
+@example(records=[("360", ["1"]), ("360", ["1", "2"]), ("360", ["1"])],
+         faults=[(1, 0, ("cell", "x")), (2, 0, ("cell", "x"))], extra=[])
+@example(records=[("360", ["1", "2"]), ("360", ["1"]), ("360", ["1", "2"])],
+         faults=[(1, 0, ("cell", "inf")), (2, 0, ("rate", "0"))], extra=[])
+def test_raw_signals_equal_line_oracle(tmp_path, records, faults, extra):
+    """Records of mixed lengths, some with a bad rate, a bad cell or no
+    `;`, read as `raw_records` reads them line by line: the same rates
+    and values bit for bit, or an error naming the first bad line."""
+    lines = [[rate, ";", list(cells)] for rate, cells in records]  # rate, separator, cells
+    for at, column, (kind, text) in faults:
+        if at < len(lines):
+            line = lines[at]
+            if kind == "rate":
+                line[0] = text
+            elif kind == "cell":
+                line[2][column % len(line[2])] = text
+            else:
+                line[1] = ","
+    text = [rate + sep + ",".join(cells) for rate, sep, cells in lines]
+    for at, line in extra:
+        text.insert(min(at, len(text)), line)
+    path = tmp_path / "r.csv"
+    path.write_text("\n".join(text) + "\n")
+
+    want = raw_records(path)
+    if isinstance(want, int):
+        with pytest.raises(ArtifactFileError, match=rf"^{re.escape(str(path))}:{want}: "):
+            load_raw_signals(path)
+    elif not want:
+        with pytest.raises(ArtifactFileError, match="no records found"):
+            load_raw_signals(path)
+    else:
+        signals = load_raw_signals(path)
+        assert [(s.fs, s.values.tobytes()) for s in signals] == [
+            (fs, np.array(values).tobytes()) for fs, values in want]
 
 
 # planted in every corpus of the property below: signed zeros,

@@ -18,6 +18,8 @@ from llt.preprocess import (
 )
 from llt.types import Label
 
+from conftest import record_chain, record_chain_cut
+
 FS = 360.0
 
 
@@ -131,8 +133,9 @@ class TestBandpass:
 
     def test_filtering_in_place_leaves_input_and_design_untouched(self):
         # the kernel filters its arrays in place: the caller's record and
-        # the cached, shared design must come out as they went in, and
-        # each call must return its own array
+        # the cached, shared design (the sections the kernel reads, and
+        # the state in the kernel's (1, n_sections, 2) shape) must come
+        # out as they went in, and each call must return its own array
         c = cfg()
         x = np.random.default_rng(2).standard_normal(390)
         before = x.copy()
@@ -147,7 +150,7 @@ class TestBandpass:
             design = _butter_sos(cutoff, btype, FS)
             sos = sp_signal.butter(FILTER_ORDER, cutoff, btype, fs=FS, output="sos")
             assert np.array_equal(design.sos, sos)
-            assert np.array_equal(design.zi, sp_signal.sosfilt_zi(sos))
+            assert np.array_equal(design.zi, sp_signal.sosfilt_zi(sos)[None])
 
     def test_finite_record_that_overflows_the_filter(self):
         # the record is finite; the filtered samples are not, and the
@@ -368,6 +371,79 @@ class TestPreprocessRecord:
         beats = preprocess_record(sig, cfg())
         assert len(beats) == 1
         assert beats[0].artifact
+
+
+class TestRecordChain:
+    """preprocess_record against `record_chain`, the chain built from
+    scipy's public sosfiltfilt, np.flatnonzero, np.mean and np.max, bit
+    for bit: samples, label, artifact flag and source."""
+
+    @staticmethod
+    def assert_same(beat, want):
+        assert beat.samples.tobytes() == want.samples.tobytes()
+        assert ((beat.label, beat.artifact, beat.source_id)
+                == (want.label, want.artifact, want.source_id))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(6 * FILTER_ORDER + 1, 4000),
+           fs=st.integers(125, 1000).map(float),
+           window_len=st.integers(2, 61),
+           kind=st.sampled_from(["pulse", "two", "overrun", "constant"]),
+           sign=st.sampled_from([1.0, -1.0]),
+           noise=st.floats(0.0, 0.3),
+           seed=st.integers(0, 2 ** 16))
+    @example(n=360, fs=360.0, window_len=30, kind="pulse", sign=1.0, noise=0.02, seed=0)
+    @example(n=360, fs=360.0, window_len=30, kind="pulse", sign=-1.0, noise=0.0, seed=0)
+    @example(n=720, fs=360.0, window_len=30, kind="two", sign=1.0, noise=0.02, seed=0)
+    @example(n=360, fs=360.0, window_len=61, kind="overrun", sign=1.0, noise=0.0, seed=0)
+    @example(n=25, fs=125.0, window_len=2, kind="constant", sign=1.0, noise=0.0, seed=0)
+    def test_record_equals_public_chain(self, n, fs, window_len, kind, sign, noise, seed):
+        # a bump of 2-24 ms anywhere, two bumps 250-750 ms apart, a bump
+        # within half a window of an end, or a constant record
+        rng = np.random.default_rng(seed)
+        t = np.arange(n)
+        width = rng.uniform(0.002, 0.024) * fs
+
+        def bump(centre):
+            return np.exp(-0.5 * ((t - centre) / width) ** 2)
+
+        if kind == "constant":
+            v = np.full(n, rng.uniform(-5.0, 5.0))
+        else:
+            if kind == "pulse":
+                v = bump(rng.uniform(0, n))
+            elif kind == "two":
+                centre = rng.uniform(0, n)
+                v = bump(centre) + bump(centre + rng.choice([-1, 1]) * rng.uniform(0.25, 0.75) * fs)
+            else:
+                edge = rng.uniform(0, window_len / 2)
+                v = bump(edge if rng.random() < 0.5 else n - 1 - edge)
+            v = sign * 10.0 ** rng.uniform(-3, 3) * v + noise * rng.standard_normal(n)
+        sig, c = Signal(values=v, fs=fs), cfg(window_len=window_len)
+        (beat,) = preprocess_record(sig, c, label=Label.ECTOPIC, source_id="r")
+        self.assert_same(beat, record_chain(sig, c, label=Label.ECTOPIC, source_id="r"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]), min_size=1,
+                           max_size=80),
+           window_len=st.integers(2, 8),
+           threshold=st.sampled_from([0.1, 0.5, 0.9]),
+           refractory=st.integers(1, 20))
+    @example(values=[0.0, 2.0, 2.0, 0.0], window_len=2, threshold=0.5, refractory=1)
+    @example(values=[0.0, 2.0, 2.0, 0.0], window_len=3, threshold=0.5, refractory=1)
+    def test_cut_equals_public_chain_on_plateaus(self, values, window_len, threshold,
+                                                 refractory):
+        # bandpass passes the samples through: few levels make plateaus,
+        # equal heights and constant windows common; at 1000 Hz the gap
+        # in ms is the gap in samples
+        c = cfg(window_len=window_len, peak_threshold=threshold,
+                refractory_ms=float(refractory))
+        sig = Signal(values=np.array(values), fs=1000.0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(preprocess, "bandpass", lambda sig, config: sig.values)
+            (beat,) = preprocess_record(sig, c, label=Label.NORMAL, source_id="q")
+        self.assert_same(beat, record_chain_cut(sig.values, 1000.0, c, label=Label.NORMAL,
+                                                source_id="q"))
 
 
 def test_config_validation():
