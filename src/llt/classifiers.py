@@ -10,13 +10,15 @@ model file holds; it indexes the classes in sorted order.
 
 Both SVMs solve the same dual with one SMO solver (second-order working
 set selection, as in LIBSVM) on their kernel matrix, X Xᵀ or the RBF
-kernel; it returns only when the maximal-violating-pair gap is at most
-SMO_TOL and otherwise raises ConvergenceError naming the gap: at once
-if the gap is not finite, else after _SMO_MAX_ITER iterations. The linear
-model stores w = Σ αᵢyᵢxᵢ, so both model layouts keep their fields.
-Where the RBF kernel's squared distances, its default γ's variance or
-that γ overflow (γ does where the variance underflows), in fit or
-predict, a ValueError names the largest feature magnitude.
+kernel. Each step is one move along yᵀα = const, capped where LIBSVM's
+test puts the first bound. The solver returns only at a
+maximal-violating-pair gap of at most SMO_TOL, and otherwise raises
+ConvergenceError naming the gap: at once if the gap is not finite, else
+after _SMO_MAX_ITER iterations. The linear model stores w = Σ αᵢyᵢxᵢ,
+so both model layouts keep their fields. Where the RBF kernel's squared
+distances, its default γ's variance or that γ overflow (γ does where the
+variance underflows), in fit or predict, a ValueError names the largest
+feature magnitude.
 
 KNN and the forest count votes for label 1 of the two; label 1 wins
 with more than half of them. The forest's split search sorts each
@@ -72,7 +74,7 @@ from .types import ConvergenceError
 # the SVM solver stops when its maximal-violating-pair gap is at most this
 SMO_TOL = 1e-3
 # SMO iterations after which the SVM solver raises ConvergenceError; a
-# linear kernel at a large C·‖x‖² can need 10⁵ on forty rows
+# linear kernel at a large C·‖x‖² can miss SMO_TOL even here on twenty rows
 _SMO_MAX_ITER = 1_000_000
 # least curvature Kᵢᵢ + Kⱼⱼ - 2Kᵢⱼ the SMO step divides by (LIBSVM's TAU,
 # here also for tiny positive ones, whose b²/a and step would overflow)
@@ -220,7 +222,10 @@ def _smo(K, ys, C):
 
     The solver keeps v = -y∘G, where G = Qα - 1 is the gradient of
     ½αᵀQα - Σα; vᵢ = yᵢ - Σₜ αₜyₜKᵢₜ updates from two rows of the kernel
-    matrix K as given, so no second n×n array is made. Returns
+    matrix K as given, so no second n×n array is made. Each step is one
+    move along yᵀα = const, αᵢ by yᵢt and αⱼ by -yⱼt with t = bⱼ/aⱼ
+    (LIBSVM's |delta|), capped where LIBSVM's test on inv = αᵢ + yᵢyⱼαⱼ
+    (its diff or total) puts the first bound, ties included. Returns
     (alpha, rho, gap, history): the decision value is
     Σ αᵢyᵢK(xᵢ, x) - rho, gap is the final maximal-violating-pair gap
     m(α) - M(α) <= SMO_TOL, and history holds the dual objective
@@ -254,42 +259,23 @@ def _smo(K, ys, C):
         # -b²/a is least where b = m - vₜ > 0 over `low`; 0 elsewhere
         b = np.maximum(m - v_low, 0.0)
         j = int(np.argmax(b * b / a))
-        # LIBSVM's two-variable step, clipped to the box along yᵀα = const
-        yi, yj, quad = ys[i], ys[j], float(a[j])
-        ai, aj, gi, gj = float(alpha[i]), float(alpha[j]), -yi * m, -yj * float(v[j])
-        if yi != yj:
-            delta = (-gi - gj) / quad
-            diff = ai - aj
-            ai, aj = ai + delta, aj + delta
-            if diff > 0:
-                if aj < 0:
-                    ai, aj = diff, 0.0
-            elif ai < 0:
-                ai, aj = 0.0, -diff
-            if diff > 0:
-                if ai > C:
-                    ai, aj = C, C - diff
-            elif aj > C:
-                ai, aj = C + diff, C
-        else:
-            delta = (gi - gj) / quad
-            total = ai + aj
-            ai, aj = ai - delta, aj + delta
-            if total > C:
-                if ai > C:
-                    ai, aj = C, total - C
-            elif aj < 0:
-                ai, aj = total, 0.0
-            if total > C:
-                if aj > C:
-                    ai, aj = total - C, C
-            elif ai < 0:
-                ai, aj = 0.0, total
-        v -= Ki * (yi * (ai - alpha[i])) + K[j] * (yj * (aj - alpha[j]))
-        for t, at in ((i, ai), (j, aj)):
-            alpha[t] = at
-            up[t] = at < C if ys[t] > 0 else at > 0
-            low[t] = at > 0 if ys[t] > 0 else at < C
+        yi, yj = ys[i], ys[j]
+        s, ai, aj = yi * yj, float(alpha[i]), float(alpha[j])
+        inv = ai + s * aj
+        t = float(b[j]) / float(a[j])
+        ni, nj = ai + yi * t, aj - yj * t
+        if (inv > (C if s > 0 else 0.0)) == (yi > 0):
+            if ni > C if yi > 0 else ni < 0:
+                ni = C if yi > 0 else 0.0
+                nj = s * (inv - ni)
+        elif nj < 0 if yj > 0 else nj > C:
+            nj = 0.0 if yj > 0 else C
+            ni = inv - s * nj
+        v -= Ki * (yi * (ni - ai)) + K[j] * (yj * (nj - aj))
+        for r, ar in ((i, ni), (j, nj)):
+            alpha[r] = ar
+            up[r] = ar < C if ys[r] > 0 else ar > 0
+            low[r] = ar > 0 if ys[r] > 0 else ar < C
         history.append(0.5 * float(alpha.sum() + (alpha * ys) @ v))
     free = (alpha > 0) & (alpha < C)
     # with no free α, LIBSVM's midpoint of the bounds on rho, which are

@@ -49,7 +49,7 @@ class Signal:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 1:
             raise ValueError("signal must be 1-D")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("signal contains non-finite values")
         if self.fs <= 0:
             raise ValueError(f"sampling rate must be positive, got {self.fs}")

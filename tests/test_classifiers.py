@@ -581,9 +581,28 @@ def _svm_problems(draw):
     return X, ys
 
 
+def _svm_example(X, ys, C):
+    """An @example of a 1-D linear-kernel problem for the SMO property."""
+    return example(problem=(np.array(X)[:, None], np.array(ys)), kernel="linear",
+                   C=C, gamma=1.0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(problem=_svm_problems(), kernel=st.sampled_from(["linear", "rbf"]),
        C=st.floats(0.1, 100.0), gamma=st.floats(0.05, 5.0))
+# one outcome of the pair step each: no step clipped
+@_svm_example([-1.0, 0.5], [-1.0, 1.0], 1.0)
+# αᵢ clipped to its bound, with yᵢyⱼ = +1 and with yᵢyⱼ = -1
+@_svm_example([-1.0, -1.0, 0.0, 0.5], [-1.0, 1.0, 1.0, -1.0], 10.0)
+@_svm_example([-1.0, 0.0, 0.5], [-1.0, 1.0, -1.0], 10.0)
+# αⱼ clipped to its bound, with yᵢyⱼ = +1 and with yᵢyⱼ = -1
+@_svm_example([-1.0, 1.0, 0.5], [-1.0, 1.0, 1.0], 1.0)
+@_svm_example([-0.5, 1.0, -1.0], [-1.0, 1.0, 1.0], 1.0)
+# both reach their bounds at once, a tie of LIBSVM's test: with yᵢ = +1
+# it caps αⱼ (diff = 0 in the first step, whose unclipped t = 8 exceeds
+# C), with yᵢ = -1 αᵢ (total = C)
+@_svm_example([-1.0, -0.5], [-1.0, 1.0], 0.1)
+@_svm_example([0.0, -1.0, 0.0, 0.5, 0.5], [-1.0, 1.0, -1.0, -1.0, 1.0], 0.1)
 def test_smo_returns_a_kkt_point(problem, kernel, C, gamma):
     X, ys = problem
     K = X @ X.T if kernel == "linear" else _rbf_kernel(X, X, gamma)
