@@ -64,8 +64,8 @@ def _real_rows(path, linenos: list[int], texts: list[str], width: int, sep: str 
     when a row is empty or holds one of `_LOADTXT_ONLY_SPACE`: on no
     value `np.loadtxt` warns, and it strips those around a value."""
     values = None
-    blob = "".join(texts)
-    if width and texts and all(texts) and not any(c in blob for c in _LOADTXT_ONLY_SPACE):
+    if width and texts and all(texts) and not any(
+            c in t for t in texts for c in _LOADTXT_ONLY_SPACE):
         try:
             values = np.loadtxt(texts, delimiter=sep, comments=None, ndmin=2)
         except ValueError:

@@ -11,11 +11,12 @@ names the class and the width.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import EmbeddedMatrix, embed_class
+from .embedding import EmbeddedMatrix, check_width, embed_class
 from .types import Beat, ConvergenceError, Corpus, Label, LinearLaw
 
 # Tolerances for double precision at widths <= 32.
@@ -52,11 +53,10 @@ class LawScanReport:
 
 
 def correlation(Y: EmbeddedMatrix) -> np.ndarray:
-    """C = Y^T Y / K of an `embed_class` matrix, which has a row. Upper
-    triangle is mirrored so symmetry is exact."""
-    M = Y.data.T @ Y.data / Y.rows
-    upper = np.triu(M)
-    return upper + upper.T - np.diag(np.diag(M))
+    """C = Y^T Y / K of an `embed_class` matrix, which has a row. It is
+    exactly symmetric as computed: numpy forms ``A.T @ A`` by BLAS
+    ``syrk``, which computes one triangle and copies it to the other."""
+    return Y.data.T @ Y.data / Y.rows
 
 
 def jacobi_eigensystem(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -66,7 +66,7 @@ def jacobi_eigensystem(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lower triangle is read, so the input must already be symmetric.
     """
     A = np.asarray(A, dtype=float)
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValueError("matrix has non-finite entries")
     return np.linalg.eigh(A)
 
@@ -79,12 +79,15 @@ def _fix_sign(w: np.ndarray) -> np.ndarray:
     return w
 
 
-def fit_law(
-    beats: np.ndarray | list[Beat],
-    width: int,
-    class_tag: str,
-    allow_degenerate: bool = False,
-) -> LinearLaw:
+def _residual_power(Y: np.ndarray, w: np.ndarray) -> float:
+    """mean((Y w)^2), squared in place and summed as `np.mean` sums."""
+    r = Y @ w
+    r *= r
+    return float(np.add.reduce(r) / len(r))
+
+
+def fit_law(beats: np.ndarray | list[Beat], width: int, class_tag: str,
+            allow_degenerate: bool = False) -> LinearLaw:
     """Fit the linear law of a class, given as an (N, L) sample array or
     a list of beats: embed, correlate, take the smallest eigenpair, and
     verify its residual ``||Cw - lam w||`` and the variance identity.
@@ -99,70 +102,59 @@ def fit_law(
         scale = max(float(np.trace(C)), np.finfo(float).tiny)
         multiplicity = int(np.sum(evals - lam <= DEGENERACY_RTOL * scale))
         if multiplicity > 1 and not allow_degenerate:
-            raise DegenerateLawError(
-                f"rank-deficient: law ambiguous (smallest eigenvalue has "
-                f"multiplicity {multiplicity})"
-            )
+            raise DegenerateLawError(f"rank-deficient: law ambiguous (smallest eigenvalue "
+                                     f"has multiplicity {multiplicity})")
         w = _fix_sign(evecs[:, 0].copy())
-        w = w / np.linalg.norm(w)
-        resid = float(np.linalg.norm(C @ w - lam * w))
-        bound = EIGENPAIR_RTOL * max(1.0, float(np.linalg.norm(C)))
+        w = w / math.sqrt(w.dot(w))  # the arithmetic of np.linalg.norm
+        r, c = C @ w - lam * w, C.ravel()
+        resid, bound = math.sqrt(r.dot(r)), EIGENPAIR_RTOL * max(1.0, math.sqrt(c.dot(c)))
         if resid > bound:
             raise ConvergenceError(f"eigenpair residual {resid:.3e} exceeds {bound:.3e}")
         # The residual path mean((Yw)^2) is the accurate eigenvalue estimate:
         # forming w C w loses a near-zero eigenvalue to cancellation at
         # eps*||C||, while the per-row dot products cancel before squaring.
-        var = float(np.mean((Y.data @ w) ** 2))
+        var = _residual_power(Y.data, w)
         tol = VARIANCE_IDENTITY_RTOL * max(var, lam) + 1e-12 * scale
         if abs(var - lam) > tol:
-            raise ConvergenceError(
-                f"variance identity violated: mean residual power {var:.17g} "
-                f"vs solver eigenvalue {lam:.17g}"
-            )
+            raise ConvergenceError(f"variance identity violated: mean residual power "
+                                   f"{var:.17g} vs solver eigenvalue {lam:.17g}")
         return LinearLaw(w=w, lam=var, class_tag=class_tag, train_row_count=Y.rows)
     except (ValueError, ConvergenceError) as e:
         raise type(e)(f"{class_tag} law at width {width}: {e}") from None
 
 
 def law_variance(beats: np.ndarray | list[Beat], law: LinearLaw) -> float:
-    """Mean squared residual of the law over all embedded rows.
-
-    On the fitting set this equals the law's eigenvalue.
-    """
-    Y = embed_class(beats, law.width)
-    return float(np.mean((Y.data @ law.w) ** 2))
+    """Mean squared residual of the law over all embedded rows, the
+    arithmetic of `fit_law`'s variance identity: on the fitting set
+    this is the law's ``lam`` exactly."""
+    return _residual_power(embed_class(beats, law.width).data, law.w)
 
 
-def scan_law_length(
-    train: Corpus,
-    validation: Corpus,
-    widths: list[int] | range,
-    class_tag: Label = Label.NORMAL,
-) -> LawScanReport:
+def scan_law_length(train: Corpus, validation: Corpus, widths: list[int] | range,
+                    class_tag: Label = Label.NORMAL) -> LawScanReport:
     """Fit a law per width on the training reference class and compare
     its residual variance on the validation reference class. A small
     train/validation gap indicates the law generalizes at that width.
-    A validation part without a non-artifact beat of the class raises
-    ValueError before any fit; `fit_law` rejects a bad width."""
-    train_rows = train.rows(class_tag)
-    val_rows = validation.rows(class_tag)
+    A validation part without a non-artifact beat of the class, or a
+    width outside [2, L] of either part, raises ValueError before any
+    fit, the latter as `fit_law` would."""
+    train_rows, val_rows = train.rows(class_tag), validation.rows(class_tag)
     tag = class_tag.name.title()
     if not len(val_rows):
         raise ValueError(f"the validation part holds no non-artifact "
                          f"{class_tag.value!r} beat to check the {tag} law on")
+    length = min(train.window_len, validation.window_len)
+    for width in widths:
+        try:
+            check_width(width, length)
+        except ValueError as e:
+            raise ValueError(f"{tag} law at width {width}: {e}") from None
     entries = []
     for width in widths:
         law = fit_law(train_rows, width, tag)
         var_val = law_variance(val_rows, law)
-        denom = law.lam if law.lam > 0 else np.finfo(float).tiny
-        gap = abs(var_val - law.lam) / denom
-        entries.append(
-            ScanEntry(
-                width=width,
-                lambda_train=law.lam,
-                variance_validation=var_val,
-                gap=gap,
-                feature_count=train.window_len - width + 1,
-            )
-        )
+        with np.errstate(over="ignore"):  # inf, not a warning, at a lam of 0 or near it
+            gap = abs(var_val - law.lam) / (law.lam if law.lam > 0 else np.finfo(float).tiny)
+        entries.append(ScanEntry(width=width, lambda_train=law.lam, variance_validation=var_val,
+                                 gap=gap, feature_count=train.window_len - width + 1))
     return LawScanReport(entries=entries)

@@ -19,7 +19,7 @@ with warnings.catch_warnings():
     except ImportError:
         pass
 
-from llt import classifiers
+from llt import classifiers, linear_law
 from llt.preprocess import FILTER_ORDER
 from llt.synth import PHASE_SPAN
 from llt.types import Beat, Label, LinearLaw, Role
@@ -79,6 +79,49 @@ def embed_series(values, width):
     first."""
     values = np.asarray(values, dtype=float)
     return np.ascontiguousarray(sliding_window_view(values, width)[:, ::-1])
+
+
+def embed_class_oracle(samples, width):
+    """Oracle of `embedding.embed_class` on an (N, L) sample array, as
+    it was first written: `sliding_window_view` reversed along the lag
+    axis, copied C-contiguous."""
+    windows = sliding_window_view(samples, width, axis=1)[:, :, ::-1]
+    return np.ascontiguousarray(windows.reshape(-1, width))
+
+
+def correlation_oracle(Y):
+    """Oracle of `linear_law.correlation` on a matrix of windows, as it
+    was first written: the product's upper triangle mirrored."""
+    M = Y.T @ Y / Y.shape[0]
+    upper = np.triu(M)
+    return upper + upper.T - np.diag(np.diag(M))
+
+
+def scan_oracle(train_rows, val_rows, widths):
+    """Oracle of `linear_law.scan_law_length`'s CSV on the sample arrays
+    of the class, from `embed_class_oracle`, `correlation_oracle` and the
+    law arithmetic as first written (`np.linalg.norm`, `np.mean` of the
+    squared residuals), with the gap's overflow to inf silenced; None
+    if some width's law is ambiguous."""
+    entries = []
+    for width in widths:
+        Y = embed_class_oracle(train_rows, width)
+        C = correlation_oracle(Y)
+        evals, evecs = np.linalg.eigh(C)
+        lam = float(evals[0])
+        scale = max(float(np.trace(C)), np.finfo(float).tiny)
+        if int(np.sum(evals - lam <= linear_law.DEGENERACY_RTOL * scale)) > 1:
+            return None
+        w = evecs[:, 0].copy()
+        w = -w if w[np.flatnonzero(w)[0]] < 0 else w
+        w = w / np.linalg.norm(w)
+        lam = float(np.mean((Y @ w) ** 2))
+        var_val = float(np.mean((embed_class_oracle(val_rows, width) @ w) ** 2))
+        with np.errstate(over="ignore"):
+            gap = abs(var_val - lam) / (lam if lam > 0 else np.finfo(float).tiny)
+        entries.append(linear_law.ScanEntry(width, lam, var_val, gap,
+                                            train_rows.shape[1] - width + 1))
+    return linear_law.LawScanReport(entries).to_csv()
 
 
 def exact_law(omega, width, class_tag="Normal"):

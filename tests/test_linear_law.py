@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from llt import linear_law
-from llt.embedding import embed_class
+from llt.embedding import EmbeddedMatrix, embed_class
 from llt.linear_law import (
     ConvergenceError,
     DegenerateLawError,
@@ -14,7 +16,8 @@ from llt.linear_law import (
 )
 from llt.types import Beat, Corpus, Label, Role
 
-from conftest import random_beats, sinusoid_beats
+from conftest import (correlation_oracle, embed_class_oracle, random_beats, scan_oracle,
+                      sinusoid_beats)
 
 
 def naive_correlation(Y):
@@ -269,3 +272,72 @@ class TestScan:
         lines = text.strip().splitlines()
         assert lines[0] == "l,lambda_train,var_val,gap,feature_count"
         assert len(lines) == 3
+
+    def test_bad_width_raises_before_any_fit(self, monkeypatch):
+        train = Corpus(beats=random_beats(6, 30, seed=38), window_len=30, role=Role.TRAIN)
+        fits = []
+        fit = linear_law.fit_law
+        monkeypatch.setattr(linear_law, "fit_law",
+                            lambda *args, **kw: fits.append(args[1]) or fit(*args, **kw))
+        for widths, message in (
+                (range(2, 41), "width 31: embedding width 31 exceeds series length 30"),
+                ([3, 4, 1], "width 1: embedding width must be >= 2, got 1")):
+            with pytest.raises(ValueError, match=f"^Normal law at {message}$"):
+                scan_law_length(train, train, widths)
+        assert fits == []
+        scan_law_length(train, train, [3, 4])
+        assert fits == [3, 4]
+
+    def test_width_beyond_the_validation_length(self):
+        train = Corpus(beats=random_beats(6, 30, seed=39), window_len=30, role=Role.TRAIN)
+        val = Corpus(beats=random_beats(6, 20, seed=40), window_len=20, role=Role.VALIDATION)
+        with pytest.raises(ValueError, match="^Normal law at width 21: embedding width 21 "
+                                             "exceeds series length 20$"):
+            scan_law_length(train, val, [20, 21])
+
+
+def _normal_corpus(samples, role):
+    n = len(samples)
+    return Corpus.from_arrays(samples, np.full(n, Label.NORMAL.value), np.zeros(n, bool), role)
+
+
+@settings(max_examples=100, deadline=None)
+@example(1, 7, 5, 2, 0, "normal", 1.0)  # N = 1 and width = L: one row
+@example(1, 12, 3, 1, 1, "normal", 1.0)  # N = 1: the reshape is a view
+@example(4, 9, 7, 3, 2, "integers", 1.0)  # width = L
+@example(1, 2, 0, 1, 3, "integers", 1e-3)  # L = 2
+@example(1, 2, 0, 1, 32, "integers", 1.0)  # lam = 0: the gap is inf
+@example(5, 40, 38, 4, 4, "normal", 1e50)
+@given(
+    st.integers(1, 8),
+    st.integers(2, 40),
+    st.integers(0, 38),
+    st.integers(1, 5),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["normal", "integers"]),
+    st.sampled_from([1e-100, 1e-3, 1.0, 1e3, 1e50]),
+)
+def test_law_path_equals_its_oracles(n, length, lag, n_val, seed, kind, scale):
+    """The strided embedding, the unmirrored correlation and the
+    in-place residual power give the bits of their first versions."""
+    width = 2 + lag % (length - 1)
+    rng = np.random.default_rng(seed)
+    draw = rng.standard_normal if kind == "normal" else (lambda shape: rng.integers(-3, 4, shape))
+    samples, val = (scale * draw((m, length)).astype(float) for m in (n, n_val))
+    Y = embed_class(samples, width).data
+    oracle_Y = embed_class_oracle(samples, width)
+    assert Y.flags.c_contiguous
+    assert np.array_equal(Y, oracle_Y) and Y.tobytes() == oracle_Y.tobytes()
+    C = correlation(EmbeddedMatrix(Y))
+    assert C.tobytes() == correlation_oracle(oracle_Y).tobytes()
+    assert C.tobytes() == C.T.copy().tobytes()
+    law = fit_law(samples, width, "Normal", allow_degenerate=True)
+    assert law_variance(samples, law) == law.lam
+    widths = range(2, width + 1)
+    expected = scan_oracle(samples, val, widths)
+    train, validation = _normal_corpus(samples, Role.TRAIN), _normal_corpus(val, Role.VALIDATION)
+    if expected is None:
+        with pytest.raises(DegenerateLawError):
+            scan_law_length(train, validation, widths)
+    else:
+        assert scan_law_length(train, validation, widths).to_csv() == expected
