@@ -30,11 +30,14 @@ picks the best in one Python pass over them. The forest predicts node
 by node: each node splits the indices of the rows that reach it, and a
 leaf of label 1 adds one vote to each of its rows; a tie goes to label
 0. KNN predicts a whole batch: distances in row blocks of at most
-_KNN_BLOCK_ENTRIES entries, the k-th distance per row by partition and
-a sort of only the entries within it (the same neighbours, in the same
-order, as a stable sort of the whole row), the block's label-1 counts
-at once, and for a tie, only in tied rows, label 1 exactly when its
-neighbours' summed distance is smaller.
+_KNN_BLOCK_ENTRIES entries and the k-th distance per row by partition.
+A row with exactly k entries within its k-th distance has them as the
+first k of a stable sort of the row, so its label-1 votes are one count
+over the block. Only a row with more than k such entries (a distance
+tie at the k-th place) or with a vote tie sorts them, stably, which is
+the order a stable sort of the whole row gives them, and takes the
+first k; for a vote tie, label 1 wins exactly when its neighbours'
+summed distance, taken in that order, is smaller.
 
 The network is fitted by limited-memory BFGS (Liu & Nocedal, Math.
 Programming 45, 1989) to mean cross-entropy plus ½·MLP_L2·‖θ‖²; the
@@ -185,30 +188,31 @@ def knn_fit(X, y, hp: Hyperparams) -> TrainedModel:
 def _knn_predict(p, Q):
     """Label indices for the query rows Q, in row blocks of at most
     _KNN_BLOCK_ENTRIES Chebyshev distances. Neighbours are the first k of
-    a stable distance sort, found by partition; label 1 wins with more
-    than k / 2 of their votes, and a tie goes to label 1 only if its
-    summed distance is smaller."""
+    a stable distance sort; label 1 wins with more than k / 2 of their
+    votes, and a tie goes to label 1 only if its summed distance is
+    smaller. A row with exactly k entries within its k-th distance (from
+    a partition) has its votes counted from them at once, in any order;
+    only in a row with a distance tie at the k-th place or a vote tie
+    are those entries sorted."""
     from scipy.spatial.distance import cdist
 
     X, y, k = p["X"], p["y"], p["k"]
+    ones_mask = y == 1
     out = np.empty(len(Q), dtype=int)
     rows = max(1, _KNN_BLOCK_ENTRIES // len(X))
     for start in range(0, len(Q), rows):
         B = Q[start:start + rows]
         D = cdist(B, X, "chebyshev")
-        # the k nearest in stable-sort order without sorting whole rows:
-        # every entry within the k-th distance, sorted by (row, d, column)
-        kth = np.partition(D, k - 1, axis=1)[:, k - 1:k]
-        r, c = np.nonzero(D <= kth)
-        c = c[np.lexsort((c, D[r, c], r))]
-        first = np.searchsorted(r, np.arange(len(B)))  # r is ascending
-        order = c[first[:, None] + np.arange(k)]
-        near = y[order]
-        ones = near.sum(axis=1)
+        within = D <= np.partition(D, k - 1, axis=1)[:, k - 1:k]
+        ones = np.count_nonzero(within & ones_mask, axis=1)
         pred = 2 * ones > k
-        for r in np.flatnonzero(2 * ones == k):
-            d = D[r][order[r]]
-            pred[r] = d[near[r] == 1].sum() < d[near[r] == 0].sum()
+        for r in np.flatnonzero((np.count_nonzero(within, axis=1) > k) | (2 * ones == k)):
+            # a stable sort of the row puts these entries, in column order, first
+            c = np.flatnonzero(within[r])
+            order = c[np.argsort(D[r, c], kind="stable")[:k]]
+            d, near = D[r, order], ones_mask[order]
+            twice = 2 * np.count_nonzero(near)
+            pred[r] = twice > k or (twice == k and d[near].sum() < d[~near].sum())
         out[start:start + len(B)] = pred
     return out
 

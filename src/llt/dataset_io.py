@@ -10,7 +10,8 @@ them: beat-CSV and feature rows (after their label), raw-signal records
 (after their rate), law coefficients (one per line) and model matrices
 (space-separated). `_real_lines` writes each row's reals with 17
 significant digits, so that parse(serialize(x)) reproduces every double
-bit-exactly. `_real_rows` reads the rows of a file at once; their
+bit-exactly; it fills one `%.17g` template per row, which formats each
+value as `_fmt` does. `_real_rows` reads the rows of a file at once; their
 callers first check each row's label and value count in one pass over
 the lines, so that a file with several faults names the first.
 """
@@ -44,9 +45,11 @@ def _fmt(x: float) -> str:
 
 def _real_lines(values: np.ndarray, sep: str) -> list[str]:
     """Each row of the 2-D `values` as one line of its reals joined by
-    `sep`: the bytes of `_fmt` per value, from one list of Python floats."""
-    fmt = "{:.17g}".format
-    return [sep.join(map(fmt, row)) for row in values.tolist()]
+    `sep`: the bytes of `_fmt` per value, from one list of Python floats,
+    each row filled into one `%.17g` template (the same float-to-text
+    call as `_fmt`'s format spec)."""
+    template = sep.join(["%.17g"] * values.shape[1])
+    return [template % tuple(row) for row in values.tolist()]
 
 
 def _real_rows(path, linenos: list[int], texts: list[str], width: int, sep: str | None,

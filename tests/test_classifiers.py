@@ -755,14 +755,48 @@ def test_rf_predict_equals_per_row_walk(data, queries, depth, estimators, seed):
         assert np.array_equal(predict_batch(model, rows), forest_oracle(model, rows))
 
 
+# One small problem for each path of `_knn_predict`: training values,
+# their labels ("a" is label 0, "b" label 1), k, query values and the
+# labels of the stable-sort rule. Every value is exact in binary, so
+# equal distances are exactly equal.
+_KNN_PATHS = {
+    # more rows at the k-th distance than places left, at even k: the
+    # stable sort keeps the lowest row indices, and where that leaves one
+    # vote each the smaller summed distance wins
+    "distance tie, even k": ([0.0, 2.0, 2.0, 2.0, 2.0], "abbaa", 2,
+                             [0.0, 4.0, 2.0, 1.0, 3.0], "abbab"),
+    # the same at odd k, where the rows within the k-th distance hold
+    # more than k / 2 "b" and the first k of them fewer
+    "distance tie, odd k": ([2.0, 2.0, 2.0, 2.0, 9.0], "aabbb", 3, [2.0, 1.0, 9.0], "aaa"),
+    # four "b" of five rows within the k-th distance, but one vote each
+    # after the stable cut at k = 2
+    "distance tie, then a vote tie": ([1.0, 1.5, 3.0, 3.0, 3.0], "babbb", 2, [2.0], "a"),
+    # exactly k rows within the k-th distance, one vote each
+    "exactly k within, a vote tie": ([0.0, 1.0, 3.0, 4.0, 10.0], "aabba", 2,
+                                     [2.25, 1.75], "ba"),
+    # every training row is a neighbour
+    "k = n": ([0.0, 1.0, 3.0, 4.0], "aabb", 4, [1.5, 2.5, 2.0], "aba"),
+}
+
+
+def _knn_path(name):
+    """The `_KNN_PATHS` problem `name` as the arguments `data` and
+    `queries` of `test_knn_predict_equals_per_row_oracle`."""
+    X, y, k, Q, _ = _KNN_PATHS[name]
+    return {"data": (np.array(X)[:, None], list(y)), "queries": (k, np.array(Q)[:, None])}
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=_labelled_rows(), queries=st.data(), block=st.integers(1, 200))
-@example(data=(np.array([[0.0], [1.0], [3.0], [4.0]]), ["a", "a", "b", "b"]),
-         queries=None, block=4)
+@example(**_knn_path("distance tie, even k"), block=4)
+@example(**_knn_path("distance tie, odd k"), block=1)
+@example(**_knn_path("distance tie, then a vote tie"), block=200)
+@example(**_knn_path("exactly k within, a vote tie"), block=5)
+@example(**_knn_path("k = n"), block=4)
 def test_knn_predict_equals_per_row_oracle(data, queries, block):
     X, y = data
-    if queries is None:  # two votes each: the summed distance decides
-        k, Q = 4, np.array([[1.5], [2.5], [2.0]])
+    if isinstance(queries, tuple):  # an explicit example
+        k, Q = queries
     else:
         k = queries.draw(st.integers(1, len(X)))
         m = queries.draw(st.integers(1, 12))
@@ -800,18 +834,14 @@ def test_fit_needs_one_label_per_feature_row(fit, X, y, message):
         fit(X, y, Hyperparams())
 
 
-@pytest.mark.parametrize("metric", ["chebyshev"])
 @pytest.mark.parametrize("block", [1, 5, 1 << 20])
-def test_knn_ties_at_kth_distance_keep_stable_order(metric, block):
-    # each query has more training rows at its k-th distance than places
-    # left; the stable sort keeps the lowest row indices among them
-    X = np.array([[0.0], [2.0], [2.0], [2.0], [2.0]])
-    y = ["a", "b", "b", "a", "a"]
-    Q = np.array([[0.0], [4.0], [2.0], [1.0], [3.0]])
-    model = knn_fit(X, y, Hyperparams(knn_k=2))
-    assert model.params["metric"] == metric
-    expected = [model.labels[_oracle_knn_predict_one(model.params, q)] for q in Q]
-    assert expected == ["a", "b", "b", "a", "b"]
+@pytest.mark.parametrize("path", list(_KNN_PATHS))
+def test_knn_ties_at_kth_distance_keep_stable_order(path, block):
+    X, y, k, Q, expected = _KNN_PATHS[path]
+    X, Q = np.array(X)[:, None], np.array(Q)[:, None]
+    model = knn_fit(X, list(y), Hyperparams(knn_k=k))
+    assert model.params["metric"] == "chebyshev"
+    assert [model.labels[_oracle_knn_predict_one(model.params, q)] for q in Q] == list(expected)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(classifiers, "_KNN_BLOCK_ENTRIES", block)
-        assert list(predict_batch(model, Q)) == expected
+        assert list(predict_batch(model, Q)) == list(expected)

@@ -425,6 +425,24 @@ def test_artifact_reals_equal_float_oracle(tmp_path, rows, width, seed, drawn, p
         assert values.tobytes() == X.tobytes() == np.array(float_cells(path)).tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(0, 6), width=st.integers(1, 40), sep=st.sampled_from([",", " "]),
+       cells=st.data())
+@example(rows=1, width=len(_EDGE_VALUES), sep=" ", cells=_EDGE_VALUES)
+def test_real_lines_equal_fmt_per_value(rows, width, sep, cells):
+    """Each row that `_real_lines` writes is its values formatted one by
+    one with `_fmt` and joined by `sep`."""
+    if not isinstance(cells, list):
+        cells = cells.draw(st.lists(st.one_of(
+            st.sampled_from(_EDGE_VALUES),
+            st.integers(-2 ** 60, 2 ** 60).map(float),
+            st.floats(allow_nan=False, allow_infinity=False)),
+            min_size=rows * width, max_size=rows * width))
+    values = np.array(cells, dtype=float).reshape(rows, width)
+    assert dataset_io._real_lines(values, sep) == [
+        sep.join(dataset_io._fmt(v) for v in row) for row in values]
+
+
 def _row_indices(corpus, part):
     """The index in `corpus` of each row of `part`; the rows of `corpus`
     must be distinct."""

@@ -330,6 +330,15 @@ class TestExtractBeat:
         assert np.allclose(cut(plateau, 3, monkeypatch).samples, [0.5, 0.5, -1.0])
         assert cut([0.0, 4.0, 5.0, 0.0], 2, monkeypatch).samples.tolist() == [-1.0, 1.0]
 
+    def test_window_that_overflows_its_centring(self, monkeypatch):
+        # finite samples whose sum overflows: the centred window is not
+        # finite, and the error says so before a beat is made
+        v = np.zeros(50)
+        v[24:27] = [1.7e308, 1.79e308, 1.7e308]
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ValueError, match="^beat contains non-finite samples$"):
+            cut(v, 3, monkeypatch)
+
 
 class TestPreprocessRecord:
     def test_clean_single_beat(self):
