@@ -33,11 +33,11 @@ leaf of label 1 adds one vote to each of its rows; a tie goes to label
 _KNN_BLOCK_ENTRIES entries and the k-th distance per row by partition.
 A row with exactly k entries within its k-th distance has them as the
 first k of a stable sort of the row, so its label-1 votes are one count
-over the block. Only a row with more than k such entries (a distance
-tie at the k-th place) or with a vote tie sorts them, stably, which is
-the order a stable sort of the whole row gives them, and takes the
-first k; for a vote tie, label 1 wins exactly when its neighbours'
-summed distance, taken in that order, is smaller.
+over the block. Only the rows with more than k such entries (a distance
+tie at the k-th place) or with a vote tie have their entries put in
+stable order, all at once, by (row, distance, column) with two stable
+argsorts, and take the first k; for a vote tie, label 1 wins exactly
+when its neighbours' summed distance, taken in that order, is smaller.
 
 The network is fitted by limited-memory BFGS (Liu & Nocedal, Math.
 Programming 45, 1989) to mean cross-entropy plus ½·MLP_L2·‖θ‖²; the
@@ -192,8 +192,8 @@ def _knn_predict(p, Q):
     votes, and a tie goes to label 1 only if its summed distance is
     smaller. A row with exactly k entries within its k-th distance (from
     a partition) has its votes counted from them at once, in any order;
-    only in a row with a distance tie at the k-th place or a vote tie
-    are those entries sorted."""
+    only the rows with a distance tie at the k-th place or a vote tie
+    have those entries sorted, together."""
     from scipy.spatial.distance import cdist
 
     X, y, k = p["X"], p["y"], p["k"]
@@ -206,13 +206,21 @@ def _knn_predict(p, Q):
         within = D <= np.partition(D, k - 1, axis=1)[:, k - 1:k]
         ones = np.count_nonzero(within & ones_mask, axis=1)
         pred = 2 * ones > k
-        for r in np.flatnonzero((np.count_nonzero(within, axis=1) > k) | (2 * ones == k)):
-            # a stable sort of the row puts these entries, in column order, first
-            c = np.flatnonzero(within[r])
-            order = c[np.argsort(D[r, c], kind="stable")[:k]]
-            d, near = D[r, order], ones_mask[order]
-            twice = 2 * np.count_nonzero(near)
-            pred[r] = twice > k or (twice == k and d[near].sum() < d[~near].sum())
+        tied = np.flatnonzero((np.count_nonzero(within, axis=1) > k) | (2 * ones == k))
+        if len(tied):
+            # their entries by (row, distance, column): nonzero lists them
+            # by (row, column), so a stable sort by distance and then one
+            # by row gives that order, as a stable sort of each row does
+            r, c = np.nonzero(within[tied])
+            i = np.argsort(D[tied[r], c], kind="stable")
+            c = c[i[np.argsort(r[i], kind="stable")]]
+            order = c[np.searchsorted(r, np.arange(len(tied)))[:, None] + np.arange(k)]
+            near = ones_mask[order]
+            twice = 2 * np.count_nonzero(near, axis=1)
+            pred[tied] = twice > k
+            for j in np.flatnonzero(twice == k):
+                d = D[tied[j], order[j]]
+                pred[tied[j]] = d[near[j]].sum() < d[~near[j]].sum()
         out[start:start + len(B)] = pred
     return out
 

@@ -27,8 +27,7 @@ so a scipy that moves or changes it fails there.
 Peak candidates come from one vectorised local-maximum mask, read
 against one max of the samples. The window is centred with its sum over
 its length, which is np.mean's own arithmetic, and scaled by the max of
-its absolute values; that one max is checked finite, which bounds every
-sample, so the beat is built by `Beat.checked` without a second pass. ``test_record_equals_public_chain`` compares
+its absolute values. ``test_record_equals_public_chain`` compares
 preprocess_record, bit for bit, with the same chain built from the
 public sosfiltfilt, np.flatnonzero, np.mean and np.max.
 """
@@ -91,9 +90,8 @@ def _butter_sos(cutoff: float, btype: str, fs: float) -> _Design:
     """The design for (cutoff, btype, fs), made once per key: the
     sections, their steady-state initial conditions, the pad length
     3 * (2*n_sections + 1 - min(#zero b2, #zero a2)) and the kernel
-    ``scipy.signal._sosfilt._sosfilt`` with the sections bound, as its
-    float64 specialisation, so that a call skips the fused-type dispatch
-    (every array it gets is float64). The kernel rejects read-only sections but only reads them, so it gets
+    ``scipy.signal._sosfilt._sosfilt`` with the sections bound. The
+    kernel rejects read-only sections but only reads them, so it gets
     the writable array and every other caller a read-only view of it."""
     from scipy.signal import butter, sosfilt_zi
     from scipy.signal._sosfilt import _sosfilt
@@ -105,8 +103,7 @@ def _butter_sos(cutoff: float, btype: str, fs: float) -> _Design:
     sos = sections.view()
     sos.setflags(write=False)
     zi.setflags(write=False)
-    return _Design(sos=sos, zi=zi, pad=3 * int(ntaps),
-                   run=partial(_sosfilt["double"], sections))
+    return _Design(sos=sos, zi=zi, pad=3 * int(ntaps), run=partial(_sosfilt, sections))
 
 
 def _filtfilt(design: _Design, x: np.ndarray) -> np.ndarray:
@@ -162,8 +159,6 @@ def detect_peaks(v: np.ndarray, fs: float, cfg: PreprocessConfig) -> list[int]:
     m = v[1:-1]
     mask = (m >= v[:-2]) & (m > v[2:]) & (m > cfg.peak_threshold * top)
     cand = [i + 1 for i in mask.nonzero()[0].tolist()]  # indices into v
-    if len(cand) < 2:  # nothing to arbitrate, as in most records
-        return cand
     # accept in descending amplitude (index breaks ties) under the gap rule
     accepted: list[int] = []
     for i in sorted(cand, key=lambda i: (-v[i], i)):
@@ -190,10 +185,5 @@ def preprocess_record(sig: Signal, cfg: PreprocessConfig,
     if len(window) < n or (n == 2 and window[0] == window[1]):
         return [Beat(samples=np.zeros(n), label=label, artifact=True, source_id=source_id)]
     centered = window - window.sum() / n  # np.mean's own arithmetic
-    scale = np.abs(centered).max()
-    # every |sample| is at most scale, so a finite scale leaves them all
-    # in [-1, 1], and the beat needs no check of its own
-    if not math.isfinite(scale):
-        raise ValueError("beat contains non-finite samples")
-    centered /= scale
-    return [Beat.checked(centered, label, source_id)]
+    centered /= np.abs(centered).max()
+    return [Beat(samples=centered, label=label, source_id=source_id)]

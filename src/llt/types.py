@@ -77,15 +77,6 @@ class Beat:
         if not np.isfinite(self.samples).all():
             raise ValueError("beat contains non-finite samples")
 
-    @classmethod
-    def checked(cls, samples: np.ndarray, label: Label, source_id: str = "") -> "Beat":
-        """A clean beat of a 1-D float64 array of at least two samples
-        that its caller has checked finite, without __post_init__."""
-        beat = cls.__new__(cls)
-        beat.samples, beat.label, beat.artifact, beat.source_id = (
-            samples, label, False, source_id)
-        return beat
-
 
 class Corpus:
     """Beats of one window length, held as arrays.

@@ -332,7 +332,7 @@ class TestExtractBeat:
 
     def test_window_that_overflows_its_centring(self, monkeypatch):
         # finite samples whose sum overflows: the centred window is not
-        # finite, and the error says so before a beat is made
+        # finite, and the beat's own check rejects it
         v = np.zeros(50)
         v[24:27] = [1.7e308, 1.79e308, 1.7e308]
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
