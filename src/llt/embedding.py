@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .types import Beat, Corpus
 
@@ -31,8 +30,11 @@ def embed_class(beats: np.ndarray | list[Beat], width: int) -> EmbeddedMatrix:
 
     `beats` is an (N, L) sample array, one beat per row, or a list of
     beats, which is stacked first as a Corpus of the first beat's length.
-    The windows are one read-only strided view, stepping back one sample
-    per lag; the copy is C-contiguous even where the reshape is a view."""
+    The windows are one strided view, built by the `np.ndarray`
+    constructor over the samples as C-contiguous doubles (copied only
+    where they are not): it starts at column width - 1 and steps back
+    one sample per lag. The copy of the view is C-contiguous even where
+    the reshape is a view."""
     if len(beats) == 0:
         raise ValueError("no beat to embed")
     samples = (beats if isinstance(beats, np.ndarray)
@@ -40,9 +42,10 @@ def embed_class(beats: np.ndarray | list[Beat], width: int) -> EmbeddedMatrix:
     if samples.ndim != 2:
         raise ValueError(f"beat samples must be an (N, L) array, got shape {samples.shape}")
     check_width(width, samples.shape[1])
+    samples = np.ascontiguousarray(samples, dtype=float)
     (n, length), (s0, s1) = samples.shape, samples.strides
-    windows = as_strided(samples[:, width - 1:], (n, length - width + 1, width),
-                         (s0, s1, -s1), writeable=False)
+    windows = np.ndarray((n, length - width + 1, width), samples.dtype, samples,
+                         (width - 1) * s1, (s0, s1, -s1))
     return EmbeddedMatrix(data=np.ascontiguousarray(windows.reshape(-1, width)))
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .classifiers import TrainedModel, predict_batch
 from .features import feature_matrix
-from .types import _TOKEN, Corpus, Label, LinearLaw, Role
+from .types import Corpus, Label, LinearLaw, Role
 
 
 @dataclass
@@ -50,7 +50,8 @@ class MetricsReport:
 def _label_tokens(values, what: str) -> np.ndarray:
     """`values` as an array of label tokens; ValueError on any other."""
     tokens = np.asarray(values, dtype=str)
-    known = np.isin(tokens, tuple(_TOKEN.values()))
+    known = ((tokens == Label.NORMAL.value) | (tokens == Label.ECTOPIC.value)
+             | (tokens == Label.UNLABELED.value))
     if not known.all():
         raise ValueError(f"unknown label token {str(tokens[~known][0])!r} in {what}")
     return tokens

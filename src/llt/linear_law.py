@@ -12,6 +12,7 @@ names the class and the width.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,9 @@ def correlation(Y: EmbeddedMatrix) -> np.ndarray:
     """C = Y^T Y / K of an `embed_class` matrix, which has a row. It is
     exactly symmetric as computed: numpy forms ``A.T @ A`` by BLAS
     ``syrk``, which computes one triangle and copies it to the other."""
-    return Y.data.T @ Y.data / Y.rows
+    C = Y.data.T @ Y.data
+    C /= Y.rows
+    return C
 
 
 def jacobi_eigensystem(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -99,8 +102,8 @@ def fit_law(beats: np.ndarray | list[Beat], width: int, class_tag: str,
         C = correlation(Y)
         evals, evecs = jacobi_eigensystem(C)
         lam = float(evals[0])
-        scale = max(float(np.trace(C)), np.finfo(float).tiny)
-        multiplicity = int(np.sum(evals - lam <= DEGENERACY_RTOL * scale))
+        scale = max(float(C.trace()), sys.float_info.min)
+        multiplicity = int(np.count_nonzero(evals - lam <= DEGENERACY_RTOL * scale))
         if multiplicity > 1 and not allow_degenerate:
             raise DegenerateLawError(f"rank-deficient: law ambiguous (smallest eigenvalue "
                                      f"has multiplicity {multiplicity})")
@@ -153,8 +156,8 @@ def scan_law_length(train: Corpus, validation: Corpus, widths: list[int] | range
     for width in widths:
         law = fit_law(train_rows, width, tag)
         var_val = law_variance(val_rows, law)
-        with np.errstate(over="ignore"):  # inf, not a warning, at a lam of 0 or near it
-            gap = abs(var_val - law.lam) / (law.lam if law.lam > 0 else np.finfo(float).tiny)
+        # Python floats: an overflow at a lam of 0 or near it is inf, not a warning.
+        gap = abs(var_val - law.lam) / (law.lam if law.lam > 0 else sys.float_info.min)
         entries.append(ScanEntry(width=width, lambda_train=law.lam, variance_validation=var_val,
                                  gap=gap, feature_count=train.window_len - width + 1))
     return LawScanReport(entries=entries)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -173,7 +174,7 @@ class LinearLaw:
         self.w = np.asarray(self.w, dtype=float)
         if self.w.ndim != 1:
             raise ValueError("law coefficients must be a vector")
-        norm = float(np.linalg.norm(self.w))
+        norm = math.sqrt(self.w.dot(self.w))  # the arithmetic of np.linalg.norm
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"coefficients not unit norm (norm={norm:.6g})")
         if self.lam < -1e-12:

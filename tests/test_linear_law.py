@@ -201,6 +201,12 @@ class TestFitLaw:
         assert law2.lam == pytest.approx(9.0 * law1.lam, rel=1e-12)
         assert np.allclose(law1.w, law2.w, atol=1e-12)
 
+    def test_integer_samples_fit_as_doubles(self):
+        ints = np.random.default_rng(14).integers(-3, 4, (6, 12))
+        law, law_of_doubles = fit_law(ints, 4, "Normal"), fit_law(ints.astype(float), 4, "Normal")
+        assert law.w.tobytes() == law_of_doubles.w.tobytes() and law.lam == law_of_doubles.lam
+        assert law_variance(ints, law) == law.lam
+
     def test_sign_determinism(self):
         beats = random_beats(6, 12, seed=13)
         law1 = fit_law(beats, 4, "Normal")
@@ -301,13 +307,30 @@ def _normal_corpus(samples, role):
     return Corpus.from_arrays(samples, np.full(n, Label.NORMAL.value), np.zeros(n, bool), role)
 
 
+def _laid_out(samples, layout):
+    """The values of the C-ordered `samples` in the memory layout `layout`."""
+    if layout == "fortran":
+        return np.asfortranarray(samples)
+    if layout == "every other column":
+        wide = np.zeros((len(samples), 2 * samples.shape[1]))
+        wide[:, ::2] = samples
+        return wide[:, ::2]
+    if layout == "corpus":
+        return _normal_corpus(samples, Role.TRAIN).samples
+    return samples
+
+
 @settings(max_examples=100, deadline=None)
-@example(1, 7, 5, 2, 0, "normal", 1.0)  # N = 1 and width = L: one row
-@example(1, 12, 3, 1, 1, "normal", 1.0)  # N = 1: the reshape is a view
-@example(4, 9, 7, 3, 2, "integers", 1.0)  # width = L
-@example(1, 2, 0, 1, 3, "integers", 1e-3)  # L = 2
-@example(1, 2, 0, 1, 32, "integers", 1.0)  # lam = 0: the gap is inf
-@example(5, 40, 38, 4, 4, "normal", 1e50)
+@example(1, 7, 5, 2, 0, "normal", 1.0, "C")  # N = 1 and width = L: one row
+@example(1, 12, 3, 1, 1, "normal", 1.0, "C")  # N = 1: the reshape is a view
+@example(4, 9, 7, 3, 2, "integers", 1.0, "C")  # width = L
+@example(1, 2, 0, 1, 3, "integers", 1e-3, "C")  # L = 2
+@example(1, 2, 0, 1, 32, "integers", 1.0, "C")  # lam = 0: the gap is inf
+@example(5, 40, 38, 4, 4, "normal", 1e50, "C")
+@example(3, 11, 4, 2, 5, "normal", 1.0, "fortran")
+@example(3, 11, 4, 2, 6, "normal", 1.0, "every other column")
+@example(3, 11, 4, 2, 7, "normal", 1.0, "corpus")
+@example(1, 11, 9, 1, 8, "normal", 1.0, "every other column")  # N = 1, width = L
 @given(
     st.integers(1, 8),
     st.integers(2, 40),
@@ -316,14 +339,18 @@ def _normal_corpus(samples, role):
     st.integers(0, 2**32 - 1),
     st.sampled_from(["normal", "integers"]),
     st.sampled_from([1e-100, 1e-3, 1.0, 1e3, 1e50]),
+    st.sampled_from(["C", "fortran", "every other column", "corpus"]),
 )
-def test_law_path_equals_its_oracles(n, length, lag, n_val, seed, kind, scale):
+def test_law_path_equals_its_oracles(n, length, lag, n_val, seed, kind, scale, layout):
     """The strided embedding, the unmirrored correlation and the
-    in-place residual power give the bits of their first versions."""
+    in-place residual power give the bits of their first versions, on
+    samples in C or Fortran order, every other column of a wider array,
+    or a read-only corpus view."""
     width = 2 + lag % (length - 1)
     rng = np.random.default_rng(seed)
     draw = rng.standard_normal if kind == "normal" else (lambda shape: rng.integers(-3, 4, shape))
     samples, val = (scale * draw((m, length)).astype(float) for m in (n, n_val))
+    samples = _laid_out(samples, layout)
     Y = embed_class(samples, width).data
     oracle_Y = embed_class_oracle(samples, width)
     assert Y.flags.c_contiguous

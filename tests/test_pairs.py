@@ -1,7 +1,7 @@
 """tools/pairs.py on a stub `perfbench/run.py` that prints fixed JSON
-lines: the order of sides, the summary arithmetic and claim rule, a
-failing run, bytecode kept out of both checkouts, and the whole command
-against a small git repository."""
+lines: the order of sides, the summary arithmetic, the claim rule and
+the bound check, a failing run, bytecode kept out of both checkouts, and
+the whole command against a small git repository."""
 
 import json
 import subprocess
@@ -46,6 +46,7 @@ print(json.dumps({"correct": seed != cfg.get("incorrect_seed"), "attempted": 10 
 
 SEEDS = [1, 2, 3, 4, 5]
 BETTER = {"beats_per_s": "higher", "setup_s": "lower", "peak_rss_mb": "lower"}
+BOUNDS = {"beats_per_s": 0.25, "setup_s": 0.25, "peak_rss_mb": 0.06}
 METRICS = {
     "parent": {"beats_per_s": [100, 104, 101, 108, 103],
                "setup_s": [0.30, 0.31, 0.32, 0.33, 0.34],
@@ -89,22 +90,35 @@ def test_sides_alternate_and_the_summary_arithmetic(roots, log):
     assert [(r["pair"], r["side"], r["first"]) for r in runs[:4]] == [
         (0, "parent", "parent"), (0, "change", "parent"),
         (1, "change", "change"), (1, "parent", "change")]
-    summary = pairs.summarize(runs, BETTER)["law-scan"]
+    summary = pairs.summarize(runs, BETTER, BOUNDS)["law-scan"]
     assert summary["seeds"] == SEEDS and summary["pairs"] == 5
     beats = summary["beats_per_s"]
     # parent 100 101 103 104 108, change 103 110 112 115 120; 104 -> 103 loses
     assert beats["parent_median"] == 103 and beats["parent_quartiles"] == [101, 104]
     assert beats["change_median"] == 112 and beats["change_quartiles"] == [110, 115]
     assert beats["change_better_in_pairs"] == 4 and not beats["claim_rule_holds"]
+    assert beats["change_worse_by"] == pytest.approx(-9 / 103) and beats["within_bound"]
     setup = summary["setup_s"]
     assert setup["parent_median"] == pytest.approx(0.32)
     assert setup["parent_quartiles"] == pytest.approx([0.31, 0.33])
     assert setup["change_median"] == pytest.approx(0.22)
     assert setup["change_better_in_pairs"] == 5 and setup["claim_rule_holds"]
+    assert setup["change_worse_by"] == pytest.approx(-0.1 / 0.32) and setup["within_bound"]
     rss = summary["peak_rss_mb"]
     assert rss["change_better_in_pairs"] == 1 and not rss["claim_rule_holds"]
+    assert rss["bound"] == 0.06 and rss["change_worse_by"] == 0 and rss["within_bound"]
     assert summary["attempted"] == {"parent": 65, "change": 65}
     assert summary["failed"] == {"parent": 0, "change": 0}
+
+
+def test_a_worse_median_beyond_its_bound(tmp_path, log):
+    rss = {"parent": 50, "change": 55}  # 10 % more, against a bound of 6 %
+    roots = {side: _side(tmp_path / side, side,
+                         metrics={"peak_rss_mb": {str(s): rss[side] for s in SEEDS}})
+             for side in pairs.SIDES}
+    runs = pairs.run_pairs(roots, ["law-scan"], SEEDS, 1, 0)
+    rss = pairs.summarize(runs, BETTER, BOUNDS)["law-scan"]["peak_rss_mb"]
+    assert rss["change_worse_by"] == pytest.approx(0.10) and not rss["within_bound"]
 
 
 @pytest.mark.parametrize("change, better, holds", [
@@ -151,7 +165,7 @@ def test_the_command_writes_its_file(tmp_path, log, monkeypatch, capsys):
     repo = _side(tmp_path / "repo", "parent")
     (repo / "BENCHMARK.json").write_text(json.dumps({
         "run_seconds": 3,
-        "end_to_end": [{"name": n, "better": b} for n, b in BETTER.items()],
+        "end_to_end": [{"name": n, "better": b, "bound": BOUNDS[n]} for n, b in BETTER.items()],
         "per_layer": []}))
     git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
     for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "base"]):
@@ -171,8 +185,11 @@ def test_the_command_writes_its_file(tmp_path, log, monkeypatch, capsys):
         (2, "parent", "parent"), (3, "parent", "parent"), (3, "change", "change")]
     assert doc["summary"]["law-scan"]["beats_per_s"]["change_better_in_pairs"] == 2
     assert set(doc["host"]) == {"cpus", "python", "numpy", "scipy"}
+    assert doc["summary"]["law-scan"]["setup_s"]["within_bound"]
+    out = capsys.readouterr().out
     assert ("law-scan beats_per_s: parent 101, change 110, change better in 2 of 3 pairs; "
-            "the claim rule does not hold") in capsys.readouterr().out
+            "the claim rule does not hold; worse by -8.9 %, within its 25 % bound") in out
+    assert "law-scan peak_rss_mb: parent 50, change 50," in out
 
 
 def test_seeds():

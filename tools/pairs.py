@@ -24,11 +24,16 @@ The output file holds the host, every run's info and result lines as
 `run.py` printed them, and, per workload and metric, a summary: each
 side's median and quartiles (inclusive method), the number of pairs in
 which the change was better by `BENCHMARK.json`'s direction (ties count
-for neither), and whether `claim_holds`. It also sums each side's
-failed and attempted passes. A run that exits non-zero, prints no result
+for neither), and whether `claim_holds`. For each end-to-end metric it
+also stores how much worse the change's median is than the parent's, as
+a fraction of the parent's (negative where it is better), and whether
+that stays within the metric's `bound` in `BENCHMARK.json`: the
+no-regression half of the gate. It also sums each side's failed and
+attempted passes. A run that exits non-zero, prints no result
 or reports `"correct": false` stops the tool with exit 1, naming the
 side, the seed and the pair, and no file is written. The tool claims
-nothing itself: it prints, per metric, whether the rule holds.
+nothing itself: it prints, per metric, whether the rule holds and,
+per end-to-end metric, whether the change stays within its bound.
 """
 
 from __future__ import annotations
@@ -149,10 +154,18 @@ def claim_holds(parent: list[float], change: list[float], better: str) -> bool:
     return 10 * wins(parent, change, better) >= 9 * len(parent) and gap > q3 - q1
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def worse_by(parent_median: float, change_median: float, better: str) -> float:
+    """How much worse the change's median is than the parent's, as a
+    fraction of the parent's; negative where it is better."""
+    gap = parent_median - change_median if better == "higher" else change_median - parent_median
+    return gap / parent_median
+
+
+def summarize(runs: list[dict], better: dict[str, str], bounds: dict[str, float]) -> dict:
     """Per workload of `runs`, its seeds and pair count, the summary of
-    each metric that `better` gives a direction for, and each side's
-    failed and attempted passes."""
+    each metric that `better` gives a direction for, with the
+    no-regression check of each metric that `bounds` gives a bound for,
+    and each side's failed and attempted passes."""
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
@@ -174,6 +187,10 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                 "change_better_in_pairs": wins(values["parent"], values["change"], better[name]),
                 "claim_rule_holds": claim_holds(values["parent"], values["change"], better[name]),
             }
+            if name in bounds:
+                worse = worse_by(pm, cm, better[name])
+                entry[name].update(bound=bounds[name], change_worse_by=worse,
+                                   within_bound=worse <= bounds[name])
         for count in ("failed", "attempted"):
             entry[count] = {side: sum(by[i, side][count] for i in pairs) for side in SIDES}
         summary[workload] = entry
@@ -204,6 +221,7 @@ def main(argv: list[str]) -> int:
     sha = base.stdout.strip()
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     seconds = args.seconds or bench["run_seconds"]
     with tempfile.TemporaryDirectory(prefix="pairs-") as work:
         if not unpack(ROOT, sha, Path(work)):
@@ -214,7 +232,7 @@ def main(argv: list[str]) -> int:
         except RunFailed as e:
             sys.stderr.write(f"error: {e}\n")
             return 1
-    summary = summarize(runs, better)
+    summary = summarize(runs, better, bounds)
     doc = {
         "parent_commit": sha,
         "command": (f"python3 -B perfbench/run.py --workload W --seed S --seconds {seconds:g} "
@@ -225,7 +243,9 @@ def main(argv: list[str]) -> int:
                  "is even, the change first when it is odd",
         "rule": "claim_rule_holds: the change better in at least 9 of 10 pairs, ties "
                 "counting for neither, and its median better than the parent's by more "
-                "than the distance between the parent's quartiles (inclusive method)",
+                "than the distance between the parent's quartiles (inclusive method); "
+                "within_bound: the change's median worse than the parent's by no more "
+                "than the end-to-end metric's bound, as a fraction of the parent's",
         "host": host(),
         "summary": summary,
         "runs": runs,
@@ -234,10 +254,15 @@ def main(argv: list[str]) -> int:
     for workload, entry in summary.items():
         for name, s in entry.items():
             if isinstance(s, dict) and "claim_rule_holds" in s:
-                print(f"{workload} {name}: parent {s['parent_median']:.6g}, change "
-                      f"{s['change_median']:.6g}, change better in "
-                      f"{s['change_better_in_pairs']} of {entry['pairs']} pairs; the claim "
-                      f"rule {'holds' if s['claim_rule_holds'] else 'does not hold'}")
+                line = (f"{workload} {name}: parent {s['parent_median']:.6g}, change "
+                        f"{s['change_median']:.6g}, change better in "
+                        f"{s['change_better_in_pairs']} of {entry['pairs']} pairs; the claim "
+                        f"rule {'holds' if s['claim_rule_holds'] else 'does not hold'}")
+                if "within_bound" in s:
+                    line += (f"; worse by {100 * s['change_worse_by']:.1f} %, "
+                             f"{'within' if s['within_bound'] else 'outside'} its "
+                             f"{100 * s['bound']:g} % bound")
+                print(line)
     return 0
 
 
